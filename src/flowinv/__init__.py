@@ -18,12 +18,12 @@ from .diagram import (
     Saddle,
     SaddleDiagram,
     Separatrix,
+    ValidationError,
     Violation,
     diagram_components,
     diagram_multigraph,
     diagram_poset,
     faces_by_component,
-    saddle_degree,
     trace_faces,
     validate_diagram,
 )

@@ -23,6 +23,7 @@ from .model_io import (
     SchemaError,
     SemanticError,
     export_dot,
+    parse_graph,
     parse_model,
     serialize_model,
 )
@@ -42,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _bound(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _mode(args):
     return REVERSIBLE if args.reverse_allowed else ORIENTED
 
@@ -52,22 +60,8 @@ def _load(path: str):
 
 
 def _load_graph(path: str) -> Multigraph:
-    import json
-
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, exc.lineno, exc.colno)
-    if not isinstance(doc, dict) or set(doc) != {"vertices", "edges"}:
-        raise SchemaError([])
-    edges = {}
-    for entry in doc["edges"]:
-        if not isinstance(entry, dict) or set(entry) != {"id", "ends"} \
-                or not 1 <= len(entry["ends"]) <= 2:
-            raise SchemaError([])
-        edges[entry["id"]] = frozenset(entry["ends"])
-    return Multigraph.build(doc["vertices"], edges)
+        return parse_graph(fh.read())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,13 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_file")
 
     p = sub.add_parser("enumerate", help="stream model classes within bounds")
-    p.add_argument("--max-saddles", type=int, default=0)
-    p.add_argument("--max-k-sum", type=int, default=0)
-    p.add_argument("--max-centers", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=0)
-    p.add_argument("--max-b", type=int, default=0)
-    p.add_argument("--max-annuli", type=int, default=0)
-    p.add_argument("--max-tori", type=int, default=0)
+    p.add_argument("--max-saddles", type=_bound, default=0)
+    p.add_argument("--max-k-sum", type=_bound, default=0)
+    p.add_argument("--max-centers", type=_bound, default=0)
+    p.add_argument("--max-n", type=_bound, default=0)
+    p.add_argument("--max-b", type=_bound, default=0)
+    p.add_argument("--max-annuli", type=_bound, default=0)
+    p.add_argument("--max-tori", type=_bound, default=0)
     p.add_argument("--closed-only", action="store_true")
     p.add_argument("--orientable-only", action="store_true")
     with_reversal(p)
@@ -232,8 +226,6 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         for d in exc.diagnostics:
             print(f"schema error: {d.render()}", file=sys.stderr)
-        if not exc.diagnostics:
-            print("schema error: malformed graph document", file=sys.stderr)
         return EXIT_PARSE
     except SemanticError as exc:
         for d in exc.diagnostics:

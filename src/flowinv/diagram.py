@@ -12,23 +12,15 @@ successor, and every circle runs coherently with or against the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .multigraph import Multigraph
-from .topology import FinPoset
+from .topology import FinPoset, connected_groups
 
 OUT = "out"
 IN = "in"
 
 Dart = tuple  # (separatrix id, OUT | IN)
-
-
-class DiagramError(ValueError):
-    """Raised when an operation requires a valid diagram and gets violations."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(v.message for v in self.violations))
 
 
 class FlowIncoherentFaceError(ValueError):
@@ -45,6 +37,18 @@ class Violation:
     subject: str   # offending id ("" for whole-model rules)
     rule: str      # short rule name
     message: str
+
+
+class ValidationError(ValueError):
+    """Raised when an operation requires a valid diagram or pair and gets
+    violations; ``violations`` lists them."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(v.message for v in self.violations))
+
+
+DiagramError = ValidationError
 
 
 def flip(dart: Dart) -> Dart:
@@ -127,139 +131,138 @@ class SaddleDiagram:
             out.append(e.in_dart)
         return tuple(sorted(out))
 
+    @cached_property
+    def violations(self) -> tuple:
+        """Structural rule violations; empty when the diagram is valid.
 
-def saddle_degree(s: Saddle) -> int:
-    """Degree of a k-saddle: 2k + 2."""
-    return s.degree
+        Rules: interior saddles only (v1), untwisted separatrices only (v1),
+        unique ids, rotation length equals degree, every dart placed exactly
+        once with the out-dart at the separatrix source and the in-dart at
+        its target, and strict out/in alternation around each saddle.
+        """
+        violations = []
+
+        def bad(kind, subject, rule, message):
+            violations.append(Violation(kind, subject, rule, message))
+
+        seen = set()
+        for s in self.saddles:
+            if s.id in seen:
+                bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
+            seen.add(s.id)
+        for e in self.separatrices:
+            if e.id in seen:
+                bad("separatrix", e.id, "unique-id",
+                    f"separatrix id {e.id!r} collides with another id")
+            seen.add(e.id)
+
+        for e in self.separatrices:
+            if e.source not in self.saddle_by_id:
+                bad("separatrix", e.id, "dangling-endpoint",
+                    f"separatrix {e.id!r} has unknown source {e.source!r}")
+            if e.target not in self.saddle_by_id:
+                bad("separatrix", e.id, "dangling-endpoint",
+                    f"separatrix {e.id!r} has unknown target {e.target!r}")
+            if e.twisted:
+                bad("separatrix", e.id, "twist-unsupported",
+                    f"separatrix {e.id!r} is twisted; twisted ribbons are not supported")
+
+        placements = {}
+        for s in self.saddles:
+            if s.kind != "interior":
+                bad("saddle", s.id, "boundary-unsupported",
+                    f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
+                continue
+            if s.k < 0:
+                bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
+                continue
+            if len(s.rotation) != s.degree:
+                bad("saddle", s.id, "degree",
+                    f"saddle {s.id!r} has rotation length {len(s.rotation)}"
+                    f" but degree {s.degree} (2k+2 with k={s.k})")
+            for pos, dart in enumerate(s.rotation):
+                if not (isinstance(dart, tuple) and len(dart) == 2):
+                    bad("saddle", s.id, "unknown-dart",
+                        f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
+                    continue
+                sep, end = dart
+                if sep not in self.sep_by_id or end not in (OUT, IN):
+                    bad("saddle", s.id, "unknown-dart",
+                        f"saddle {s.id!r} rotation slot {pos} references unknown dart {dart!r}")
+                    continue
+                if dart in placements:
+                    bad("saddle", s.id, "dart-pairing",
+                        f"dart {dart!r} appears more than once")
+                placements[dart] = s.id
+            n = len(s.rotation)
+            for pos in range(n):
+                here, after = s.rotation[pos], s.rotation[(pos + 1) % n]
+                if len(here) == 2 and len(after) == 2 and here[1] == after[1]:
+                    bad("saddle", s.id, "alternation",
+                        f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
+                        f" are consecutive {here[1]} darts")
+
+        for e in self.separatrices:
+            for dart, home in ((e.out_dart, e.source), (e.in_dart, e.target)):
+                where = placements.get(dart)
+                if where is None:
+                    bad("separatrix", e.id, "dart-pairing",
+                        f"dart {dart!r} does not occur in any rotation")
+                elif where != home:
+                    bad("separatrix", e.id, "source-label",
+                        f"dart {dart!r} sits at saddle {where!r} but belongs at {home!r}")
+
+        return tuple(violations)
+
+    @cached_property
+    def components(self) -> tuple:
+        """Connected components (polycycles), each keyed by its least saddle id.
+
+        A sorted tuple of ``(component_id, saddle_ids, sep_ids)``.
+        """
+        known = self.saddle_by_id
+        groups = connected_groups(known, (
+            (e.source, e.target) for e in self.separatrices
+            if e.source in known and e.target in known
+        ))
+        return tuple(
+            (min(saddle_ids), saddle_ids,
+             frozenset(e.id for e in self.separatrices if e.source in saddle_ids))
+            for saddle_ids in groups
+        )
+
+    @cached_property
+    def faces(self) -> tuple:
+        """Face cycles sorted by (component, least dart), traced without a
+        validity check (``trace_faces`` checks first)."""
+        comp = component_of(self)
+        faces = []
+        for cycle in _face_orbits(self):
+            ends = {end for _, end in cycle}
+            if len(ends) != 1:
+                raise FlowIncoherentFaceError(
+                    f"face through {cycle[0]!r} mixes followed and opposed sides"
+                )
+            faces.append(
+                FaceCycle(comp[cycle[0][0]], cycle, ends == {OUT})
+            )
+        faces.sort(key=lambda f: (f.component, f.sides[0]))
+        return tuple(faces)
 
 
 def validate_diagram(d: SaddleDiagram) -> list:
-    """Check the diagram's structural rules; empty list means valid.
-
-    Rules: interior saddles only (v1), untwisted separatrices only (v1),
-    unique ids, rotation length equals degree, every dart placed exactly
-    once with the out-dart at the separatrix source and the in-dart at
-    its target, and strict out/in alternation around each saddle.
-    """
-    return list(_violations(d))
-
-
-@lru_cache(maxsize=None)
-def _violations(d: SaddleDiagram) -> tuple:
-    violations = []
-
-    def bad(kind, subject, rule, message):
-        violations.append(Violation(kind, subject, rule, message))
-
-    seen = set()
-    for s in d.saddles:
-        if s.id in seen:
-            bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
-        seen.add(s.id)
-    for e in d.separatrices:
-        if e.id in seen:
-            bad("separatrix", e.id, "unique-id",
-                f"separatrix id {e.id!r} collides with another id")
-        seen.add(e.id)
-
-    for e in d.separatrices:
-        if e.source not in d.saddle_by_id:
-            bad("separatrix", e.id, "dangling-endpoint",
-                f"separatrix {e.id!r} has unknown source {e.source!r}")
-        if e.target not in d.saddle_by_id:
-            bad("separatrix", e.id, "dangling-endpoint",
-                f"separatrix {e.id!r} has unknown target {e.target!r}")
-        if e.twisted:
-            bad("separatrix", e.id, "twist-unsupported",
-                f"separatrix {e.id!r} is twisted; twisted ribbons are not supported")
-
-    placements = {}
-    for s in d.saddles:
-        if s.kind != "interior":
-            bad("saddle", s.id, "boundary-unsupported",
-                f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
-            continue
-        if s.k < 0:
-            bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
-            continue
-        if len(s.rotation) != s.degree:
-            bad("saddle", s.id, "degree",
-                f"saddle {s.id!r} has rotation length {len(s.rotation)}"
-                f" but degree {s.degree} (2k+2 with k={s.k})")
-        for pos, dart in enumerate(s.rotation):
-            if not (isinstance(dart, tuple) and len(dart) == 2):
-                bad("saddle", s.id, "unknown-dart",
-                    f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
-                continue
-            sep, end = dart
-            if sep not in d.sep_by_id or end not in (OUT, IN):
-                bad("saddle", s.id, "unknown-dart",
-                    f"saddle {s.id!r} rotation slot {pos} references unknown dart {dart!r}")
-                continue
-            if dart in placements:
-                bad("saddle", s.id, "dart-pairing",
-                    f"dart {dart!r} appears more than once")
-            placements[dart] = s.id
-        n = len(s.rotation)
-        for pos in range(n):
-            here, after = s.rotation[pos], s.rotation[(pos + 1) % n]
-            if len(here) == 2 and len(after) == 2 and here[1] == after[1]:
-                bad("saddle", s.id, "alternation",
-                    f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
-                    f" are consecutive {here[1]} darts")
-
-    for e in d.separatrices:
-        for dart, home in ((e.out_dart, e.source), (e.in_dart, e.target)):
-            where = placements.get(dart)
-            if where is None:
-                bad("separatrix", e.id, "dart-pairing",
-                    f"dart {dart!r} does not occur in any rotation")
-            elif where != home:
-                bad("separatrix", e.id, "source-label",
-                    f"dart {dart!r} sits at saddle {where!r} but belongs at {home!r}")
-
-    return tuple(violations)
+    """Check the diagram's structural rules; empty list means valid."""
+    return list(d.violations)
 
 
 def check_diagram(d: SaddleDiagram) -> None:
-    violations = _violations(d)
-    if violations:
-        raise DiagramError(violations)
+    if d.violations:
+        raise ValidationError(d.violations)
 
 
-@lru_cache(maxsize=None)
 def diagram_components(d: SaddleDiagram) -> tuple:
-    """Connected components (polycycles), each keyed by its least saddle id.
-
-    Returns a sorted tuple of ``(component_id, saddle_ids, sep_ids)``.
-    """
-    parent = {s.id: s.id for s in d.saddles}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in d.separatrices:
-        if e.source not in parent or e.target not in parent:
-            continue
-        a, b = find(e.source), find(e.target)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    groups = {}
-    for s in d.saddles:
-        groups.setdefault(find(s.id), set()).add(s.id)
-    comps = []
-    for root in sorted(groups):
-        saddle_ids = frozenset(groups[root])
-        comp_id = min(saddle_ids)
-        sep_ids = frozenset(
-            e.id for e in d.separatrices if e.source in saddle_ids
-        )
-        comps.append((comp_id, saddle_ids, sep_ids))
-    return tuple(comps)
+    """Connected components (polycycles): ``d.components``."""
+    return d.components
 
 
 def component_of(d: SaddleDiagram) -> dict:
@@ -319,24 +322,7 @@ def trace_faces(d: SaddleDiagram) -> list:
     V - E + F = 2 - 2g with integer genus g >= 0.
     """
     check_diagram(d)
-    return list(_faces(d))
-
-
-@lru_cache(maxsize=None)
-def _faces(d: SaddleDiagram) -> tuple:
-    comp = component_of(d)
-    faces = []
-    for cycle in _face_orbits(d):
-        ends = {end for _, end in cycle}
-        if len(ends) != 1:
-            raise FlowIncoherentFaceError(
-                f"face through {cycle[0]!r} mixes followed and opposed sides"
-            )
-        faces.append(
-            FaceCycle(comp[cycle[0][0]], cycle, ends == {OUT})
-        )
-    faces.sort(key=lambda f: (f.component, f.sides[0]))
-    return tuple(faces)
+    return list(d.faces)
 
 
 def faces_by_component(d: SaddleDiagram) -> dict:
@@ -345,22 +331,6 @@ def faces_by_component(d: SaddleDiagram) -> dict:
     for f in trace_faces(d):
         out.setdefault(f.component, []).append(f)
     return out
-
-
-def component_genus(d: SaddleDiagram) -> dict:
-    """Genus of each polycycle's ribbon neighborhood, from V - E + F = 2 - 2g."""
-    by_comp = faces_by_component(d)
-    genera = {}
-    for comp_id, saddle_ids, sep_ids in diagram_components(d):
-        v, e = len(saddle_ids), len(sep_ids)
-        f = len(by_comp.get(comp_id, []))
-        euler = v - e + f
-        if euler % 2 or euler > 2:
-            raise DiagramError([Violation(
-                "model", comp_id, "euler",
-                f"component {comp_id!r} has impossible V-E+F={euler}")])
-        genera[comp_id] = (2 - euler) // 2
-    return genera
 
 
 def diagram_poset(d: SaddleDiagram) -> FinPoset:

@@ -13,8 +13,10 @@ bijections from out-slots to in-slots; every valid diagram is a
 relabeling of one of these.  Duplicates are removed by canonical form.
 
 Generation order is deterministic; the optional ``rng`` argument
-scrambles intermediate candidate order and must not change any result
-(the determinism tests rely on exactly that).
+scrambles intermediate candidate order.  The set of classes, their
+canonical digests and the output order do not depend on it (the
+determinism tests rely on exactly that), but the representative emitted
+for a class is the first candidate of that class to arrive, so it can.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     assembly_components, check_pair
 from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram
 from .reconstruction import reconstruct
+from .topology import connected_groups
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,9 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     """All connected model classes within the bounds, exactly once per class.
 
     Emitted in increasing cell count and by canonical bytes within a
-    bucket; every emitted pair validates.
+    bucket; every emitted pair validates.  ``rng`` shuffles candidate
+    order: the classes and their order stay the same, but the emitted
+    representative of a class may change with it.
     """
     found = {}
 
@@ -226,19 +231,11 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
 def _joins_components(comps, pairs) -> bool:
     """True when the face-face pairs connect all diagram components."""
-    parent = {comp_id: comp_id for comp_id, _, _ in comps}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (c1, _), (c2, _) in pairs:
-        a, b = find(c1), find(c2)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    return len({find(c) for c in parent}) == 1
+    groups = connected_groups(
+        (comp_id for comp_id, _, _ in comps),
+        ((c1, c2) for (c1, _), (c2, _) in pairs),
+    )
+    return len(groups) == 1
 
 
 def _assemble(diagram, d_vertices, vertex_of_comp, pairs, singles, kinds,

@@ -17,24 +17,18 @@ from functools import cached_property
 
 from .diagram import (
     SaddleDiagram,
+    ValidationError,
     Violation,
-    diagram_components,
     faces_by_component,
-    validate_diagram,
 )
 from .multigraph import Multigraph
-from .topology import FinPoset
+from .topology import FinPoset, connected_groups
 
 C, N, B, D = "c", "n", "b", "d"
 LABELS = (C, N, B, D)
 
 
-class PairValidationError(ValueError):
-    """Raised when an operation requires a valid pair and gets violations."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(v.message for v in self.violations))
+PairValidationError = ValidationError
 
 
 @dataclass(frozen=True)
@@ -82,8 +76,147 @@ class InvariantPair:
         return {v.id: v for v in self.vertices}
 
     @cached_property
-    def annulus_by_id(self) -> dict:
-        return {a.id: a for a in self.annuli}
+    def violations(self) -> tuple:
+        """Rule violations of the whole model; empty when it is valid.
+
+        Beyond diagram validity: unique ids, labels resolve, polycycle
+        vertices biject with diagram components, every attachment resolves,
+        and the attachment matching is perfect.
+        """
+        violations = list(self.diagram.violations)
+
+        def bad(kind, subject, rule, message):
+            violations.append(Violation(kind, subject, rule, message))
+
+        seen = set()
+        for v in self.vertices:
+            if v.id in seen:
+                bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
+            seen.add(v.id)
+        for a in self.annuli:
+            if a.id in seen:
+                bad("annulus", a.id, "unique-id",
+                    f"annulus id {a.id!r} collides with another id")
+            seen.add(a.id)
+
+        if not isinstance(self.tori, int) or self.tori < 0:
+            bad("model", "", "tori", f"torus count {self.tori!r} must be a non-negative integer")
+
+        if violations:
+            return tuple(violations)  # cross-references below assume a sane diagram
+
+        comp_ids = {c[0] for c in self.diagram.components}
+        faces = faces_by_component(self.diagram)
+
+        comp_vertex = {}
+        for v in self.vertices:
+            if v.label not in LABELS:
+                bad("vertex", v.id, "label", f"vertex {v.id!r} has unknown label {v.label!r}")
+                continue
+            if v.label == D:
+                if v.component is None:
+                    bad("vertex", v.id, "component-ref",
+                        f"polycycle vertex {v.id!r} names no diagram component")
+                elif v.component not in comp_ids:
+                    bad("vertex", v.id, "component-ref",
+                        f"vertex {v.id!r} references unknown component {v.component!r}")
+                elif v.component in comp_vertex:
+                    bad("vertex", v.id, "component-ref",
+                        f"components must label exactly one vertex;"
+                        f" {v.component!r} labels both {comp_vertex[v.component]!r} and {v.id!r}")
+                else:
+                    comp_vertex[v.component] = v.id
+            elif v.component is not None:
+                bad("vertex", v.id, "component-ref",
+                    f"vertex {v.id!r} has label {v.label!r} but names a component")
+        for comp_id in sorted(comp_ids - set(comp_vertex)):
+            bad("model", comp_id, "component-ref",
+                f"diagram component {comp_id!r} is the label of no vertex")
+
+        if violations:
+            return tuple(violations)
+
+        use = {}  # attachment point key -> list of (annulus id, side)
+        for a in self.annuli:
+            for side, att in (("neg", a.neg), ("pos", a.pos)):
+                v = self.vertex_by_id.get(att.vertex)
+                if v is None:
+                    bad("annulus", a.id, "attachment",
+                        f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
+                    continue
+                if v.label == D:
+                    if att.face is None:
+                        bad("annulus", a.id, "attachment",
+                            f"annulus {a.id!r} {side} side attaches to polycycle"
+                            f" {v.id!r} without naming a face")
+                        continue
+                    n_faces = len(faces.get(v.component, []))
+                    if not 0 <= att.face < n_faces:
+                        bad("annulus", a.id, "attachment",
+                            f"annulus {a.id!r} {side} side names face {att.face}"
+                            f" of component {v.component!r} which has {n_faces} faces")
+                        continue
+                elif att.face is not None:
+                    bad("annulus", a.id, "attachment",
+                        f"annulus {a.id!r} {side} side names a face on"
+                        f" non-polycycle vertex {v.id!r}")
+                    continue
+                use.setdefault(att.key(), []).append((a.id, side))
+
+        for v in self.vertices:
+            if v.label == D:
+                for idx in range(len(faces.get(v.component, []))):
+                    users = use.get((v.id, idx), [])
+                    if not users:
+                        bad("vertex", v.id, "matching",
+                            f"face {idx} of component {v.component!r} bounds no annulus")
+                    elif len(users) > 1:
+                        bad("vertex", v.id, "matching",
+                            f"face {idx} of component {v.component!r} bounds"
+                            f" {len(users)} annuli: {sorted(users)}")
+            else:
+                users = use.get((v.id, None), [])
+                if not users:
+                    bad("vertex", v.id, "matching",
+                        f"{v.label}-vertex {v.id!r} is attached to no annulus")
+                elif len(users) > 1:
+                    bad("vertex", v.id, "matching",
+                        f"{v.label}-vertex {v.id!r} is attached to {len(users)}"
+                        f" annuli: {sorted(users)}")
+
+        if not self.vertices and not self.annuli and self.tori == 0:
+            bad("model", "", "nonempty", "model has no cells at all")
+
+        return tuple(violations)
+
+    @cached_property
+    def profile(self) -> tuple:
+        """A cheap isomorphism invariant; the first gate of the iso search."""
+        faces = faces_by_component(self.diagram)
+        comp_profiles = {}
+        for comp_id, saddle_ids, sep_ids in self.diagram.components:
+            ks = tuple(sorted(self.diagram.saddle_by_id[s].k for s in saddle_ids))
+            fs = tuple(sorted(
+                (len(f.sides), f.flow_positive) for f in faces.get(comp_id, [])
+            ))
+            comp_profiles[comp_id] = (ks, len(sep_ids), fs)
+
+        def end_descriptor(att: Attachment):
+            v = self.vertex_by_id[att.vertex]
+            if v.label != D:
+                return ("leaf", v.label)
+            face = faces[v.component][att.face]
+            return ("face", comp_profiles[v.component],
+                    len(face.sides), face.flow_positive)
+
+        return (
+            self.tori,
+            tuple(sorted(v.label for v in self.vertices)),
+            tuple(sorted(comp_profiles.values())),
+            tuple(sorted(
+                (end_descriptor(a.neg), end_descriptor(a.pos)) for a in self.annuli
+            )),
+        )
 
     def saddle_count(self) -> int:
         return len(self.diagram.saddles)
@@ -93,124 +226,13 @@ class InvariantPair:
 
 
 def validate_pair(p: InvariantPair) -> list:
-    """Check the whole model; empty list means valid.
-
-    Beyond diagram validity: unique ids, labels resolve, polycycle
-    vertices biject with diagram components, every attachment resolves,
-    and the attachment matching is perfect.
-    """
-    violations = list(validate_diagram(p.diagram))
-
-    def bad(kind, subject, rule, message):
-        violations.append(Violation(kind, subject, rule, message))
-
-    seen = set()
-    for v in p.vertices:
-        if v.id in seen:
-            bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
-        seen.add(v.id)
-    for a in p.annuli:
-        if a.id in seen:
-            bad("annulus", a.id, "unique-id",
-                f"annulus id {a.id!r} collides with another id")
-        seen.add(a.id)
-
-    if not isinstance(p.tori, int) or p.tori < 0:
-        bad("model", "", "tori", f"torus count {p.tori!r} must be a non-negative integer")
-
-    if violations:
-        return violations  # cross-references below assume a sane diagram
-
-    comps = diagram_components(p.diagram)
-    comp_ids = {c[0] for c in comps}
-    faces = faces_by_component(p.diagram)
-
-    comp_vertex = {}
-    for v in p.vertices:
-        if v.label not in LABELS:
-            bad("vertex", v.id, "label", f"vertex {v.id!r} has unknown label {v.label!r}")
-            continue
-        if v.label == D:
-            if v.component is None:
-                bad("vertex", v.id, "component-ref",
-                    f"polycycle vertex {v.id!r} names no diagram component")
-            elif v.component not in comp_ids:
-                bad("vertex", v.id, "component-ref",
-                    f"vertex {v.id!r} references unknown component {v.component!r}")
-            elif v.component in comp_vertex:
-                bad("vertex", v.id, "component-ref",
-                    f"components must label exactly one vertex;"
-                    f" {v.component!r} labels both {comp_vertex[v.component]!r} and {v.id!r}")
-            else:
-                comp_vertex[v.component] = v.id
-        elif v.component is not None:
-            bad("vertex", v.id, "component-ref",
-                f"vertex {v.id!r} has label {v.label!r} but names a component")
-    for comp_id in sorted(comp_ids - set(comp_vertex)):
-        bad("model", comp_id, "component-ref",
-            f"diagram component {comp_id!r} is the label of no vertex")
-
-    if violations:
-        return violations
-
-    use = {}  # attachment point key -> list of (annulus id, side)
-    for a in p.annuli:
-        for side, att in (("neg", a.neg), ("pos", a.pos)):
-            v = p.vertex_by_id.get(att.vertex)
-            if v is None:
-                bad("annulus", a.id, "attachment",
-                    f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
-                continue
-            if v.label == D:
-                if att.face is None:
-                    bad("annulus", a.id, "attachment",
-                        f"annulus {a.id!r} {side} side attaches to polycycle"
-                        f" {v.id!r} without naming a face")
-                    continue
-                n_faces = len(faces.get(v.component, []))
-                if not 0 <= att.face < n_faces:
-                    bad("annulus", a.id, "attachment",
-                        f"annulus {a.id!r} {side} side names face {att.face}"
-                        f" of component {v.component!r} which has {n_faces} faces")
-                    continue
-            elif att.face is not None:
-                bad("annulus", a.id, "attachment",
-                    f"annulus {a.id!r} {side} side names a face on"
-                    f" non-polycycle vertex {v.id!r}")
-                continue
-            use.setdefault(att.key(), []).append((a.id, side))
-
-    for v in p.vertices:
-        if v.label == D:
-            for idx in range(len(faces.get(v.component, []))):
-                users = use.get((v.id, idx), [])
-                if not users:
-                    bad("vertex", v.id, "matching",
-                        f"face {idx} of component {v.component!r} bounds no annulus")
-                elif len(users) > 1:
-                    bad("vertex", v.id, "matching",
-                        f"face {idx} of component {v.component!r} bounds"
-                        f" {len(users)} annuli: {sorted(users)}")
-        else:
-            users = use.get((v.id, None), [])
-            if not users:
-                bad("vertex", v.id, "matching",
-                    f"{v.label}-vertex {v.id!r} is attached to no annulus")
-            elif len(users) > 1:
-                bad("vertex", v.id, "matching",
-                    f"{v.label}-vertex {v.id!r} is attached to {len(users)}"
-                    f" annuli: {sorted(users)}")
-
-    if not p.vertices and not p.annuli and p.tori == 0:
-        bad("model", "", "nonempty", "model has no cells at all")
-
-    return violations
+    """Check the whole model; empty list means valid."""
+    return list(p.violations)
 
 
 def check_pair(p: InvariantPair) -> None:
-    violations = validate_pair(p)
-    if violations:
-        raise PairValidationError(violations)
+    if p.violations:
+        raise ValidationError(p.violations)
 
 
 def to_extended_poset(p: InvariantPair) -> FinPoset:
@@ -278,26 +300,14 @@ def assembly_components(p: InvariantPair) -> list:
     id, followed by one ``(frozenset(), frozenset())`` placeholder per
     periodic torus.
     """
-    parent = {v.id: v.id for v in p.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    groups = connected_groups(
+        (v.id for v in p.vertices),
+        ((a.neg.vertex, a.pos.vertex) for a in p.annuli),
+    )
+    group_of = {vid: i for i, vids in enumerate(groups) for vid in vids}
+    annuli = [[] for _ in groups]
     for a in p.annuli:
-        x, y = find(a.neg.vertex), find(a.pos.vertex)
-        if x != y:
-            parent[max(x, y)] = min(x, y)
-
-    members = {}
-    for v in p.vertices:
-        members.setdefault(find(v.id), set()).add(v.id)
-    comps = []
-    for root in sorted(members):
-        vids = frozenset(members[root])
-        aids = frozenset(a.id for a in p.annuli if find(a.neg.vertex) == root)
-        comps.append((vids, aids))
+        annuli[group_of[a.neg.vertex]].append(a.id)
+    comps = [(vids, frozenset(aids)) for vids, aids in zip(groups, annuli)]
     comps.extend((frozenset(), frozenset()) for _ in range(p.tori))
     return comps

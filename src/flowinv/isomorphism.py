@@ -27,6 +27,7 @@ from .diagram import (
     Saddle,
     SaddleDiagram,
     Separatrix,
+    ValidationError,
     component_of,
     diagram_components,
     faces_by_component,
@@ -38,7 +39,7 @@ from .graph import (
     InvariantPair,
     VertexNode,
     assembly_components,
-    validate_pair,
+    check_pair,
 )
 
 CANONICAL_FORMAT_VERSION = 1
@@ -55,12 +56,7 @@ ORIENTED = IsoMode(allow_reversal=False)
 REVERSIBLE = IsoMode(allow_reversal=True)
 
 
-class InvalidPairError(ValueError):
-    """Input pair failed validation."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(v.message for v in violations))
+InvalidPairError = ValidationError
 
 
 class CyclicWitness(NamedTuple):
@@ -221,40 +217,9 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
 # backtracking isomorphism search
 
 
-def _component_profiles(d: SaddleDiagram) -> dict:
-    faces = faces_by_component(d)
-    out = {}
-    for comp_id, saddle_ids, sep_ids in diagram_components(d):
-        ks = tuple(sorted(d.saddle_by_id[s].k for s in saddle_ids))
-        fs = tuple(sorted(
-            (len(f.sides), f.flow_positive) for f in faces.get(comp_id, [])
-        ))
-        out[comp_id] = (ks, len(sep_ids), fs)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _pair_profile(p: InvariantPair) -> tuple:
     """A cheap isomorphism invariant; the first gate of the iso search."""
-    comp_profiles = _component_profiles(p.diagram)
-    faces = faces_by_component(p.diagram)
-
-    def end_descriptor(att: Attachment):
-        v = p.vertex_by_id[att.vertex]
-        if v.label != "d":
-            return ("leaf", v.label)
-        face = faces[v.component][att.face]
-        return ("face", comp_profiles[v.component],
-                len(face.sides), face.flow_positive)
-
-    return (
-        p.tori,
-        tuple(sorted(v.label for v in p.vertices)),
-        tuple(sorted(comp_profiles.values())),
-        tuple(sorted(
-            (end_descriptor(a.neg), end_descriptor(a.pos)) for a in p.annuli
-        )),
-    )
+    return p.profile
 
 
 def _diagram_maps(d1: SaddleDiagram, d2: SaddleDiagram):
@@ -416,10 +381,8 @@ def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,
     With ``mode.allow_reversal`` the global orientation reversal of the
     first pair is tried as well.
     """
-    for p in (p1, p2):
-        violations = validate_pair(p)
-        if violations:
-            raise InvalidPairError(violations)
+    check_pair(p1)
+    check_pair(p2)
     witness = _find_direct_iso(p1, p2)
     if witness is not None or not mode.allow_reversal:
         return witness
@@ -432,10 +395,25 @@ def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,
 
 
 def verify_witness(p1: InvariantPair, p2: InvariantPair, w: PairWitness) -> bool:
-    """Apply a witness and compare the result with the second pair."""
+    """Apply a witness and compare the result with the second pair.
+
+    Rotation words are compared up to cyclic shift: a word may be stored
+    from any starting dart.  Face indices depend only on the cyclic
+    successor, so the annuli compare as they are.
+    """
     source = reverse_pair(p1) if w.reversed_orientation else p1
-    return relabel_pair(source, w.saddles, w.separatrices,
-                        w.vertices, w.annuli) == p2
+    image = relabel_pair(source, w.saddles, w.separatrices,
+                         w.vertices, w.annuli)
+    return _least_rotations(image) == _least_rotations(p2)
+
+
+def _least_rotations(p: InvariantPair) -> InvariantPair:
+    """The pair with every rotation word stored from its least rotation."""
+    d = p.diagram
+    saddles = tuple(Saddle(s.id, s.k, _least_rotation(s.rotation), s.kind)
+                    for s in d.saddles)
+    return InvariantPair(SaddleDiagram(saddles, d.separatrices),
+                         p.vertices, p.annuli, p.tori)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +714,7 @@ def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
 
 def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
     """Canonical bytes: equal iff the pairs are isomorphic in the given mode."""
-    violations = validate_pair(p)
-    if violations:
-        raise InvalidPairError(violations)
+    check_pair(p)
     return CanonicalForm(_canonical_blob(p, mode))
 
 

@@ -1,4 +1,5 @@
-"""Model files: strict JSON with source-located diagnostics, and DOT export.
+"""Model and graph files: strict JSON with source-located diagnostics, and
+DOT export.
 
 The document format is versioned JSON with a fixed schema; unknown
 fields, wrong types, duplicate keys and version mismatches are rejected
@@ -13,6 +14,7 @@ value, which the stdlib decoder does not expose.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .diagram import Saddle, SaddleDiagram, Separatrix
@@ -23,8 +25,12 @@ from .graph import (
     VertexNode,
     validate_pair,
 )
+from .multigraph import Multigraph
 
 FORMAT_VERSION = 1
+MAX_DEPTH = 64  # nesting of arrays and objects; model documents need 6
+# a JSON number; the integer part is checked for leading zeros apart
+_NUMBER = re.compile(r"-?([0-9]+)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,7 @@ class _Reader:
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def error(self, message: str):
         raise ParseError(message, self.line, self.col)
@@ -117,10 +124,13 @@ class _Reader:
 
     def parse_value(self) -> _Node:
         ch = self.peek()
-        if ch == "{":
-            return self.parse_object()
-        if ch == "[":
-            return self.parse_array()
+        if ch in "{[":
+            if self.depth == MAX_DEPTH:
+                self.error(f"document nested deeper than {MAX_DEPTH} levels")
+            self.depth += 1
+            node = self.parse_object() if ch == "{" else self.parse_array()
+            self.depth -= 1
+            return node
         if ch == '"':
             return self.parse_string()
         if ch in "-0123456789":
@@ -214,31 +224,18 @@ class _Reader:
 
     def parse_number(self) -> _Node:
         line, col = self.line, self.col
-        start = self.pos
-        if self.peek() == "-":
-            self._advance(1)
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self._advance(1)
-        is_float = False
-        if self.pos < len(self.text) and self.text[self.pos] == ".":
-            is_float = True
-            self._advance(1)
-            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-                self._advance(1)
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            is_float = True
-            self._advance(1)
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self._advance(1)
-            while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-                self._advance(1)
-        raw = self.text[start:self.pos]
-        if raw in ("", "-"):
-            raise ParseError("invalid number", line, col)
+        match = _NUMBER.match(self.text, self.pos)
+        if match is None:
+            self.error("invalid number")
+        whole, fraction, exponent = match.groups()
+        if len(whole) > 1 and whole[0] == "0":
+            self.error("leading zero in number")
+        raw = match.group()
         try:
-            value = float(raw) if is_float else int(raw)
-        except ValueError:
-            raise ParseError(f"invalid number {raw!r}", line, col)
+            value = float(raw) if fraction or exponent else int(raw)
+        except ValueError:  # more digits than int() converts
+            self.error(f"invalid number {raw!r}")
+        self._advance(len(raw))
         return _Node(value, line, col)
 
 
@@ -277,6 +274,11 @@ class _Walker:
             self.fail(node, path, "type", "expected an integer")
         if minimum is not None and node.value < minimum:
             self.fail(node, path, "range", f"expected an integer >= {minimum}")
+        return node.value
+
+    def name(self, node: _Node, path: str):
+        if not isinstance(node.value, (str, int)) or isinstance(node.value, bool):
+            self.fail(node, path, "type", "expected a string or an integer")
         return node.value
 
     def boolean(self, node: _Node, path: str) -> bool:
@@ -414,6 +416,43 @@ def parse_model(text: str) -> InvariantPair:
             diags.append(Diagnostic(line, col, path, v.rule, v.message))
         raise SemanticError(diags)
     return pair
+
+
+def parse_graph(text: str) -> Multigraph:
+    """Parse ``{"vertices": [...], "edges": [{"id": ..., "ends": [u, v]}]}``.
+
+    Vertices and edge ids are strings or integers, unique as text (models
+    name their objects after them); a loop has one end or the same vertex
+    twice.  Raises ParseError or SchemaError.
+    """
+    walker = _Walker()
+    top = walker.obj(_Reader(text).parse_document(), "$", ("vertices", "edges"))
+    seen = set()
+
+    def unique(node: _Node, path: str, kind: str):
+        name = walker.name(node, path)
+        if (kind, str(name)) in seen:
+            walker.fail(node, path, "unique-id", f"duplicate {kind} id {name!r}")
+        seen.add((kind, str(name)))
+        return name
+
+    vertices = [unique(vnode, f"$.vertices[{i}]", "vertex") for i, vnode
+                in enumerate(walker.array(top["vertices"], "$.vertices"))]
+    edges = []
+    for i, enode in enumerate(walker.array(top["edges"], "$.edges")):
+        path = f"$.edges[{i}]"
+        fields = walker.obj(enode, path, ("id", "ends"))
+        eid = unique(fields["id"], path + ".id", "edge")
+        ends = walker.array(fields["ends"], path + ".ends")
+        if not 1 <= len(ends) <= 2:
+            walker.fail(fields["ends"], path + ".ends", "range",
+                        "an edge has one or two ends")
+        edges.append((eid, [walker.name(end, f"{path}.ends[{j}]")
+                            for j, end in enumerate(ends)]))
+    try:
+        return Multigraph.build(vertices, edges)
+    except ValueError as exc:  # an end that is not a vertex
+        walker.fail(top["edges"], "$.edges", "graph", str(exc))
 
 
 def _document_of(p: InvariantPair) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .topology import FinPoset, is_multigraph_like
+from .topology import FinPoset, connected_groups, is_multigraph_like
 
 
 @dataclass(frozen=True)
@@ -57,22 +57,9 @@ class Multigraph:
         return sum(1 for _, ends in self.edges if ends == frozenset([v]))
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adj = {v: set() for v in self.vertices}
-        for _, ends in self.edges:
-            for a in ends:
-                for b in ends:
-                    adj[a].add(b)
-        start = next(iter(self.vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x] - seen:
-                seen.add(y)
-                stack.append(y)
-        return seen == self.vertices
+        """One connected piece; the empty graph is disconnected."""
+        links = (tuple(ends) for _, ends in self.edges if len(ends) == 2)
+        return len(connected_groups(self.vertices, links)) == 1
 
     def to_poset(self) -> FinPoset:
         """The multi-graph-like poset: vertices below their incident edges."""

@@ -29,9 +29,8 @@ from .graph import (
     InvariantPair,
     VertexNode,
     assembly_components,
-    validate_pair,
+    check_pair,
 )
-from .isomorphism import InvalidPairError
 from .multigraph import Multigraph
 
 CENTER_DISK = "center_disk"
@@ -91,19 +90,13 @@ class SurfaceSignature:
         ]
 
 
-def _checked(p: InvariantPair) -> None:
-    violations = validate_pair(p)
-    if violations:
-        raise InvalidPairError(violations)
-
-
 def chi_cells(p: InvariantPair) -> list:
     """Euler characteristic per assembly component.
 
     Disks contribute 1, polycycle neighborhoods V - E, annuli and collars
     0, and a periodic torus component 0.
     """
-    _checked(p)
+    check_pair(p)
     comp_sizes = {
         comp_id: len(saddle_ids) - len(sep_ids)
         for comp_id, saddle_ids, sep_ids in diagram_components(p.diagram)
@@ -136,10 +129,7 @@ def _circle_of_attachment(p: InvariantPair, att: Attachment) -> str:
 
 
 def build_cell_model(p: InvariantPair) -> CellModel:
-    _checked(p)
-    for s in p.diagram.saddles:
-        if s.kind != "interior":
-            raise ReconstructionError(f"unsupported saddle kind {s.kind!r}")
+    check_pair(p)
     cells = []
     boundary = set()
     for v in p.vertices:
@@ -386,10 +376,5 @@ def realize_multigraph(g: Multigraph) -> InvariantPair:
 
     pair = InvariantPair(SaddleDiagram(tuple(saddles), tuple(seps)),
                          tuple(vertices), tuple(annuli))
-    violations = validate_pair(pair)
-    if violations:
-        raise ReconstructionError(
-            "realization produced an invalid pair: "
-            + "; ".join(v.message for v in violations)
-        )
+    check_pair(pair)
     return pair

@@ -161,17 +161,29 @@ def is_multigraph_like(poset: FinPoset) -> MultigraphLikeness:
 
 def is_connected_poset(poset: FinPoset) -> bool:
     """Connectivity of the comparability graph; the empty poset is disconnected."""
-    if not poset.elements:
-        return False
-    start = next(iter(poset.elements))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in (poset.up(x) | poset.down(x)) - seen:
-            seen.add(y)
-            stack.append(y)
-    return seen == poset.elements
+    return len(connected_groups(poset.elements, poset.order)) == 1
+
+
+def connected_groups(points: Iterable, links: Iterable) -> list:
+    """Classes of the equivalence on ``points`` generated by ``links``.
+
+    ``links`` are pairs of points.  Returns frozensets in the order in
+    which ``points`` first reaches them: for sorted points, by least member.
+    """
+    parent = {x: x for x in points}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(a)] = find(b)
+    groups = {}
+    for x in parent:
+        groups.setdefault(find(x), set()).add(x)
+    return [frozenset(members) for members in groups.values()]
 
 
 @dataclass(frozen=True)

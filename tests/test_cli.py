@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from flowinv.cli import main
 
 from conftest import fixture_path
@@ -114,6 +116,22 @@ class TestRealizeAndEnumerate:
         code, _, err = run(capsys, "realize", str(f))
         assert code == 1 and "not realizable" in err
 
+    @pytest.mark.parametrize("doc", [
+        '{"vertices": ["u", "v"], "edges": [{"id": "e", "ends": 5}]}',
+        '{"vertices": ["u", "v"], "edges": [{"id": "e", "ends": [[0], [1]]}]}',
+        '{"vertices": 5, "edges": []}',
+        '{"vertices": ["u", "v"], "edges": [{"id": "e", "ends": ["u", "w"]}]}',
+        '{"vertices": ["u", "v", "w"], "edges": [{"id": "e", "ends": ["u", "v"]},'
+        ' {"id": "e", "ends": ["v", "w"]}]}',
+        '{"vertices": [1, "1"], "edges": [{"id": "e", "ends": [1, "1"]}]}',
+    ], ids=["ends-scalar", "ends-nested", "vertices-scalar", "unknown-end",
+            "duplicate-edge-id", "same-name-as-text"])
+    def test_realize_rejects_malformed_graph(self, doc, tmp_path, capsys):
+        f = tmp_path / "graph.json"
+        f.write_text(doc)
+        code, out, err = run(capsys, "realize", str(f))
+        assert code == 2 and out == "" and "schema error" in err
+
     def test_enumerate_stream_format(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-centers", "2",
                            "--max-annuli", "1", "--max-tori", "1",
@@ -145,6 +163,9 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 64
+
+    def test_negative_enumeration_bound(self, capsys):
+        assert main(["enumerate", "--max-saddles", "-1"]) == 64
 
 
 def test_console_entry_point_runs():

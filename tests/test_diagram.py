@@ -10,7 +10,6 @@ from flowinv.diagram import (
     diagram_components,
     diagram_multigraph,
     diagram_poset,
-    saddle_degree,
     trace_faces,
     validate_diagram,
 )
@@ -24,7 +23,7 @@ from oracles import face_count_oracle
 class TestDegrees:
     @pytest.mark.parametrize("k,expected", [(1, 4), (0, 2), (3, 8)])
     def test_degree_formula(self, k, expected):
-        assert saddle_degree(Saddle("s", k, ())) == expected
+        assert Saddle("s", k, ()).degree == expected
 
 
 class TestValidation:
@@ -125,14 +124,14 @@ class TestFaces:
     def test_alternation_is_what_keeps_faces_coherent(self):
         # bypass validation: a non-alternating rotation mixes followed and
         # opposed sides in one orbit, which the tracer refuses
-        from flowinv.diagram import FlowIncoherentFaceError, _faces
+        from flowinv.diagram import FlowIncoherentFaceError
 
         bad = SaddleDiagram(
             (Saddle("s", 1, (("a", OUT), ("b", OUT), ("a", IN), ("b", IN))),),
             (Separatrix("a", "s", "s"), Separatrix("b", "s", "s")),
         )
         with pytest.raises(FlowIncoherentFaceError):
-            _faces(bad)
+            bad.faces
 
     def test_euler_formula_per_component(self):
         for diagram in (eight_diagram(), eight_diagram(aligned=True),

@@ -18,6 +18,7 @@ from flowinv.isomorphism import (
 from conftest import (
     disk_flow,
     eight_torus_pair,
+    fixture_text,
     leaf_pair,
     sphere_rotation,
     three_centers_eight,
@@ -155,6 +156,22 @@ class TestPairIsomorphic:
         )
         w = pair_isomorphic(p, rotated, ORIENTED)
         assert w is not None and verify_witness(p, rotated, w)
+
+    def test_witness_holds_for_word_stored_from_another_dart(self):
+        from flowinv.model_io import parse_model
+
+        p = parse_model(fixture_text("three_centers_eight.json"))
+        (s,) = p.diagram.saddles
+        shifted = InvariantPair(
+            SaddleDiagram(
+                (type(s)(s.id, s.k, s.rotation[1:] + s.rotation[:1], s.kind),),
+                p.diagram.separatrices,
+            ),
+            p.vertices, p.annuli, p.tori,
+        )
+        assert canonical_form(shifted).blob == canonical_form(p).blob
+        w = pair_isomorphic(p, shifted, ORIENTED)
+        assert w is not None and verify_witness(p, shifted, w)
 
 
 class TestReversal:

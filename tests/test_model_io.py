@@ -59,6 +59,22 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate key"):
             parse_model('{"version": 1, "version": 1}')
 
+    @pytest.mark.parametrize("number,message", [
+        ("01", "leading zero"), ("-01", "leading zero"), ("1.", "expected"),
+        ("-.5", "invalid number"), ("1.e1", "expected"), ("1e", "expected"),
+    ])
+    def test_non_json_number_rejected(self, number, message):
+        text = fixture_text("sphere_rotation.json").replace(
+            '"version": 1', f'"version": {number}')
+        with pytest.raises(ParseError, match=message) as err:
+            parse_model(text)
+        assert err.value.line == 2
+
+    def test_deep_nesting_rejected(self):
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            parse_model("[" * 3000)
+        assert err.value.line == 1 and err.value.col > 1
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_model(fixture_text("sphere_rotation.json") + "x")
