@@ -232,10 +232,21 @@ class SaddleDiagram:
         )
 
     @cached_property
+    def component_of(self) -> dict:
+        """Each saddle id and separatrix id -> its component id."""
+        out = {}
+        for comp_id, saddle_ids, sep_ids in self.components:
+            for sid in saddle_ids:
+                out[sid] = comp_id
+            for eid in sep_ids:
+                out[eid] = comp_id
+        return out
+
+    @cached_property
     def faces(self) -> tuple:
         """Face cycles sorted by (component, least dart), traced without a
         validity check (``trace_faces`` checks first)."""
-        comp = component_of(self)
+        comp = self.component_of
         faces = []
         for cycle in _face_orbits(self):
             ends = {end for _, end in cycle}
@@ -248,6 +259,14 @@ class SaddleDiagram:
             )
         faces.sort(key=lambda f: (f.component, f.sides[0]))
         return tuple(faces)
+
+    @cached_property
+    def faces_by_component(self) -> dict:
+        """Component id -> tuple of its FaceCycles in face-index order."""
+        out = {}
+        for f in self.faces:
+            out.setdefault(f.component, []).append(f)
+        return {comp: tuple(fs) for comp, fs in out.items()}
 
 
 def validate_diagram(d: SaddleDiagram) -> list:
@@ -266,14 +285,9 @@ def diagram_components(d: SaddleDiagram) -> tuple:
 
 
 def component_of(d: SaddleDiagram) -> dict:
-    """Map each saddle id and separatrix id to its component id."""
-    out = {}
-    for comp_id, saddle_ids, sep_ids in diagram_components(d):
-        for sid in saddle_ids:
-            out[sid] = comp_id
-        for eid in sep_ids:
-            out[eid] = comp_id
-    return out
+    """Map each saddle id and separatrix id to its component id:
+    ``d.component_of``, shared by every caller (do not mutate)."""
+    return d.component_of
 
 
 @dataclass(frozen=True)
@@ -326,11 +340,13 @@ def trace_faces(d: SaddleDiagram) -> list:
 
 
 def faces_by_component(d: SaddleDiagram) -> dict:
-    """Component id -> list of its FaceCycles in face-index order."""
-    out = {}
-    for f in trace_faces(d):
-        out.setdefault(f.component, []).append(f)
-    return out
+    """Component id -> tuple of its FaceCycles in face-index order:
+    ``d.faces_by_component``, shared by every caller (do not mutate).
+
+    Requires a valid diagram.
+    """
+    check_diagram(d)
+    return d.faces_by_component
 
 
 def diagram_poset(d: SaddleDiagram) -> FinPoset:

@@ -18,11 +18,11 @@ test suite rather than sharing code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from hashlib import sha256
 from typing import NamedTuple
 
 from .diagram import (
+    IN,
     OUT,
     Saddle,
     SaddleDiagram,
@@ -42,7 +42,7 @@ from .graph import (
     check_pair,
 )
 
-CANONICAL_FORMAT_VERSION = 1
+CANONICAL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,32 @@ def _component_face_key(p: InvariantPair, att: Attachment):
     return (comp, att.face)
 
 
-def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
-                 vertices: dict, annuli: dict) -> InvariantPair:
-    """Rename every object; component references and face indices follow.
+def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
+                      vertices: dict, separatrices: dict):
+    """Attachment of ``p`` -> attachment in ``new_diagram``.
 
-    Face indices are positional (faces ordered by least dart), so they
-    must be recomputed in the renamed diagram.
+    Vertex ids are renamed by ``vertices``; a face is found again by its
+    darts, each separatrix renamed by ``separatrices``, because face
+    indices are positional (faces ordered by least dart).
     """
     old_faces = faces_by_component(p.diagram)
+    new_face_index = _face_index_of_darts(new_diagram)
+
+    def remap(att: Attachment) -> Attachment:
+        v = p.vertex_by_id[att.vertex]
+        if v.label != "d":
+            return Attachment(vertices[att.vertex])
+        face = old_faces[v.component][att.face]
+        darts = frozenset((separatrices[sep], end) for sep, end in face.sides)
+        _, idx = new_face_index[darts]
+        return Attachment(vertices[att.vertex], idx)
+
+    return remap
+
+
+def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
+                 vertices: dict, annuli: dict) -> InvariantPair:
+    """Rename every object; component references and face indices follow."""
     new_diagram = SaddleDiagram(
         tuple(
             Saddle(saddles[s.id], s.k,
@@ -141,16 +159,7 @@ def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
             for e in p.diagram.separatrices
         ),
     )
-    new_face_index = _face_index_of_darts(new_diagram)
-
-    def map_attachment(att: Attachment) -> Attachment:
-        v = p.vertex_by_id[att.vertex]
-        if v.label != "d":
-            return Attachment(vertices[att.vertex])
-        face = old_faces[v.component][att.face]
-        darts = frozenset((separatrices[sep], end) for sep, end in face.sides)
-        _, idx = new_face_index[darts]
-        return Attachment(vertices[att.vertex], idx)
+    remap = _attachment_remap(p, new_diagram, vertices, separatrices)
 
     comp_rename = {}
     for comp_id, saddle_ids, _ in diagram_components(p.diagram):
@@ -162,7 +171,7 @@ def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
         for v in p.vertices
     )
     new_annuli = tuple(
-        AnnulusEdge(annuli[a.id], map_attachment(a.neg), map_attachment(a.pos))
+        AnnulusEdge(annuli[a.id], remap(a.neg), remap(a.pos))
         for a in p.annuli
     )
     return InvariantPair(new_diagram, new_vertices, new_annuli, p.tori)
@@ -184,7 +193,6 @@ def reverse_diagram(d: SaddleDiagram) -> SaddleDiagram:
     )
 
 
-@lru_cache(maxsize=65536)
 def reverse_pair(p: InvariantPair) -> InvariantPair:
     """The orientation reversal of the whole model.
 
@@ -192,25 +200,23 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     negative and positive side.  Boundary circles survive: a reversed
     face carries exactly the dart names of its original (each dart's end
     flag flips, but so does the naming of the separatrix ends, and the
-    two cancel).  Values are immutable, so results are cached.
+    two cancel).  Values are immutable, so the result is kept on ``p``,
+    like its cached properties.
     """
-    old_faces = faces_by_component(p.diagram)
-    new_diagram = reverse_diagram(p.diagram)
-    new_face_index = _face_index_of_darts(new_diagram)
-
-    def map_attachment(att: Attachment) -> Attachment:
-        v = p.vertex_by_id[att.vertex]
-        if v.label != "d":
-            return att
-        face = old_faces[v.component][att.face]
-        _, idx = new_face_index[frozenset(face.sides)]
-        return Attachment(att.vertex, idx)
-
-    new_annuli = tuple(
-        AnnulusEdge(a.id, map_attachment(a.pos), map_attachment(a.neg))
-        for a in p.annuli
-    )
-    return InvariantPair(new_diagram, p.vertices, new_annuli, p.tori)
+    memo = p.__dict__
+    if "_reversal" not in memo:
+        new_diagram = reverse_diagram(p.diagram)
+        remap = _attachment_remap(
+            p, new_diagram,
+            {v.id: v.id for v in p.vertices},
+            {e.id: e.id for e in p.diagram.separatrices},
+        )
+        new_annuli = tuple(
+            AnnulusEdge(a.id, remap(a.pos), remap(a.neg)) for a in p.annuli
+        )
+        memo["_reversal"] = InvariantPair(new_diagram, p.vertices,
+                                          new_annuli, p.tori)
+    return memo["_reversal"]
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +463,13 @@ class _CanonicalEngine:
     signatures until the partition stabilizes (it can only split, so
     stability is just the color count not growing); the lexicographically
     least serialization over all discrete branch colorings is canonical.
+
+    A separatrix's signature sees, at both ends, the dart's neighbours in
+    the rotation word and the face the dart lies on.  Position thus
+    travels along rotation words and from faces and annuli back into the
+    diagram, so one individualized dart discretizes its polycycle and
+    the annuli carry that into the rest of the component: symmetric
+    models need a few branches per dart, not factorially many.
     """
 
     def __init__(self, data: _ComponentData):
@@ -478,15 +491,33 @@ class _CanonicalEngine:
             [(end, self.e_of[sep]) for sep, end in s.rotation]
             for s in data.saddles
         ]
-        self.sep_ends = [
-            (self.s_of[e.source], self.s_of[e.target])
-            for e in data.separatrices
-        ]
         self.face_words = [
             [(end, self.e_of[sep]) for sep, end in data.faces[key].sides]
             for key in self.face_keys
         ]
-        face_base = len(data.saddles) + len(data.separatrices)
+        sep_base = len(data.saddles)
+        face_base = sep_base + len(data.separatrices)
+        # Per dart (separatrix, end): the separatrices before and after it
+        # in its saddle's rotation word, and the face it lies on.  Strict
+        # alternation makes both neighbours of an out-dart in-darts and
+        # vice versa, so the neighbours' ends carry nothing more.
+        dart_links = {}
+        for word in self.sad_words:
+            for pos, dart in enumerate(word):
+                dart_links[dart] = [word[pos - 1][1],
+                                    word[(pos + 1) % len(word)][1]]
+        for j, word in enumerate(self.face_words):
+            for dart in word:
+                dart_links[dart].append(face_base + j)
+        self.sep_links = []
+        for e in data.separatrices:
+            i = self.e_of[e.id]
+            prev_out, next_out, face_out = dart_links[(OUT, i)]
+            prev_in, next_in, face_in = dart_links[(IN, i)]
+            self.sep_links.append((
+                self.s_of[e.source], self.s_of[e.target],
+                prev_out, next_out, prev_in, next_in, face_out, face_in,
+            ))
         vertex_base = face_base + len(self.face_keys)
         self.face_att = [None] * len(self.face_keys)
         self.vertex_atts = [[] for _ in data.vertices]
@@ -539,8 +570,8 @@ class _CanonicalEngine:
                 w = tuple((end, col[e]) for end, e in word)
                 sigs.append((0, col[i], _least_rotation(w)))
                 i += 1
-            for src, tgt in self.sep_ends:
-                sigs.append((1, col[i], col[src], col[tgt]))
+            for links in self.sep_links:
+                sigs.append((1, col[i], *[col[x] for x in links]))
                 i += 1
             for j, word in enumerate(self.face_words):
                 w = tuple((end, col[e]) for end, e in word)

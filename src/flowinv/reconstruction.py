@@ -46,7 +46,8 @@ class ReconstructionError(ValueError):
 
 
 class NotRealizableError(ValueError):
-    """The input graph admits no realization (empty or trivial)."""
+    """The input graph admits no realization (empty, trivial, disconnected,
+    or with two vertex or edge names that agree as text)."""
 
 
 @dataclass(frozen=True)
@@ -332,10 +333,21 @@ def realize_multigraph(g: Multigraph) -> InvariantPair:
     a homoclinic flower on a (d-2)-saddle, whose neighborhood has exactly
     d boundary circles; every graph edge becomes an annulus between the
     circles reserved at its endpoints.  Requires a connected non-trivial
-    graph (at least one edge).
+    graph (at least one edge).  Object ids are built from the vertex and
+    edge names as text, so two vertex names or two edge names must not
+    agree as text (``1`` and ``"1"``).
     """
     if not g.vertices:
         raise NotRealizableError("empty graph")
+    for kind, names in (("vertex", g.vertices),
+                        ("edge", [eid for eid, _ in g.edges])):
+        by_text = {}
+        for name in sorted(names, key=repr):
+            other = by_text.setdefault(f"{name}", name)
+            if other != name:
+                raise NotRealizableError(
+                    f"{kind} names {other!r} and {name!r} agree as text;"
+                    " realized object ids are built from them")
     if not g.edges:
         raise NotRealizableError("trivial graph: no edges")
     if not g.is_connected():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowinv import isomorphism
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair
 from flowinv.diagram import SaddleDiagram
 from flowinv.isomorphism import (
@@ -14,8 +15,13 @@ from flowinv.isomorphism import (
     reverse_pair,
     verify_witness,
 )
+from flowinv.model_io import ParseError, SchemaError, SemanticError, \
+    parse_graph, parse_model
+from flowinv.multigraph import Multigraph
+from flowinv.reconstruction import realize_multigraph
 
 from conftest import (
+    FIXTURES,
     disk_flow,
     eight_torus_pair,
     fixture_text,
@@ -225,7 +231,7 @@ class TestCanonicalForm:
             canonical_form(q, ORIENTED).blob
 
     def test_version_byte(self):
-        assert canonical_form(sphere_rotation()).blob[0] == 1
+        assert canonical_form(sphere_rotation()).blob[0] == 2
 
     def test_agrees_with_backtracking_on_model_pairs(self):
         pairs = [build() for build in MODELS]
@@ -237,3 +243,130 @@ class TestCanonicalForm:
                     assert same_canon == (
                         pair_isomorphic(p, q, mode) is not None
                     )
+
+
+# Canonical digests (ORIENTED, REVERSIBLE) of every valid fixture under
+# format 2; the graph file is pinned through its realized model.  A change
+# to the canonical bytes must bump CANONICAL_FORMAT_VERSION and this table.
+GOLDEN_DIGESTS = {
+    "disk_eight_aligned.json": (
+        "f77197e1b1d1c13643bb5982cf09d5d8eb7f2eddd519487f62a9f6a048a62ab0",
+        "91cc7222448503ac50e0119d35d26e4505fbd0f22885b9d16f2a58fe3334881e"),
+    "disk_eight_opposed.json": (
+        "6853434a473f7e88d4aeed64b26a958e2266c9ca4ab576bd84be282dc1bbfc8f",
+        "986f40d4109851dfea7450dee3349a4f723c1a6009101f731320042b75ec1d92"),
+    "periodic_torus.json": (
+        "7aae91f32899855b4faccc894b1806488f2924ec591707d57c74abe2df5b32dd",
+        "7aae91f32899855b4faccc894b1806488f2924ec591707d57c74abe2df5b32dd"),
+    "sphere_rotation.json": (
+        "348ec3d130ab4ee6a6e40c6bb58a525778af6a92dd05c29f992d3fdbb3e20d16",
+        "348ec3d130ab4ee6a6e40c6bb58a525778af6a92dd05c29f992d3fdbb3e20d16"),
+    "star_graph.json": (
+        "56ca146ebf50e422cf492cfc170ac312d0c22ac71bb91761cd653d16af60af0d",
+        "0d1a35cd6d4091f2e32c9d0cac48f41d8769d51540073626fabd89ce852eeddc"),
+    "three_centers_boundary.json": (
+        "6853434a473f7e88d4aeed64b26a958e2266c9ca4ab576bd84be282dc1bbfc8f",
+        "986f40d4109851dfea7450dee3349a4f723c1a6009101f731320042b75ec1d92"),
+    "three_centers_eight.json": (
+        "54eb3723f7853fb074dafdee6fe70e34ce71d1617b2bd4078458e23a5e14e976",
+        "54eb3723f7853fb074dafdee6fe70e34ce71d1617b2bd4078458e23a5e14e976"),
+    "three_centers_mobius.json": (
+        "f0c66f3f7c68ef6dd0e72a1b15621b930706922e3dda5da5378eb824a29a0661",
+        "f0c66f3f7c68ef6dd0e72a1b15621b930706922e3dda5da5378eb824a29a0661"),
+}
+
+
+def _fixture_model(name: str):
+    """The model a fixture file holds (a graph file: its realization), or None."""
+    text = fixture_text(name)
+    for read in (parse_model, lambda t: realize_multigraph(parse_graph(t))):
+        try:
+            return read(text)
+        except (ParseError, SchemaError, SemanticError):
+            continue
+    return None
+
+
+class TestGoldenDigests:
+    def test_every_valid_fixture_is_pinned(self):
+        valid = {path.name for path in FIXTURES.glob("*.json")
+                 if _fixture_model(path.name) is not None}
+        assert valid == set(GOLDEN_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_digests(self, name):
+        p = _fixture_model(name)
+        oriented, reversible = GOLDEN_DIGESTS[name]
+        assert canonical_form(p, ORIENTED).digest() == oriented
+        assert canonical_form(p, REVERSIBLE).digest() == reversible
+
+
+def _star(m):
+    return Multigraph.build(
+        ["hub"] + [f"x{i}" for i in range(m)],
+        {f"e{i}": ("hub", f"x{i}") for i in range(m)})
+
+
+def _dipole(m):
+    return Multigraph.build("uw", {f"e{i}": "uw" for i in range(m)})
+
+
+def _cycle(m):
+    return Multigraph.build(
+        [f"x{i}" for i in range(m)],
+        {f"e{i}": (f"x{i}", f"x{(i + 1) % m}") for i in range(m)})
+
+
+def _bouquet(m):
+    return Multigraph.build(["hub"], {f"l{i}": ("hub",) for i in range(m)})
+
+
+# Realized symmetric graphs whose canonical search was factorial before
+# refinement followed rotation words and faces.
+SYMMETRIC = {
+    "star-12": lambda: _star(12),
+    "dipole-8": lambda: _dipole(8),
+    "cycle-10": lambda: _cycle(10),
+    "bouquet-6": lambda: _bouquet(6),
+}
+
+
+class TestSymmetricSearch:
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_leaves_linear_in_separatrices(self, name, monkeypatch):
+        p = realize_multigraph(SYMMETRIC[name]())
+        serialize = isomorphism._CanonicalEngine.serialize
+        leaves = []
+
+        def counting(engine, col):
+            leaves.append(col)
+            return serialize(engine, col)
+
+        monkeypatch.setattr(isomorphism._CanonicalEngine, "serialize", counting)
+        canonical_form(p, ORIENTED)
+        assert 1 <= len(leaves) <= 2 * len(p.diagram.separatrices) + 2
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_relabelings_agree(self, name):
+        rng = random.Random(31)
+        p = realize_multigraph(SYMMETRIC[name]())
+        for mode in (ORIENTED, REVERSIBLE):
+            expected = canonical_form(p, mode).blob
+            for _ in range(3):
+                assert canonical_form(random_relabel(p, rng), mode).blob == expected
+
+    # The backtracking search maps the saddles of separate polycycles
+    # blindly, so it is factorial itself on a cycle of one-loop flowers:
+    # it checks the cycle at a size it finishes in milliseconds.
+    @pytest.mark.parametrize("graph", [_star(12), _dipole(8), _cycle(6),
+                                       _bouquet(6)],
+                             ids=["star-12", "dipole-8", "cycle-6", "bouquet-6"])
+    def test_backtracking_search_agrees(self, graph):
+        rng = random.Random(37)
+        p = realize_multigraph(graph)
+        for _ in range(3):
+            q = random_relabel(p, rng)
+            for mode in (ORIENTED, REVERSIBLE):
+                assert canonical_form(q, mode).blob == canonical_form(p, mode).blob
+                w = pair_isomorphic(p, q, mode)
+                assert w is not None and verify_witness(p, q, w)

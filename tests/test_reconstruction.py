@@ -181,6 +181,16 @@ class TestRealize:
         with pytest.raises(NotRealizableError):
             realize_multigraph(g)
 
+    @pytest.mark.parametrize("vertices, edges, names", [
+        ([1, "1", "x"], {"e": {1, "x"}, "f": {"1", "x"}}, "vertex names '1' and 1"),
+        (["u", "w"], {2: {"u", "w"}, "2": {"u", "w"}}, "edge names '2' and 2"),
+    ])
+    def test_rejects_names_that_agree_as_text(self, vertices, edges, names):
+        g = Multigraph.build(vertices, edges)
+        with pytest.raises(NotRealizableError) as err:
+            realize_multigraph(g)
+        assert names in str(err.value)
+
     def test_random_graphs_round_trip(self):
         rng = random.Random(5)
         for _ in range(20):

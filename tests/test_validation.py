@@ -8,11 +8,11 @@ import pytest
 
 import flowinv
 from flowinv.diagram import IN, OUT, DiagramError, Saddle, SaddleDiagram, \
-    Separatrix, ValidationError, trace_faces
+    Separatrix, ValidationError, component_of, faces_by_component, trace_faces
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
     PairValidationError, classify_separation, reduced_label, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, InvalidPairError, canonical_form, \
-    pair_isomorphic
+    pair_isomorphic, reverse_pair
 from flowinv.model_io import parse_model
 from flowinv.reconstruction import build_cell_model, chi_cells, reconstruct
 
@@ -72,6 +72,7 @@ def test_trace_faces_raises_validation_error():
 
 
 def test_no_unbounded_cache():
+    """No function cache at all: derived data lives on the model objects."""
     for info in pkgutil.iter_modules(flowinv.__path__):
         if info.name == "__main__":
             continue
@@ -79,9 +80,16 @@ def test_no_unbounded_cache():
         for name, value in vars(module).items():
             members = vars(value).values() if isinstance(value, type) else ()
             for fn in (value, *members):
-                if hasattr(fn, "cache_info"):
-                    assert fn.cache_info().maxsize is not None, \
-                        f"{info.name}.{name} has an unbounded cache"
+                assert not hasattr(fn, "cache_info"), \
+                    f"{info.name}.{name} has a function cache"
+
+
+def test_derived_data_is_kept_on_the_object():
+    p = parse_model(fixture_text("three_centers_eight.json"))
+    assert faces_by_component(p.diagram) is faces_by_component(p.diagram)
+    assert component_of(p.diagram) is component_of(p.diagram)
+    assert reverse_pair(p) is reverse_pair(p)
+    assert reverse_pair(reverse_pair(p)) == p
 
 
 def test_pair_validation_runs_once_per_pair_object(monkeypatch):
