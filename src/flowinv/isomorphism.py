@@ -200,23 +200,18 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     negative and positive side.  Boundary circles survive: a reversed
     face carries exactly the dart names of its original (each dart's end
     flag flips, but so does the naming of the separatrix ends, and the
-    two cancel).  Values are immutable, so the result is kept on ``p``,
-    like its cached properties.
+    two cancel).
     """
-    memo = p.__dict__
-    if "_reversal" not in memo:
-        new_diagram = reverse_diagram(p.diagram)
-        remap = _attachment_remap(
-            p, new_diagram,
-            {v.id: v.id for v in p.vertices},
-            {e.id: e.id for e in p.diagram.separatrices},
-        )
-        new_annuli = tuple(
-            AnnulusEdge(a.id, remap(a.pos), remap(a.neg)) for a in p.annuli
-        )
-        memo["_reversal"] = InvariantPair(new_diagram, p.vertices,
-                                          new_annuli, p.tori)
-    return memo["_reversal"]
+    new_diagram = reverse_diagram(p.diagram)
+    remap = _attachment_remap(
+        p, new_diagram,
+        {v.id: v.id for v in p.vertices},
+        {e.id: e.id for e in p.diagram.separatrices},
+    )
+    new_annuli = tuple(
+        AnnulusEdge(a.id, remap(a.pos), remap(a.neg)) for a in p.annuli
+    )
+    return InvariantPair(new_diagram, p.vertices, new_annuli, p.tori)
 
 
 # ---------------------------------------------------------------------------
