@@ -231,6 +231,10 @@ def main(argv=None) -> int:
         for d in exc.diagnostics:
             print(f"invalid model: {d.render()}", file=sys.stderr)
         return EXIT_NEGATIVE
+    except UnicodeDecodeError as exc:  # a model or graph file, read as UTF-8
+        print(f"parse error: byte {exc.start}: not valid UTF-8 ({exc.reason})",
+              file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -7,8 +7,10 @@ with the line and column of the offending value.  Semantic violations
 (from pair validation) are mapped back to the source location of the
 object that broke the rule.
 
-The parser is hand-rolled because diagnostics need positions for every
-value, which the stdlib decoder does not expose.
+The reader is a recursive descent that keeps the string offset of every
+value; the stdlib scans the tokens (``re`` skips whitespace and matches
+numbers, ``json.decoder.scanstring`` reads strings by RFC 8259).  Line
+and column are computed from an offset only when a diagnostic is built.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from json.decoder import scanstring
 
 from .diagram import Saddle, SaddleDiagram, Separatrix
 from .graph import (
@@ -31,6 +34,7 @@ FORMAT_VERSION = 1
 MAX_DEPTH = 64  # nesting of arrays and objects; model documents need 6
 # a JSON number; the integer part is checked for leading zeros apart
 _NUMBER = re.compile(r"-?([0-9]+)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+_WHITESPACE = re.compile(r"[ \t\r\n]*")
 
 
 @dataclass(frozen=True)
@@ -70,39 +74,33 @@ class SemanticError(ValueError):
 
 
 class _Node:
-    """A JSON value plus its source position; containers hold child nodes."""
+    """A JSON value plus the offset of its first character; containers hold
+    child nodes."""
 
-    __slots__ = ("value", "line", "col")
+    __slots__ = ("value", "pos")
 
-    def __init__(self, value, line, col):
+    def __init__(self, value, pos):
         self.value = value
-        self.line = line
-        self.col = col
+        self.pos = pos
+
+
+def _line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 class _Reader:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
         self.depth = 0
 
-    def error(self, message: str):
-        raise ParseError(message, self.line, self.col)
-
-    def _advance(self, n: int):
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+    def error(self, message: str, pos: int | None = None):
+        pos = self.pos if pos is None else pos
+        raise ParseError(message, *_line_col(self.text, pos))
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self._advance(1)
+        self.pos = _WHITESPACE.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         if self.pos >= len(self.text):
@@ -110,9 +108,9 @@ class _Reader:
         return self.text[self.pos]
 
     def expect(self, ch: str):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        if not self.text.startswith(ch, self.pos):
             self.error(f"expected {ch!r}")
-        self._advance(1)
+        self.pos += 1
 
     def parse_document(self) -> _Node:
         self.skip_ws()
@@ -137,93 +135,66 @@ class _Reader:
             return self.parse_number()
         for literal, value in (("true", True), ("false", False), ("null", None)):
             if self.text.startswith(literal, self.pos):
-                node = _Node(value, self.line, self.col)
-                self._advance(len(literal))
+                node = _Node(value, self.pos)
+                self.pos += len(literal)
                 return node
         self.error(f"unexpected character {ch!r}")
 
     def parse_object(self) -> _Node:
-        node = _Node({}, self.line, self.col)
+        node = _Node({}, self.pos)
         self.expect("{")
         self.skip_ws()
         if self.peek() == "}":
-            self._advance(1)
+            self.pos += 1
             return node
         while True:
             self.skip_ws()
             if self.peek() != '"':
                 self.error("expected object key string")
-            key_line, key_col = self.line, self.col
-            key = self.parse_string().value
-            if key in node.value:
-                raise ParseError(f"duplicate key {key!r}", key_line, key_col)
+            key = self.parse_string()
+            if key.value in node.value:
+                self.error(f"duplicate key {key.value!r}", key.pos)
             self.skip_ws()
             self.expect(":")
             self.skip_ws()
-            node.value[key] = self.parse_value()
+            node.value[key.value] = self.parse_value()
             self.skip_ws()
             if self.peek() == ",":
-                self._advance(1)
+                self.pos += 1
                 continue
             self.expect("}")
             return node
 
     def parse_array(self) -> _Node:
-        node = _Node([], self.line, self.col)
+        node = _Node([], self.pos)
         self.expect("[")
         self.skip_ws()
         if self.peek() == "]":
-            self._advance(1)
+            self.pos += 1
             return node
         while True:
             self.skip_ws()
             node.value.append(self.parse_value())
             self.skip_ws()
             if self.peek() == ",":
-                self._advance(1)
+                self.pos += 1
                 continue
             self.expect("]")
             return node
 
     def parse_string(self) -> _Node:
-        line, col = self.line, self.col
-        self.expect('"')
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                self.error("unterminated string")
-            ch = self.text[self.pos]
-            if ch == '"':
-                self._advance(1)
-                return _Node("".join(out), line, col)
-            if ch == "\\":
-                if self.pos + 1 >= len(self.text):
-                    self.error("unterminated escape")
-                esc = self.text[self.pos + 1]
-                mapping = {'"': '"', "\\": "\\", "/": "/", "b": "\b",
-                           "f": "\f", "n": "\n", "r": "\r", "t": "\t"}
-                if esc in mapping:
-                    out.append(mapping[esc])
-                    self._advance(2)
-                elif esc == "u":
-                    hexpart = self.text[self.pos + 2:self.pos + 6]
-                    if len(hexpart) != 4:
-                        self.error("unterminated unicode escape")
-                    try:
-                        out.append(chr(int(hexpart, 16)))
-                    except ValueError:
-                        self.error("invalid unicode escape")
-                    self._advance(6)
-                else:
-                    self.error(f"invalid escape \\{esc}")
-            elif ch in "\n\r":
-                self.error("newline in string")
-            else:
-                out.append(ch)
-                self._advance(1)
+        """RFC 8259 string: raw control characters are rejected and an
+        escaped surrogate pair is one character."""
+        start = self.pos
+        try:
+            value, self.pos = scanstring(self.text, start + 1, True)
+        except json.JSONDecodeError as exc:
+            # the stdlib messages end in "at", followed there by a position
+            self.error(exc.msg.removesuffix(" at").removesuffix(" starting"),
+                       exc.pos)
+        return _Node(value, start)
 
     def parse_number(self) -> _Node:
-        line, col = self.line, self.col
         match = _NUMBER.match(self.text, self.pos)
         if match is None:
             self.error("invalid number")
@@ -235,21 +206,19 @@ class _Reader:
             value = float(raw) if fraction or exponent else int(raw)
         except ValueError:  # more digits than int() converts
             self.error(f"invalid number {raw!r}")
-        self._advance(len(raw))
-        return _Node(value, line, col)
+        self.pos = match.end()
+        return _Node(value, match.start())
 
 
 class _Walker:
-    """Strict schema traversal over position-carrying nodes."""
+    """Strict schema traversal over position-carrying nodes of ``text``."""
 
-    def __init__(self):
-        self.diagnostics = []
+    def __init__(self, text: str):
+        self.text = text
 
     def fail(self, node: _Node, path: str, rule: str, message: str):
-        self.diagnostics.append(
-            Diagnostic(node.line, node.col, path, rule, message)
-        )
-        raise SchemaError(self.diagnostics)
+        line, col = _line_col(self.text, node.pos)
+        raise SchemaError([Diagnostic(line, col, path, rule, message)])
 
     def obj(self, node: _Node, path: str, required: tuple, optional: tuple = ()):
         if not isinstance(node.value, dict):
@@ -326,7 +295,7 @@ def _read_model(node: _Node, walker: _Walker):
                             "end must be 'out' or 'in'")
             rotation.append((sep, end))
         saddles.append(Saddle(sid, k, tuple(rotation), kind))
-        positions[("saddle", sid)] = (snode.line, snode.col, path)
+        positions[("saddle", sid)] = (snode.pos, path)
 
     separatrices = []
     for i, enode in enumerate(walker.array(dia["separatrices"],
@@ -344,7 +313,7 @@ def _read_model(node: _Node, walker: _Walker):
             walker.string(fields["target"], path + ".target"),
             twisted,
         ))
-        positions[("separatrix", eid)] = (enode.line, enode.col, path)
+        positions[("separatrix", eid)] = (enode.pos, path)
 
     gr = walker.obj(top["graph"], "$.graph", ("vertices", "annuli", "tori"))
     vertices = []
@@ -368,7 +337,7 @@ def _read_model(node: _Node, walker: _Walker):
                         "only polycycle vertices carry a component")
         vertices.append(VertexNode(vid, "d" if label == "polycycle" else label,
                                    component))
-        positions[("vertex", vid)] = (vnode.line, vnode.col, path)
+        positions[("vertex", vid)] = (vnode.pos, path)
 
     def read_attachment(anode: _Node, path: str) -> Attachment:
         fields = walker.obj(anode, path, ("vertex",), optional=("face",))
@@ -388,10 +357,10 @@ def _read_model(node: _Node, walker: _Walker):
             read_attachment(fields["neg"], path + ".neg"),
             read_attachment(fields["pos"], path + ".pos"),
         ))
-        positions[("annulus", aid)] = (anode.line, anode.col, path)
+        positions[("annulus", aid)] = (anode.pos, path)
 
     tori = walker.integer(gr["tori"], "$.graph.tori", minimum=0)
-    positions[("model", "")] = (node.line, node.col, "$")
+    positions[("model", "")] = (node.pos, "$")
 
     pair = InvariantPair(SaddleDiagram(tuple(saddles), tuple(separatrices)),
                          tuple(vertices), tuple(annuli), tori)
@@ -405,15 +374,15 @@ def parse_model(text: str) -> InvariantPair:
     (model rule violations, with source positions).
     """
     root = _Reader(text).parse_document()
-    pair, positions = _read_model(root, _Walker())
+    pair, positions = _read_model(root, _Walker(text))
     violations = validate_pair(pair)
     if violations:
         diags = []
         for v in violations:
-            line, col, path = positions.get(
-                (v.kind, v.subject), positions[("model", "")]
-            )
-            diags.append(Diagnostic(line, col, path, v.rule, v.message))
+            pos, path = positions.get((v.kind, v.subject),
+                                      positions[("model", "")])
+            diags.append(Diagnostic(*_line_col(text, pos), path, v.rule,
+                                    v.message))
         raise SemanticError(diags)
     return pair
 
@@ -425,7 +394,7 @@ def parse_graph(text: str) -> Multigraph:
     name their objects after them); a loop has one end or the same vertex
     twice.  Raises ParseError or SchemaError.
     """
-    walker = _Walker()
+    walker = _Walker(text)
     top = walker.obj(_Reader(text).parse_document(), "$", ("vertices", "edges"))
     seen = set()
 

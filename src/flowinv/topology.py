@@ -231,6 +231,13 @@ class FinSpace:
             m |= 1 << self._index[p]
         return m
 
+    @cached_property
+    def minimal_opens(self) -> dict:
+        """U_x per point x: the intersection of the opens containing x,
+        itself open because the family of opens is finite."""
+        return {x: frozenset.intersection(*(u for u in self.opens if x in u))
+                for x in self.points}
+
     def closure(self, subset: frozenset) -> frozenset:
         """Smallest closed set containing ``subset``."""
         hole = frozenset().union(
@@ -246,47 +253,36 @@ class SeparationAxioms(NamedTuple):
 
 
 def separation_axioms(space: FinSpace) -> SeparationAxioms:
-    """Exhaustive T0/T1/T2 check; for finite spaces T1 and T2 both mean discrete."""
-    pts = sorted(space.points, key=repr)
-    t0 = t1 = t2 = True
-    for i, x in enumerate(pts):
-        for y in pts[i + 1:]:
-            sep_x = any(x in u and y not in u for u in space.opens)
-            sep_y = any(y in u and x not in u for u in space.opens)
-            if not (sep_x or sep_y):
-                t0 = False
-            if not (sep_x and sep_y):
-                t1 = False
-            if not any(
-                x in u and y in v and not u & v
-                for u in space.opens
-                for v in space.opens
-            ):
-                t2 = False
-    return SeparationAxioms(t0, t1, t2)
+    """T0/T1/T2 read off the minimal open neighbourhoods U_x.
+
+    Two points are topologically indistinguishable iff each lies in the
+    other's U_x, so T0 holds iff no two points do; T1 holds iff every U_x
+    is {x}.  A finite T1 space is discrete (every point is closed, hence
+    every subset, a finite union of points, is closed), and a discrete
+    space is T2; as T2 implies T1, T2 equals T1 on finite spaces.
+    """
+    u = space.minimal_opens
+    t0 = not any(x != y and x in u[y] for x in u for y in u[x])
+    t1 = all(len(ux) == 1 for ux in u.values())
+    return SeparationAxioms(t0, t1, t1)
 
 
 def specialization_order(space: FinSpace) -> FinPoset:
     """The specialization order: x <= y iff x lies in the closure of {y}.
 
-    Equivalently, every open containing x contains y.  Raises NotT0Error
-    when the preorder is not antisymmetric, i.e. two points share their
-    closure.
+    Equivalently, every open containing x contains y, i.e. y lies in U_x.
+    Raises NotT0Error when the preorder is not antisymmetric, i.e. two
+    points share their closure.
     """
-    pts = sorted(space.points, key=repr)
-    opens_by_point = {x: [u for u in space.opens if x in u] for x in pts}
-    pairs = set()
-    for x in pts:
-        for y in pts:
-            if all(y in u for u in opens_by_point[x]):
-                pairs.add((x, y))
-    for x in pts:
-        for y in pts:
-            if x != y and (x, y) in pairs and (y, x) in pairs:
+    u = space.minimal_opens
+    for x in sorted(u, key=repr):
+        for y in sorted(u[x], key=repr):
+            if x != y and x in u[y]:
                 raise NotT0Error(
                     f"points {x!r} and {y!r} have identical closures"
                 )
-    return FinPoset(space.points, frozenset(pairs))
+    return FinPoset(space.points,
+                    frozenset((x, y) for x in u for y in u[x]))
 
 
 def alexandroff_space(poset: FinPoset) -> FinSpace:

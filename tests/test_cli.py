@@ -39,6 +39,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "no_such_file.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "realize"])
+    def test_non_utf8_file_exit_two(self, command, tmp_path, capsys):
+        f = tmp_path / "latin1.json"
+        f.write_bytes(b'{"version": 1,\xff}')
+        code, out, err = run(capsys, command, str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: byte 14: not valid UTF-8")
+
 
 class TestIso:
     def test_disk_eights_not_isomorphic(self, capsys):

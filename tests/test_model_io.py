@@ -1,17 +1,27 @@
-import pytest
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from flowinv.cli import main
 from flowinv.isomorphism import canonical_form
 from flowinv.model_io import (
     ParseError,
     SchemaError,
     SemanticError,
     export_dot,
+    parse_graph,
     parse_model,
     serialize_model,
 )
 
 from conftest import (
+    FIXTURES,
     eight_torus_pair,
+    fixture_path,
     fixture_text,
     sphere_rotation,
     three_centers_eight,
@@ -93,6 +103,216 @@ class TestParse:
         with pytest.raises(SchemaError) as err:
             parse_model(text)
         assert any(d.rule == "enum" for d in err.value.diagnostics)
+
+
+SPHERE = fixture_text("sphere_rotation.json")
+
+
+def _cut(marker: str) -> str:
+    return SPHERE[:SPHERE.index(marker) + len(marker)]
+
+
+def _sub(old: str, new: str) -> str:
+    assert old in SPHERE
+    return SPHERE.replace(old, new, 1)
+
+
+# (document, reader, error class, str(error)) per malformed input; str() of
+# a ParseError is "line:col: message", of the others the rendered
+# diagnostics "line:col path: message [rule]".
+PINNED = {
+    "truncated-depth-1": (_cut('"version": 1'), parse_model, ParseError,
+                          "2:15: unexpected end of input"),
+    "truncated-depth-2": (fixture_text("bad_truncated.json"), parse_model,
+                          ParseError, "4:1: unexpected end of input"),
+    "truncated-depth-3": (_cut('"saddles": ['), parse_model, ParseError,
+                          "4:17: unexpected end of input"),
+    "truncated-depth-5": (_cut('"neg": {"vertex": "north"'), parse_model,
+                          ParseError, "13:47: unexpected end of input"),
+    "empty": ("", parse_model, ParseError, "1:1: unexpected end of input"),
+    "duplicate-key": ('{"version": 1, "version": 1}', parse_model, ParseError,
+                      "1:16: duplicate key 'version'"),
+    "duplicate-key-nested": (_sub('"tori": 0', '"tori": 0,\n    "tori": 0'),
+                             parse_model, ParseError,
+                             "16:5: duplicate key 'tori'"),
+    "number-leading-zero": (_sub('"version": 1', '"version": 01'), parse_model,
+                            ParseError, "2:14: leading zero in number"),
+    "number-negative-leading-zero": (_sub('"version": 1', '"version": -01'),
+                                     parse_model, ParseError,
+                                     "2:14: leading zero in number"),
+    "number-bare-point": (_sub('"version": 1', '"version": 1.'), parse_model,
+                          ParseError, "2:15: expected '}'"),
+    "number-no-integer-part": (_sub('"version": 1', '"version": -.5'),
+                               parse_model, ParseError,
+                               "2:14: invalid number"),
+    "number-point-exponent": (_sub('"version": 1', '"version": 1.e1'),
+                              parse_model, ParseError, "2:15: expected '}'"),
+    "number-empty-exponent": (_sub('"version": 1', '"version": 1e'),
+                              parse_model, ParseError, "2:15: expected '}'"),
+    "number-lone-minus": (_sub('"version": 1', '"version": -'), parse_model,
+                          ParseError, "2:14: invalid number"),
+    "number-plus": (_sub('"version": 1', '"version": +1'), parse_model,
+                    ParseError, "2:14: unexpected character '+'"),
+    "number-too-many-digits": ('{"tori": ' + "1" * 5000 + "}", parse_model,
+                               ParseError,
+                               f"1:10: invalid number {'1' * 5000!r}"),
+    "number-float-overflow": (_sub('"tori": 0', '"tori": 1e400'), parse_model,
+                              SchemaError,
+                              "15:13 $.graph.tori: expected an integer [type]"),
+    "literal-truncated": (_sub('"tori": 0', '"tori": tru'), parse_model,
+                          ParseError, "15:13: unexpected character 't'"),
+    "literal-capitalized": (_sub('"tori": 0', '"tori": True'), parse_model,
+                            ParseError, "15:13: unexpected character 'T'"),
+    "unexpected-character": ('{"version": @}', parse_model, ParseError,
+                             "1:13: unexpected character '@'"),
+    "key-not-string": ('{"version": 1, }', parse_model, ParseError,
+                       "1:16: expected object key string"),
+    "missing-colon": ('{"version" 1}', parse_model, ParseError,
+                      "1:12: expected ':'"),
+    "missing-comma-object": ('{"version": 1 "x": 2}', parse_model, ParseError,
+                             "1:15: expected '}'"),
+    "missing-comma-array": ("[1 2]", parse_model, ParseError,
+                            "1:4: expected ']'"),
+    "crlf-line-endings": ('{\r\n"version": 01}', parse_model, ParseError,
+                          "2:12: leading zero in number"),
+    "trailing-content": (SPHERE + "x", parse_model, ParseError,
+                         "18:1: trailing content after document"),
+    "trailing-document": ("{} {}", parse_model, ParseError,
+                          "1:4: trailing content after document"),
+    "max-depth": ("[" * 3000, parse_model, ParseError,
+                  "1:65: document nested deeper than 64 levels"),
+    "depth-at-limit": ("[" * 64 + "]" * 64, parse_model, SchemaError,
+                       "1:1 $: expected an object [type]"),
+    "unknown-field": (fixture_text("bad_unknown_field.json"), parse_model,
+                      SchemaError,
+                      "5:54 $.graph.vertices[0].colour: unknown field"
+                      " 'colour' [unknown-field]"),
+    "wrong-type": (_sub('"tori": 0', '"tori": "0"'), parse_model, SchemaError,
+                   "15:13 $.graph.tori: expected an integer [type]"),
+    "bad-enum": (_sub('"label": "c"', '"label": "q"'), parse_model,
+                 SchemaError,
+                 "9:32 $.graph.vertices[0].label: label must be 'c', 'n', 'b'"
+                 " or 'polycycle' [enum]"),
+    "missing-field": (_sub(',\n    "tori": 0', ""), parse_model, SchemaError,
+                      "7:12 $.graph: missing required field 'tori'"
+                      " [missing-field]"),
+    "range": (_sub('"tori": 0', '"tori": -1'), parse_model, SchemaError,
+              "15:13 $.graph.tori: expected an integer >= 0 [range]"),
+    "version": (_sub('"version": 1', '"version": 2'), parse_model, SchemaError,
+                "2:14 $.version: unsupported version 2; this tool reads"
+                " version 1 [version]"),
+    "semantic": (fixture_text("bad_degree.json"), parse_model, SemanticError,
+                 "5:7 $.diagram.saddles[0]: saddle 's' has rotation length 3"
+                 " but degree 4 (2k+2 with k=1) [degree]; 5:7"
+                 " $.diagram.saddles[0]: saddle 's' rotation slots 2,0 are"
+                 " consecutive out darts [alternation]; 14:7"
+                 " $.diagram.separatrices[1]: dart ('b', 'in') does not occur"
+                 " in any rotation [dart-pairing]"),
+    "graph-duplicate-id": ('{"vertices": ["u", "v"],\n "edges": [{"id": "e",'
+                           ' "ends": ["u"]}, {"id": "e", "ends": ["v"]}]}',
+                           parse_graph, SchemaError,
+                           "2:47 $.edges[1].id: duplicate edge id 'e'"
+                           " [unique-id]"),
+    "graph-unknown-end": ('{"vertices": ["u"],\n "edges": [{"id": "e",'
+                          ' "ends": ["u", "w"]}]}', parse_graph, SchemaError,
+                          "2:11 $.edges: edge 'e' references unknown vertices"
+                          " [graph]"),
+    "graph-truncated": ('{"vertices": ["u"],\n "edges": [{"id": "e",'
+                        ' "ends": ["u"', parse_graph, ParseError,
+                        "2:36: unexpected end of input"),
+}
+
+# Errors inside a string token: the class and a line within the string
+# (line 3) are pinned; the wording is the stdlib string scanner's.
+STRING_TOKEN = {
+    "bad-escape": '{\n  "version": 1,\n  "diagram": "x\\qy"\n}',
+    "raw-newline": '{\n  "version": 1,\n  "diagram": "x\ny"\n}',
+    "unterminated": '{\n  "version": 1,\n  "diagram": "xy',
+    "raw-control-character": '{\n  "version": 1,\n  "diagram": "x\x01y"\n}',
+}
+
+
+class TestPinnedDiagnostics:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_rendered_error(self, name):
+        text, reader, error, rendered = PINNED[name]
+        with pytest.raises(error) as err:
+            reader(text)
+        assert type(err.value) is error and str(err.value) == rendered
+
+    @pytest.mark.parametrize("name", STRING_TOKEN)
+    def test_string_token_error(self, name):
+        with pytest.raises(ParseError) as err:
+            parse_model(STRING_TOKEN[name])
+        assert err.value.line == 3
+
+    def test_escaped_surrogate_pair_is_one_character(self):
+        text = SPHERE.replace('"north"', '"\\ud83d\\ude00"')
+        ids = {v.id for v in parse_model(text).vertices}
+        assert ids == {"\U0001F600", "south"}
+
+
+MODEL_FILES = sorted(p.name for p in FIXTURES.glob("*.json")
+                     if p.name != "star_graph.json")
+# inserted by the mutations besides random bytes (which may not be UTF-8)
+TOKENS = [b"{", b"}", b"[", b"]", b'"', b",", b":", b"-", b"0", b"01", b"1e",
+          b"true", b"null", b"\\", b"\\u", b"\n", b"\t", b"[" * 70,
+          b'{"id": "x"}', b'"a": 1', b'"k": -1', b'"polycycle"']
+# each command runs on the mutated file named by "{}"
+MODEL_COMMANDS = [("validate", "{}"), ("canon", "{}"),
+                  ("canon", "--reverse-allowed", "{}"), ("iso", "{}", "{}"),
+                  ("classify", "{}"), ("reconstruct", "{}"),
+                  ("export-dot", "--which", "diagram", "{}")]
+
+
+@st.composite
+def _mutated(draw, names):
+    data = bytearray(fixture_path(draw(st.sampled_from(names))).read_bytes())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(("swap", "delete", "insert", "truncate")))
+        words = [m.group() for m in re.finditer(rb'"[^"]*"', data)]
+        if edit == "swap" and words:  # stays well-formed; reaches the model
+            word = draw(st.sampled_from(words))
+            data = bytearray(data.replace(word, draw(st.sampled_from(words)), 1))
+        elif edit == "delete":
+            del data[i:i + draw(st.integers(1, 12))]
+        elif edit == "insert":
+            data[i:i] = draw(st.sampled_from(TOKENS)
+                             | st.binary(min_size=1, max_size=4))
+        else:
+            del data[i:]
+    return bytes(data)
+
+
+def _exit_code(path, command) -> int:
+    argv = [str(path) if arg == "{}" else arg for arg in command]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    assert code != 2 or err.getvalue(), "exit 2 without a diagnostic"
+    return code
+
+
+class TestFuzzedFiles:
+    """Every mutated document ends with a documented exit code, never a
+    traceback; a parse or schema error prints its diagnostic."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_mutated(MODEL_FILES), command=st.sampled_from(MODEL_COMMANDS))
+    def test_model_files(self, tmp_path, doc, command):
+        path = tmp_path / "model.json"
+        path.write_bytes(doc)
+        assert _exit_code(path, command) in {0, 1, 2, 64}
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=_mutated(["star_graph.json"]))
+    def test_graph_files(self, tmp_path, doc):
+        path = tmp_path / "graph.json"
+        path.write_bytes(doc)
+        assert _exit_code(path, ("realize", "{}")) in {0, 1, 2, 64}
 
 
 class TestSerialize:
