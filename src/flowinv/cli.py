@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from hashlib import sha256
 
-from .enumeration import EnumBounds, enumerate_pairs
+from .enumeration import EnumBounds, _enumerate_classes
 from .graph import classify_separation
 from .isomorphism import (
     REVERSIBLE,
@@ -27,7 +28,6 @@ from .model_io import (
     parse_model,
     serialize_model,
 )
-from .multigraph import Multigraph
 from .reconstruction import NotRealizableError, realize_multigraph, reconstruct
 
 EXIT_OK = 0
@@ -54,14 +54,18 @@ def _mode(args):
     return REVERSIBLE if args.reverse_allowed else ORIENTED
 
 
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+def _load(path: str, parse=parse_model):
+    """Read and parse one input file.
 
-
-def _load_graph(path: str) -> Multigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    An error in the file's content leaves with the file's ``path`` set
+    on it, so that ``main`` can name the file in the diagnostic.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (ParseError, SchemaError, SemanticError, UnicodeDecodeError) as exc:
+        exc.path = path
+        raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +123,7 @@ def _cmd_validate(args) -> int:
         _load(args.file)
     except SemanticError as exc:
         for d in exc.diagnostics:
-            print(d.render(), file=sys.stderr)
+            print(f"{exc.path}:{d.render()}", file=sys.stderr)
         return EXIT_NEGATIVE
     print("OK")
     return EXIT_OK
@@ -168,7 +172,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_realize(args) -> int:
     try:
-        pair = realize_multigraph(_load_graph(args.graph_file))
+        pair = realize_multigraph(_load(args.graph_file, parse_graph))
     except NotRealizableError as exc:
         print(f"not realizable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
@@ -189,9 +193,8 @@ def _cmd_enumerate(args) -> int:
         orientable_only=args.orientable_only,
         mode=_mode(args),
     )
-    for pair in enumerate_pairs(bounds):
-        digest = canonical_form(pair, bounds.mode).digest()
-        print(f"{digest} {serialize_model(pair, compact=True)}")
+    for blob, pair in _enumerate_classes(bounds):
+        print(f"{sha256(blob).hexdigest()} {serialize_model(pair, compact=True)}")
     return EXIT_OK
 
 
@@ -221,19 +224,19 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
+        print(f"parse error: {exc.path}:{exc}", file=sys.stderr)
         return EXIT_PARSE
     except SchemaError as exc:
         for d in exc.diagnostics:
-            print(f"schema error: {d.render()}", file=sys.stderr)
+            print(f"schema error: {exc.path}:{d.render()}", file=sys.stderr)
         return EXIT_PARSE
     except SemanticError as exc:
         for d in exc.diagnostics:
-            print(f"invalid model: {d.render()}", file=sys.stderr)
+            print(f"invalid model: {exc.path}:{d.render()}", file=sys.stderr)
         return EXIT_NEGATIVE
     except UnicodeDecodeError as exc:  # a model or graph file, read as UTF-8
-        print(f"parse error: byte {exc.start}: not valid UTF-8 ({exc.reason})",
-              file=sys.stderr)
+        print(f"parse error: {exc.path}: byte {exc.start}: not valid UTF-8"
+              f" ({exc.reason})", file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

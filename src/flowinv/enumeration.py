@@ -177,6 +177,12 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     order: the classes and their order stay the same, but the emitted
     representative of a class may change with it.
     """
+    for _, pair in _enumerate_classes(bounds, rng):
+        yield pair
+
+
+def _enumerate_classes(bounds: EnumBounds, rng: random.Random | None = None):
+    """``enumerate_pairs`` with each pair's canonical bytes: ``(blob, pair)``."""
     found = {}
 
     def offer(pair: InvariantPair):
@@ -226,7 +232,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
                                     pairs, singles, kinds, orient))
 
     for (_, key), pair in sorted(found.values(), key=lambda item: item[0]):
-        yield pair
+        yield key, pair
 
 
 def _joins_components(comps, pairs) -> bool:
@@ -287,7 +293,7 @@ class ClassTable:
 
 def count_classes(bounds: EnumBounds, rng: random.Random | None = None) -> ClassTable:
     table = {}
-    for pair in enumerate_pairs(bounds, rng):
+    for blob, pair in _enumerate_classes(bounds, rng):
         _, sig = reconstruct(pair)
         key = (
             all(c.orientable for c in sig.components),
@@ -295,8 +301,7 @@ def count_classes(bounds: EnumBounds, rng: random.Random | None = None) -> Class
             sum(c.boundary for c in sig.components),
             len(pair.diagram.saddles),
         )
-        digest = sha256(_canonical_blob(pair, bounds.mode)).hexdigest()
-        table.setdefault(key, []).append(digest)
+        table.setdefault(key, []).append(sha256(blob).hexdigest())
     entries = tuple(sorted(
         (key, tuple(sorted(digests))) for key, digests in table.items()
     ))

@@ -28,6 +28,7 @@ from .diagram import (
     SaddleDiagram,
     Separatrix,
     ValidationError,
+    check_diagram,
     component_of,
     diagram_components,
     faces_by_component,
@@ -431,19 +432,6 @@ class CanonicalForm:
         return sha256(self.blob).hexdigest()
 
 
-@dataclass(frozen=True)
-class _ComponentData:
-    """One assembly component handed to the canonical labeling engine."""
-
-    saddles: tuple          # Saddle objects
-    separatrices: tuple     # Separatrix objects
-    faces: dict             # (component id, index) -> FaceCycle
-    vertices: tuple         # VertexNode objects
-    annuli: tuple           # AnnulusEdge objects
-    vertex_component: dict  # d-vertex id -> diagram component id
-    comp_members: dict      # diagram component id -> tuple of saddle ids
-
-
 def _least_rotation(word: tuple) -> tuple:
     if not word:
         return word
@@ -453,11 +441,14 @@ def _least_rotation(word: tuple) -> tuple:
 class _CanonicalEngine:
     """Refinement plus individualization over one assembly component.
 
-    Objects (saddles, separatrices, faces, vertices, annuli) are indexed
-    once; a coloring is a flat list.  Refinement re-ranks structured
-    signatures until the partition stabilizes (it can only split, so
-    stability is just the color count not growing); the lexicographically
-    least serialization over all discrete branch colorings is canonical.
+    The constructor compiles the component once into index arrays.
+    Objects are numbered in type blocks: saddles from 0, then
+    separatrices, faces (by component, then face index), vertices and
+    annuli, each block from its base on; a coloring is a flat list over
+    these numbers.  Refinement re-ranks structured signatures until the
+    partition stabilizes (it can only split, so stability is just the
+    color count not growing); the lexicographically least serialization
+    over all discrete branch colorings is canonical.
 
     A separatrix's signature sees, at both ends, the dart's neighbours in
     the rotation word and the face the dart lies on.  Position thus
@@ -465,33 +456,44 @@ class _CanonicalEngine:
     diagram, so one individualized dart discretizes its polycycle and
     the annuli carry that into the rest of the component: symmetric
     models need a few branches per dart, not factorially many.
+
+    Every signature starts with its object's type tag, so a refined
+    coloring keeps the type blocks in order: at a discrete leaf the
+    colors are 0..n-1 and each block holds the colors from its base on.
+    An object's canonical index is its color minus its block base;
+    ``serialize`` reads only colors and compiled arrays, never object ids.
     """
 
-    def __init__(self, data: _ComponentData):
-        self.data = data
-        self.s_of = {s.id: i for i, s in enumerate(data.saddles)}
-        base = len(data.saddles)
-        self.e_of = {e.id: base + i for i, e in enumerate(data.separatrices)}
-        base += len(data.separatrices)
-        self.face_keys = sorted(data.faces)
-        self.f_of = {key: base + i for i, key in enumerate(self.face_keys)}
-        base += len(self.face_keys)
-        self.v_of = {v.id: base + i for i, v in enumerate(data.vertices)}
-        base += len(data.vertices)
-        self.a_of = {a.id: base + i for i, a in enumerate(data.annuli)}
-        self.n = base + len(data.annuli)
+    def __init__(self, diagram: SaddleDiagram, comps, vertices=(), annuli=()):
+        comp_of = diagram.component_of
+        saddles = [s for s in diagram.saddles if comp_of[s.id] in comps]
+        seps = [e for e in diagram.separatrices if comp_of[e.id] in comps]
+        faces = [(comp, idx, face) for comp in sorted(comps)
+                 for idx, face in enumerate(diagram.faces_by_component[comp])]
+        s_of = {s.id: i for i, s in enumerate(saddles)}
+        self.sep_base = len(saddles)
+        e_of = {e.id: self.sep_base + i for i, e in enumerate(seps)}
+        self.face_base = self.sep_base + len(seps)
+        f_of = {(comp, idx): self.face_base + i
+                for i, (comp, idx, _) in enumerate(faces)}
+        self.vertex_base = self.face_base + len(faces)
+        v_of = {v.id: self.vertex_base + i for i, v in enumerate(vertices)}
+        self.annulus_base = self.vertex_base + len(vertices)
+        self.n = self.annulus_base + len(annuli)
 
-        # compiled structure, all in object indices
+        self.k = [s.k for s in saddles]
+        self.labels = [v.label for v in vertices]
         self.sad_words = [
-            [(end, self.e_of[sep]) for sep, end in s.rotation]
-            for s in data.saddles
+            [(end, e_of[sep]) for sep, end in s.rotation] for s in saddles
         ]
         self.face_words = [
-            [(end, self.e_of[sep]) for sep, end in data.faces[key].sides]
-            for key in self.face_keys
+            [(end, e_of[sep]) for sep, end in face.sides]
+            for _, _, face in faces
         ]
-        sep_base = len(data.saddles)
-        face_base = sep_base + len(data.separatrices)
+        groups = {}
+        for j, (comp, _, _) in enumerate(faces):
+            groups.setdefault(comp, []).append(j)
+        self.face_groups = list(groups.values())
         # Per dart (separatrix, end): the separatrices before and after it
         # in its saddle's rotation word, and the face it lies on.  Strict
         # alternation makes both neighbours of an out-dart in-darts and
@@ -503,58 +505,48 @@ class _CanonicalEngine:
                                     word[(pos + 1) % len(word)][1]]
         for j, word in enumerate(self.face_words):
             for dart in word:
-                dart_links[dart].append(face_base + j)
+                dart_links[dart].append(self.face_base + j)
         self.sep_links = []
-        for e in data.separatrices:
-            i = self.e_of[e.id]
+        for e in seps:
+            i = e_of[e.id]
             prev_out, next_out, face_out = dart_links[(OUT, i)]
             prev_in, next_in, face_in = dart_links[(IN, i)]
             self.sep_links.append((
-                self.s_of[e.source], self.s_of[e.target],
+                s_of[e.source], s_of[e.target],
                 prev_out, next_out, prev_in, next_in, face_out, face_in,
             ))
-        vertex_base = face_base + len(self.face_keys)
-        self.face_att = [None] * len(self.face_keys)
-        self.vertex_atts = [[] for _ in data.vertices]
+        self.face_att = [None] * len(faces)
+        self.vertex_atts = [[] for _ in vertices]
         self.ann_ends = []
-        for a in data.annuli:
+        component = {v.id: v.component for v in vertices}
+        for j, a in enumerate(annuli):
             ends = []
             for side, att in ((0, a.neg), (1, a.pos)):
-                v = self.v_of[att.vertex]
-                self.vertex_atts[v - vertex_base].append(
-                    (self.a_of[a.id], side))
+                v = v_of[att.vertex]
+                self.vertex_atts[v - self.vertex_base].append(
+                    (self.annulus_base + j, side))
                 f = -1
                 if att.face is not None:
-                    comp = data.vertex_component[att.vertex]
-                    f = self.f_of[(comp, att.face)]
-                    self.face_att[f - face_base] = (self.a_of[a.id], side)
+                    f = f_of[(component[att.vertex], att.face)]
+                    self.face_att[f - self.face_base] = \
+                        (self.annulus_base + j, side)
                 ends.append((v, f))
             self.ann_ends.append(tuple(ends))
-        self.vertex_members = []
-        for v in data.vertices:
-            if v.label == "d":
-                self.vertex_members.append(
-                    [self.s_of[sid] for sid in data.comp_members[v.component]]
-                )
-            else:
-                self.vertex_members.append([])
+        members = {}
+        for i, s in enumerate(saddles):
+            members.setdefault(comp_of[s.id], []).append(i)
+        self.vertex_members = [
+            members[v.component] if v.label == "d" else [] for v in vertices
+        ]
 
-    def initial_coloring(self) -> list:
-        data = self.data
-        keys = []
-        for s in data.saddles:
-            keys.append((0, s.k))
-        for e in data.separatrices:
-            keys.append((1, e.source == e.target))
-        for key in self.face_keys:
-            face = data.faces[key]
-            keys.append((2, len(face.sides), face.flow_positive))
-        for v in data.vertices:
-            keys.append((3, v.label))
-        for _ in data.annuli:
-            keys.append((4,))
+        keys = ([(0, s.k) for s in saddles]
+                + [(1, e.source == e.target) for e in seps]
+                + [(2, len(face.sides), face.flow_positive)
+                   for _, _, face in faces]
+                + [(3, v.label) for v in vertices]
+                + [(4,)] * len(annuli))
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        return [rank[k] for k in keys]
+        self.initial = [rank[k] for k in keys]
 
     def refine(self, col: list) -> list:
         ncolors = len(set(col))
@@ -594,68 +586,55 @@ class _CanonicalEngine:
             col = new
 
     def serialize(self, col: list) -> bytes:
-        data = self.data
-        s_pos = {s.id: col[self.s_of[s.id]] for s in data.saddles}
-        s_idx = {sid: i for i, sid in
-                 enumerate(sorted(s_pos, key=lambda x: s_pos[x]))}
-        e_pos = {e.id: col[self.e_of[e.id]] for e in data.separatrices}
-        e_idx = {eid: i for i, eid in
-                 enumerate(sorted(e_pos, key=lambda x: e_pos[x]))}
-        v_pos = {v.id: col[self.v_of[v.id]] for v in data.vertices}
-        v_idx = {vid: i for i, vid in
-                 enumerate(sorted(v_pos, key=lambda x: v_pos[x]))}
-        a_pos = {a.id: col[self.a_of[a.id]] for a in data.annuli}
-        a_ord = sorted(a_pos, key=lambda x: a_pos[x])
-        s_ord = sorted(data.saddles, key=lambda s: s_idx[s.id])
-        e_ord = sorted(data.separatrices, key=lambda e: e_idx[e.id])
-        v_ord = sorted(data.vertices, key=lambda v: v_idx[v.id])
+        """The text of a discrete coloring, in canonical indices."""
+        sep_base, face_base = self.sep_base, self.face_base
+        vertex_base, annulus_base = self.vertex_base, self.annulus_base
 
-        comp_rank = {}
-        face_rank = {}
-        if data.saddles:
-            ranked = sorted(
-                data.comp_members,
-                key=lambda c: min(s_idx[s] for s in data.comp_members[c]),
-            )
-            for i, comp_id in enumerate(ranked):
-                comp_rank[comp_id] = i
-            least_dart = {
-                key: min((e_idx[sep], end) for sep, end in face.sides)
-                for key, face in data.faces.items()
-            }
-            for comp_id in data.comp_members:
-                local = [k for k in data.faces if k[0] == comp_id]
-                for i, k in enumerate(sorted(local, key=lambda k: least_dart[k])):
-                    face_rank[k] = i
+        def block_order(lo: int, hi: int) -> list:
+            """The block's objects, as offsets from ``lo``, in color order."""
+            out = [0] * (hi - lo)
+            for i in range(lo, hi):
+                out[col[i] - lo] = i - lo
+            return out
 
-        def rot_text(s: Saddle) -> str:
-            word = tuple(
-                f"{e_idx[sep]}{'o' if end == OUT else 'i'}"
-                for sep, end in s.rotation
-            )
-            return ",".join(_least_rotation(word))
+        s_ord = block_order(0, sep_base)
+        rot = []
+        for i in s_ord:
+            word = tuple(f"{col[e] - sep_base}{'o' if end == OUT else 'i'}"
+                         for end, e in self.sad_words[i])
+            rot.append(",".join(_least_rotation(word)))
+        seps = []
+        for j in block_order(sep_base, face_base):
+            source, target = self.sep_links[j][:2]
+            seps.append(f"{col[source]}>{col[target]}")
 
-        def att_text(att: Attachment) -> str:
-            if att.face is None:
-                return str(v_idx[att.vertex])
-            comp = data.vertex_component[att.vertex]
-            return f"{v_idx[att.vertex]}#{face_rank[(comp, att.face)]}"
+        # a polycycle ranks by its least saddle, a face within its
+        # polycycle by its least dart
+        least = {j: min(col[s] for s in members)
+                 for j, members in enumerate(self.vertex_members) if members}
+        comp_rank = {j: r for r, j in enumerate(sorted(least, key=least.get))}
+        face_rank = [0] * (vertex_base - face_base)
+        if self.ann_ends:  # face ranks show only in annulus ends
+            for group in self.face_groups:
+                group = sorted(group, key=lambda j: min(
+                    (col[e], end) for end, e in self.face_words[j]))
+                for r, j in enumerate(group):
+                    face_rank[j] = r
+        verts = [f"d{comp_rank[j]}" if j in comp_rank else self.labels[j]
+                 for j in block_order(vertex_base, annulus_base)]
 
-        def v_text(v: VertexNode) -> str:
-            return v.label if v.label != "d" else f"d{comp_rank[v.component]}"
+        def att_text(v: int, f: int) -> str:
+            text = str(col[v] - vertex_base)
+            return text if f < 0 else f"{text}#{face_rank[f - face_base]}"
 
-        by_id = {a.id: a for a in data.annuli}
+        anns = [">".join(att_text(v, f) for v, f in self.ann_ends[j])
+                for j in block_order(annulus_base, self.n)]
         parts = [
-            "k:" + ",".join(str(s.k) for s in s_ord),
-            "r:" + ";".join(rot_text(s) for s in s_ord),
-            "e:" + ";".join(
-                f"{s_idx[e.source]}>{s_idx[e.target]}" for e in e_ord
-            ),
-            "v:" + ",".join(v_text(v) for v in v_ord),
-            "a:" + ";".join(
-                f"{att_text(by_id[aid].neg)}>{att_text(by_id[aid].pos)}"
-                for aid in a_ord
-            ),
+            "k:" + ",".join(str(self.k[i]) for i in s_ord),
+            "r:" + ";".join(rot),
+            "e:" + ";".join(seps),
+            "v:" + ",".join(verts),
+            "a:" + ";".join(anns),
         ]
         return "|".join(parts).encode("ascii")
 
@@ -681,41 +660,12 @@ class _CanonicalEngine:
                     best = cand
             return best
 
-        return search(self.initial_coloring())
+        return search(self.initial)
 
 
-def _canonical_component(data: _ComponentData) -> bytes:
-    return _CanonicalEngine(data).canonical()
-
-
-def _component_data(p: InvariantPair, vertex_ids: frozenset,
-                    annulus_ids: frozenset) -> _ComponentData:
-    vertices = tuple(v for v in p.vertices if v.id in vertex_ids)
-    annuli = tuple(a for a in p.annuli if a.id in annulus_ids)
-    comp_ids = {v.component for v in vertices if v.label == "d"}
-    comp_lookup = component_of(p.diagram)
-    saddles = tuple(
-        s for s in p.diagram.saddles if comp_lookup[s.id] in comp_ids
-    )
-    seps = tuple(
-        e for e in p.diagram.separatrices if comp_lookup[e.id] in comp_ids
-    )
-    faces = {
-        (comp, idx): face
-        for comp, fs in faces_by_component(p.diagram).items()
-        if comp in comp_ids
-        for idx, face in enumerate(fs)
-    }
-    vertex_component = {
-        v.id: v.component for v in vertices if v.label == "d"
-    }
-    comp_members = {
-        comp_id: tuple(sorted(saddle_ids))
-        for comp_id, saddle_ids, _ in diagram_components(p.diagram)
-        if comp_id in comp_ids
-    }
-    return _ComponentData(saddles, seps, faces, vertices, annuli,
-                          vertex_component, comp_members)
+def _framed(blobs) -> bytes:
+    """The format byte, then the component blobs sorted and newline-joined."""
+    return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
 def _strict_canonical(p: InvariantPair) -> bytes:
@@ -724,10 +674,12 @@ def _strict_canonical(p: InvariantPair) -> bytes:
         if not vertex_ids:
             blobs.append(b"T")
             continue
-        blobs.append(_canonical_component(_component_data(p, vertex_ids,
-                                                          annulus_ids)))
-    head = bytes([CANONICAL_FORMAT_VERSION])
-    return head + b"\n".join(sorted(blobs))
+        vertices = [v for v in p.vertices if v.id in vertex_ids]
+        annuli = [a for a in p.annuli if a.id in annulus_ids]
+        comps = {v.component for v in vertices if v.label == "d"}
+        blobs.append(_CanonicalEngine(p.diagram, comps, vertices,
+                                      annuli).canonical())
+    return _framed(blobs)
 
 
 def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
@@ -746,22 +698,11 @@ def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
 
 def canonical_diagram(d: SaddleDiagram, mode: IsoMode = ORIENTED) -> bytes:
     """Canonical bytes for a bare diagram (per-polycycle, sorted)."""
+    check_diagram(d)
 
     def strict(diag: SaddleDiagram) -> bytes:
-        fs = faces_by_component(diag)
-        blobs = []
-        for comp_id, saddle_ids, sep_ids in diagram_components(diag):
-            data = _ComponentData(
-                tuple(s for s in diag.saddles if s.id in saddle_ids),
-                tuple(e for e in diag.separatrices if e.id in sep_ids),
-                {(comp_id, i): f for i, f in enumerate(fs[comp_id])},
-                (),
-                (),
-                {},
-                {comp_id: tuple(sorted(saddle_ids))},
-            )
-            blobs.append(_canonical_component(data))
-        return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
+        return _framed(_CanonicalEngine(diag, {comp_id}).canonical()
+                       for comp_id, _, _ in diag.components)
 
     blob = strict(d)
     if mode.allow_reversal:

@@ -45,7 +45,20 @@ class TestValidate:
         f.write_bytes(b'{"version": 1,\xff}')
         code, out, err = run(capsys, command, str(f))
         assert code == 2 and out == ""
-        assert err.startswith("parse error: byte 14: not valid UTF-8")
+        assert err.startswith(f"parse error: {f}: byte 14: not valid UTF-8")
+
+    @pytest.mark.parametrize("name, prefix", [
+        ("bad_truncated.json", "parse error: "),
+        ("bad_unknown_field.json", "schema error: "),
+        ("bad_degree.json", ""),
+    ])
+    def test_diagnostics_name_the_file(self, name, prefix, capsys):
+        path = str(fixture_path(name))
+        code, _, err = run(capsys, "validate", path)
+        assert code in (1, 2)
+        lines = err.splitlines()
+        assert lines and all(line.startswith(f"{prefix}{path}:")
+                             for line in lines)
 
 
 class TestIso:
@@ -61,6 +74,14 @@ class TestIso:
                            str(fixture_path("disk_eight_aligned.json")),
                            "--reverse-allowed")
         assert code == 1 and out.strip() == "NO"
+
+    def test_second_file_named_in_diagnostic(self, capsys):
+        good = str(fixture_path("three_centers_eight.json"))
+        bad = str(fixture_path("bad_truncated.json"))
+        code, out, err = run(capsys, "iso", good, bad)
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: {bad}:")
+        assert good not in err
 
     def test_self_iso_prints_witness(self, capsys):
         path = str(fixture_path("three_centers_eight.json"))

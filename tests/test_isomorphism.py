@@ -1,14 +1,17 @@
+import hashlib
 import random
 
 import pytest
 
 from flowinv import isomorphism
+from flowinv.enumeration import EnumBounds, enumerate_diagrams
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair
 from flowinv.diagram import SaddleDiagram
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
     InvalidPairError,
+    canonical_diagram,
     canonical_form,
     cyclic_equivalent,
     pair_isomorphic,
@@ -299,6 +302,28 @@ class TestGoldenDigests:
         oriented, reversible = GOLDEN_DIGESTS[name]
         assert canonical_form(p, ORIENTED).digest() == oriented
         assert canonical_form(p, REVERSIBLE).digest() == reversible
+
+
+# SHA-256 of the canonical_diagram bytes of every diagram class with at
+# most two saddles and k-sum 2, in emission order, each followed by a NUL
+# byte.  Every such diagram is isomorphic to its reversal, so both modes
+# agree here.
+GOLDEN_DIAGRAM_DIGESTS = {
+    "oriented": "a9d064fdc978cd8a7fc55ae17593475f795a3ee84c713cdcf384a36220d650e4",
+    "reversible": "a9d064fdc978cd8a7fc55ae17593475f795a3ee84c713cdcf384a36220d650e4",
+}
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+def test_canonical_diagram_digest(mode):
+    h = hashlib.sha256()
+    for d in enumerate_diagrams(EnumBounds(max_saddles=2, max_k_sum=2,
+                                           mode=mode)):
+        h.update(canonical_diagram(d, mode))
+        h.update(b"\0")
+    name = "reversible" if mode.allow_reversal else "oriented"
+    assert h.hexdigest() == GOLDEN_DIAGRAM_DIGESTS[name]
 
 
 def _star(m):
