@@ -218,6 +218,26 @@ class InvariantPair:
             )),
         )
 
+    @cached_property
+    def assembly(self) -> tuple:
+        """Connected pieces of the model, one per surface component.
+
+        ``(vertex_ids, annulus_ids)`` pairs sorted by least vertex id,
+        followed by one ``(frozenset(), frozenset())`` placeholder per
+        periodic torus.
+        """
+        groups = connected_groups(
+            (v.id for v in self.vertices),
+            ((a.neg.vertex, a.pos.vertex) for a in self.annuli),
+        )
+        group_of = {vid: i for i, vids in enumerate(groups) for vid in vids}
+        annuli = [[] for _ in groups]
+        for a in self.annuli:
+            annuli[group_of[a.neg.vertex]].append(a.id)
+        comps = [(vids, frozenset(aids)) for vids, aids in zip(groups, annuli)]
+        comps.extend((frozenset(), frozenset()) for _ in range(self.tori))
+        return tuple(comps)
+
     def saddle_count(self) -> int:
         return len(self.diagram.saddles)
 
@@ -293,21 +313,6 @@ def underlying_multigraph(p: InvariantPair) -> Multigraph:
     return Multigraph.from_poset(to_extended_poset(p))
 
 
-def assembly_components(p: InvariantPair) -> list:
-    """Connected pieces of the model, one per surface component.
-
-    Returns ``(vertex_ids, annulus_ids)`` tuples sorted by least vertex
-    id, followed by one ``(frozenset(), frozenset())`` placeholder per
-    periodic torus.
-    """
-    groups = connected_groups(
-        (v.id for v in p.vertices),
-        ((a.neg.vertex, a.pos.vertex) for a in p.annuli),
-    )
-    group_of = {vid: i for i, vids in enumerate(groups) for vid in vids}
-    annuli = [[] for _ in groups]
-    for a in p.annuli:
-        annuli[group_of[a.neg.vertex]].append(a.id)
-    comps = [(vids, frozenset(aids)) for vids, aids in zip(groups, annuli)]
-    comps.extend((frozenset(), frozenset()) for _ in range(p.tori))
-    return comps
+def assembly_components(p: InvariantPair) -> tuple:
+    """Connected pieces of the model: ``p.assembly``."""
+    return p.assembly

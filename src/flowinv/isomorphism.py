@@ -17,6 +17,7 @@ test suite rather than sharing code.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from hashlib import sha256
 from typing import NamedTuple
@@ -39,9 +40,9 @@ from .graph import (
     Attachment,
     InvariantPair,
     VertexNode,
-    assembly_components,
     check_pair,
 )
+from .topology import connected_groups
 
 CANONICAL_FORMAT_VERSION = 2
 
@@ -433,9 +434,15 @@ class CanonicalForm:
 
 
 def _least_rotation(word: tuple) -> tuple:
+    """The least rotation; only rotations from the least letter can be it."""
     if not word:
         return word
-    return min(word[i:] + word[:i] for i in range(len(word)))
+    least = min(word)
+    if word.count(least) == 1:
+        i = word.index(least)
+        return word[i:] + word[:i]
+    return min(word[i:] + word[:i]
+               for i, letter in enumerate(word) if letter == least)
 
 
 class _CanonicalEngine:
@@ -462,6 +469,17 @@ class _CanonicalEngine:
     colors are 0..n-1 and each block holds the colors from its base on.
     An object's canonical index is its color minus its block base;
     ``serialize`` reads only colors and compiled arrays, never object ids.
+
+    Three shortcuts skip work whose result is known; none changes a byte.
+    Refinement stops at a discrete coloring: the round after it would
+    return the same coloring (see ``refine``).  ``_least_rotation``
+    builds only the rotations that start at the least letter, and the
+    least rotation starts there.  The search records an automorphism
+    whenever two leaves serialize equal, and skips a target-cell member
+    that lies in the orbit of an explored one under the recorded
+    automorphisms fixing every individualized object of the node: such
+    an automorphism carries the explored subtree onto the skipped one,
+    leaf for leaf with equal bytes (McKay 1981), so the least leaf stays.
     """
 
     def __init__(self, diagram: SaddleDiagram, comps, vertices=(), annuli=()):
@@ -548,7 +566,43 @@ class _CanonicalEngine:
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         self.initial = [rank[k] for k in keys]
 
+    def mirrored(self) -> "_CanonicalEngine":
+        """The engine of the orientation reversal, from these arrays.
+
+        Separatrices swap source and target, rotation words reflect with
+        every dart end flipped, and annuli swap sides.  A reversed face
+        runs through the same dart names backwards, since the reversed
+        face successor is the inverse of the original one.  So every
+        object keeps its number, faces keep length and flow sign, and the
+        initial coloring stays.
+        """
+        m = copy.copy(self)
+        m.sad_words = [[(IN if end == OUT else OUT, e)
+                        for end, e in reversed(word)]
+                       for word in self.sad_words]
+        m.face_words = [word[::-1] for word in self.face_words]
+        m.sep_links = [
+            (target, source, next_in, prev_in, next_out, prev_out,
+             face_out, face_in)
+            for (source, target, prev_out, next_out, prev_in, next_in,
+                 face_out, face_in) in self.sep_links
+        ]
+        m.face_att = [att and (att[0], 1 - att[1]) for att in self.face_att]
+        m.vertex_atts = [[(a, 1 - side) for a, side in atts]
+                         for atts in self.vertex_atts]
+        m.ann_ends = [ends[::-1] for ends in self.ann_ends]
+        return m
+
     def refine(self, col: list) -> list:
+        """Re-rank signatures until the color count stops growing or every
+        object has its own color.
+
+        The discrete exit returns what one more round would: every
+        signature starts with its type tag and then its current color, so
+        the ranks of a discrete coloring's signatures follow its colors,
+        which are block-ordered (their ranks came from signatures led by
+        the tag); the next round would rank them to the same list.
+        """
         ncolors = len(set(col))
         while True:
             sigs = []
@@ -580,7 +634,7 @@ class _CanonicalEngine:
                 i += 1
             rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
             new = [rank[s] for s in sigs]
-            if len(rank) == ncolors:
+            if len(rank) == ncolors or len(rank) == self.n:
                 return new
             ncolors = len(rank)
             col = new
@@ -638,29 +692,85 @@ class _CanonicalEngine:
         ]
         return "|".join(parts).encode("ascii")
 
-    def canonical(self) -> bytes:
-        fresh = self.n
+    def canonical(self, oriented: "_CanonicalEngine | None" = None) -> bytes:
+        """The least leaf serialization of the search tree.
 
-        def search(col: list) -> bytes:
-            col = self.refine(col)
-            cells = {}
-            for i, c in enumerate(col):
-                cells.setdefault(c, []).append(i)
-            split = [(c, members) for c, members in cells.items()
-                     if len(members) > 1]
-            if not split:
-                return self.serialize(col)
-            target = min(split)[1]
-            best = None
-            for i in target:
-                col2 = list(col)
-                col2[i] = fresh
-                cand = search(col2)
-                if best is None or cand < best:
-                    best = cand
-            return best
+        ``oriented`` is the searched engine this one mirrors.  The search
+        then stops at its first leaf that serializes like the first or the
+        best leaf of ``oriented``: the two orientations are isomorphic, so
+        their canonical bytes are the oriented ones.
+        """
+        self.automorphisms = []
+        self._first = self._best = None
+        self._stop = (oriented._first[0], oriented._best[0]) if oriented else ()
+        if self._search(self.initial, []):
+            return oriented._best[0]
+        return self._best[0]
 
-        return search(self.initial)
+    def _search(self, col: list, fixed: list) -> bool:
+        """Visit the subtree below ``col``; True once a leaf hits ``_stop``.
+
+        ``fixed`` lists the objects individualized on the way here.
+        """
+        col = self.refine(col)
+        cells = {}
+        for i, c in enumerate(col):
+            cells.setdefault(c, []).append(i)
+        if len(cells) == self.n:
+            return self._leaf(col)
+        target = min((c, members) for c, members in cells.items()
+                     if len(members) > 1)[1]
+        explored = []
+        known = 0
+        for i in target:
+            if explored and self.automorphisms:
+                if known < len(self.automorphisms):
+                    known = len(self.automorphisms)
+                    orbit = self._orbits(target, fixed)
+                if any(orbit[i] == orbit[j] for j in explored):
+                    continue
+            col2 = list(col)
+            col2[i] = self.n
+            fixed.append(i)
+            stop = self._search(col2, fixed)
+            fixed.pop()
+            if stop:
+                return True
+            explored.append(i)
+        return False
+
+    def _leaf(self, col: list) -> bool:
+        blob = self.serialize(col)
+        if blob in self._stop:
+            return True
+        if self._first is None:
+            self._first = self._best = (blob, col)
+        elif blob == self._first[0]:
+            self._record(col, self._first[1])
+        elif blob == self._best[0]:
+            self._record(col, self._best[1])
+        elif blob < self._best[0]:
+            self._best = (blob, col)
+        return False
+
+    def _record(self, col: list, earlier: list) -> None:
+        """Record the automorphism that sends each object to the object of
+        its color in ``earlier``, a leaf that serialized the same."""
+        where = [0] * self.n
+        for x, c in enumerate(earlier):
+            where[c] = x
+        self.automorphisms.append([where[c] for c in col])
+
+    def _orbits(self, cell: list, fixed: list) -> dict:
+        """Member of ``cell`` -> its orbit's number, under the recorded
+        automorphisms that fix every object of ``fixed``.
+
+        Those automorphisms keep the node's coloring, so they map the cell
+        onto itself and its orbits need only the links inside it.
+        """
+        gens = [g for g in self.automorphisms if all(g[x] == x for x in fixed)]
+        groups = connected_groups(cell, ((x, g[x]) for g in gens for x in cell))
+        return {x: k for k, group in enumerate(groups) for x in group}
 
 
 def _framed(blobs) -> bytes:
@@ -668,26 +778,41 @@ def _framed(blobs) -> bytes:
     return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
-def _strict_canonical(p: InvariantPair) -> bytes:
-    blobs = []
-    for vertex_ids, annulus_ids in assembly_components(p):
-        if not vertex_ids:
+def _framed_canonical(engines, mode: IsoMode) -> bytes:
+    """The framed canonical bytes of a model's component engines.
+
+    ``None`` stands for a periodic torus.  In REVERSIBLE mode the model's
+    bytes are the lesser of its framed bytes and those of its mirror
+    engines: reversal acts on the whole model at once, so the lesser is
+    taken over whole models, not per component.
+    """
+    blobs, mirrored = [], []
+    for engine in engines:
+        if engine is None:
             blobs.append(b"T")
+            mirrored.append(b"T")
+            continue
+        blobs.append(engine.canonical())
+        if mode.allow_reversal:
+            mirrored.append(engine.mirrored().canonical(engine))
+    blob = _framed(blobs)
+    return min(blob, _framed(mirrored)) if mode.allow_reversal else blob
+
+
+def _component_engines(p: InvariantPair):
+    for vertex_ids, annulus_ids in p.assembly:
+        if not vertex_ids:
+            yield None
             continue
         vertices = [v for v in p.vertices if v.id in vertex_ids]
         annuli = [a for a in p.annuli if a.id in annulus_ids]
         comps = {v.component for v in vertices if v.label == "d"}
-        blobs.append(_CanonicalEngine(p.diagram, comps, vertices,
-                                      annuli).canonical())
-    return _framed(blobs)
+        yield _CanonicalEngine(p.diagram, comps, vertices, annuli)
 
 
 def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
     """Canonical bytes of an already-validated pair."""
-    blob = _strict_canonical(p)
-    if mode.allow_reversal:
-        blob = min(blob, _strict_canonical(reverse_pair(p)))
-    return blob
+    return _framed_canonical(_component_engines(p), mode)
 
 
 def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
@@ -699,12 +824,6 @@ def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
 def canonical_diagram(d: SaddleDiagram, mode: IsoMode = ORIENTED) -> bytes:
     """Canonical bytes for a bare diagram (per-polycycle, sorted)."""
     check_diagram(d)
-
-    def strict(diag: SaddleDiagram) -> bytes:
-        return _framed(_CanonicalEngine(diag, {comp_id}).canonical()
-                       for comp_id, _, _ in diag.components)
-
-    blob = strict(d)
-    if mode.allow_reversal:
-        blob = min(blob, strict(reverse_diagram(d)))
-    return blob
+    return _framed_canonical(
+        (_CanonicalEngine(d, {comp_id}) for comp_id, _, _ in d.components),
+        mode)

@@ -2,9 +2,11 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flowinv import isomorphism
-from flowinv.enumeration import EnumBounds, enumerate_diagrams
+from flowinv.enumeration import EnumBounds, enumerate_diagrams, enumerate_pairs
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair
 from flowinv.diagram import SaddleDiagram
 from flowinv.isomorphism import (
@@ -15,6 +17,7 @@ from flowinv.isomorphism import (
     canonical_form,
     cyclic_equivalent,
     pair_isomorphic,
+    reverse_diagram,
     reverse_pair,
     verify_witness,
 )
@@ -350,13 +353,19 @@ def _bouquet(m):
 # refinement followed rotation words and faces.
 SYMMETRIC = {
     "star-12": lambda: _star(12),
+    "star-40": lambda: _star(40),
     "dipole-8": lambda: _dipole(8),
+    "dipole-16": lambda: _dipole(16),
     "cycle-10": lambda: _cycle(10),
+    "cycle-40": lambda: _cycle(40),
     "bouquet-6": lambda: _bouquet(6),
+    "bouquet-12": lambda: _bouquet(12),
 }
 
 
 class TestSymmetricSearch:
+    # Automorphism pruning leaves a constant number of leaves; the mirror
+    # search of REVERSIBLE mode at most doubles it.
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_leaves_linear_in_separatrices(self, name, monkeypatch):
         p = realize_multigraph(SYMMETRIC[name]())
@@ -369,7 +378,10 @@ class TestSymmetricSearch:
 
         monkeypatch.setattr(isomorphism._CanonicalEngine, "serialize", counting)
         canonical_form(p, ORIENTED)
-        assert 1 <= len(leaves) <= 2 * len(p.diagram.separatrices) + 2
+        oriented = len(leaves)
+        assert 1 <= oriented <= 3
+        canonical_form(p, REVERSIBLE)
+        assert len(leaves) - oriented <= 2 * oriented
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_relabelings_agree(self, name):
@@ -395,3 +407,123 @@ class TestSymmetricSearch:
                 assert canonical_form(q, mode).blob == canonical_form(p, mode).blob
                 w = pair_isomorphic(p, q, mode)
                 assert w is not None and verify_witness(p, q, w)
+
+
+# ---------------------------------------------------------------------------
+# shortcuts of the canonical engine that must not change a byte
+
+SMALL_CLASSES = EnumBounds(max_saddles=2, max_k_sum=2, max_centers=2,
+                           max_n=1, max_b=1, max_annuli=2, max_tori=1)
+
+
+def _shortcut_models():
+    """Every valid fixture, the classes at SMALL_CLASSES and the symmetric
+    shapes."""
+    models = [_fixture_model(name) for name in sorted(GOLDEN_DIGESTS)]
+    models += enumerate_pairs(SMALL_CLASSES)
+    models += [realize_multigraph(build()) for build in SYMMETRIC.values()]
+    return models
+
+
+def _engines(p):
+    return [e for e in isomorphism._component_engines(p) if e is not None]
+
+
+def _rotation_of(w1, w2) -> bool:
+    return cyclic_equivalent(w1, w2) is not None
+
+
+def _is_automorphism(engine, g) -> bool:
+    """Whether ``g`` maps every compiled array of ``engine`` onto itself."""
+    e = engine
+
+    def image(word):
+        return [(end, g[x]) for end, x in word]
+
+    return (
+        all(e.k[g[s]] == e.k[s]
+            and _rotation_of(image(e.sad_words[s]), e.sad_words[g[s]])
+            for s in range(e.sep_base))
+        and all(tuple(g[x] for x in links)
+                == e.sep_links[g[e.sep_base + j] - e.sep_base]
+                for j, links in enumerate(e.sep_links))
+        and all(_rotation_of(image(word),
+                             e.face_words[g[e.face_base + j] - e.face_base])
+                for j, word in enumerate(e.face_words))
+        and all((att and (g[att[0]], att[1]))
+                == e.face_att[g[e.face_base + j] - e.face_base]
+                for j, att in enumerate(e.face_att))
+        and all(e.labels[g[e.vertex_base + j] - e.vertex_base] == label
+                and sorted(g[s] for s in e.vertex_members[j])
+                == sorted(e.vertex_members[g[e.vertex_base + j] - e.vertex_base])
+                for j, label in enumerate(e.labels))
+        and all(tuple((g[v], g[f] if f >= 0 else -1) for v, f in ends)
+                == e.ann_ends[g[e.annulus_base + j] - e.annulus_base]
+                for j, ends in enumerate(e.ann_ends))
+    )
+
+
+class TestEngineShortcuts:
+    def test_refine_is_stable(self):
+        """The discrete exit returns what one more round would."""
+        for p in _shortcut_models():
+            for engine in _engines(p):
+                root = engine.refine(engine.initial)
+                assert engine.refine(root) == root
+                cells = {}
+                for i, c in enumerate(root):
+                    cells.setdefault(c, []).append(i)
+                split = [members for members in cells.values()
+                         if len(members) > 1]
+                if not split:
+                    continue
+                for i in min(split, key=lambda m: root[m[0]]):
+                    col = list(root)
+                    col[i] = engine.n
+                    out = engine.refine(col)
+                    assert engine.refine(out) == out
+
+    @given(st.lists(st.tuples(st.sampled_from(["in", "out"]),
+                              st.integers(0, 3)), max_size=12).map(tuple))
+    @example((("in", 0), ("out", 1), ("in", 0), ("out", 0)))
+    @example((("in", 1),) * 4)
+    def test_least_rotation_is_the_least(self, word):
+        brute = min((word[i:] + word[:i] for i in range(len(word))),
+                    default=word)
+        assert isomorphism._least_rotation(word) == brute
+
+    def test_mirror_matches_reversed_pair(self):
+        for p in _shortcut_models():
+            mirrored = [e.mirrored() for e in _engines(p)]
+            compiled = _engines(reverse_pair(p))
+            assert [e.canonical() for e in mirrored] == \
+                [e.canonical() for e in compiled]
+            # a reversed face keeps its darts, so objects keep their numbers
+            for m, r in zip(mirrored, compiled):
+                for words, others in ((m.sad_words, r.sad_words),
+                                      (m.face_words, r.face_words)):
+                    assert all(map(_rotation_of, words, others))
+                assert [sorted(atts) for atts in m.vertex_atts] == \
+                    [sorted(atts) for atts in r.vertex_atts]
+                assert (m.sep_links, m.face_att, m.ann_ends, m.initial) == \
+                    (r.sep_links, r.face_att, r.ann_ends, r.initial)
+
+    def test_mirror_matches_reversed_diagram(self):
+        for p in _shortcut_models():
+            d = p.diagram
+            for comp_id, _, _ in d.components:
+                engine = isomorphism._CanonicalEngine(d, {comp_id})
+                reversed_engine = isomorphism._CanonicalEngine(
+                    reverse_diagram(d), {comp_id})
+                assert engine.mirrored().canonical() == \
+                    reversed_engine.canonical()
+
+    def test_recorded_automorphisms_are_automorphisms(self):
+        found = 0
+        for p in _shortcut_models():
+            for engine in _engines(p):
+                for e in (engine, engine.mirrored()):
+                    e.canonical()
+                    found += len(e.automorphisms)
+                    assert all(_is_automorphism(e, g) for g in e.automorphisms)
+        assert found
