@@ -284,12 +284,6 @@ def diagram_components(d: SaddleDiagram) -> tuple:
     return d.components
 
 
-def component_of(d: SaddleDiagram) -> dict:
-    """Map each saddle id and separatrix id to its component id:
-    ``d.component_of``, shared by every caller (do not mutate)."""
-    return d.component_of
-
-
 @dataclass(frozen=True)
 class FaceCycle:
     """One boundary circle of the regular neighborhood of a polycycle.

@@ -9,10 +9,13 @@ the single global involution that reverses every separatrix, reflects
 every rotation word and swaps the negative/positive side of every
 annulus at once.
 
-``pair_isomorphic`` is an explicit backtracking search and
-``canonical_form`` an independent refinement-plus-individualization
-canonical labeling; the two are cross-checked against each other in the
-test suite rather than sharing code.
+``pair_isomorphic`` extends a map from one root dart per assembly
+component: a connected combinatorial map is fixed by the image of one
+dart, so the only choices are the roots and where a face reached through
+an annulus starts.  ``canonical_form`` is an independent
+refinement-plus-individualization canonical labeling; the two are
+cross-checked against each other in the test suite rather than sharing
+code.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import repeat
 from typing import NamedTuple
 
 from .diagram import (
@@ -30,7 +34,6 @@ from .diagram import (
     Separatrix,
     ValidationError,
     check_diagram,
-    component_of,
     diagram_components,
     faces_by_component,
     flip,
@@ -115,11 +118,6 @@ def _face_index_of_darts(d: SaddleDiagram) -> dict:
         for idx, f in enumerate(faces):
             out[frozenset(f.sides)] = (comp, idx)
     return out
-
-
-def _component_face_key(p: InvariantPair, att: Attachment):
-    comp = p.vertex_by_id[att.vertex].component
-    return (comp, att.face)
 
 
 def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
@@ -217,164 +215,158 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
 
 
 # ---------------------------------------------------------------------------
-# backtracking isomorphism search
+# isomorphism search by dart propagation
 
 
-def _pair_profile(p: InvariantPair) -> tuple:
-    """A cheap isomorphism invariant; the first gate of the iso search."""
-    return p.profile
+class _PairTables:
+    """Per dart of one pair: its rotation successor, its saddle and the
+    ``(annulus, side)`` glued to its face; per annulus, both ends as
+    ``(vertex id, label, face darts)``, no darts at a leaf."""
+
+    def __init__(self, p: InvariantPair):
+        self.succ, self.saddle, self.glue, self.ends = {}, {}, {}, {}
+        for s in p.diagram.saddles:
+            for dart, after in zip(s.rotation, s.rotation[1:] + s.rotation[:1]):
+                self.succ[dart] = after
+                self.saddle[dart] = s
+        faces = p.diagram.faces_by_component
+        for a in p.annuli:
+            self.ends[a.id] = ends = []
+            for side, att in enumerate((a.neg, a.pos)):
+                v = p.vertex_by_id[att.vertex]
+                darts = (faces[v.component][att.face].sides
+                         if v.label == "d" else ())
+                for dart in darts:
+                    self.glue[dart] = (a.id, side)
+                ends.append((v.id, v.label, darts))
 
 
-def _diagram_maps(d1: SaddleDiagram, d2: SaddleDiagram):
-    """Yield (saddle map, separatrix map) label-preserving diagram isomorphisms."""
-    s1 = list(d1.saddles)
-    s2 = list(d2.saddles)
-    if len(s1) != len(s2) or len(d1.separatrices) != len(d2.separatrices):
-        return
-    smap, emap = {}, {}
-    used_s, used_e_img = set(), set()
+class _DartSearch:
+    """Extends one map from the objects of ``p1`` (darts, vertex ids,
+    annulus ids) to those of ``p2``, one assembly component at a time.
 
-    def align(rot1, rot2, shift):
-        """Extend emap along an aligned rotation; return trail or None."""
-        trail = []
-        n = len(rot1)
-        for pos in range(n):
-            e_a, f_a = rot1[pos]
-            e_b, f_b = rot2[(pos + shift) % n]
-            if f_a != f_b:
-                break
-            if e_a in emap:
-                if emap[e_a] != e_b:
+    Mapping a dart forces its rotation successor, its other end and the
+    annulus glued to its face, so one dart fixes its whole polycycle.  An
+    annulus fixes its ends; a polycycle end leaves a face entry, the first
+    dart of the face with the darts of the image face as candidates.  The
+    only choices are a component's root and one candidate per face entry;
+    they sit on an explicit stack and ``trail`` undoes their bindings.
+    """
+
+    def __init__(self, p1: InvariantPair, p2: InvariantPair):
+        self.t1, self.t2 = _PairTables(p1), _PairTables(p2)
+        self.fwd, self.used, self.trail, self.entries = {}, set(), [], []
+
+    def _bind(self, x, y) -> bool:
+        """Bind x to y if both are free; False if either is not."""
+        if x in self.fwd or y in self.used:
+            return False
+        self.fwd[x] = y
+        self.used.add(y)
+        self.trail.append(x)
+        return True
+
+    def _undo(self, mark: int, entries: int) -> None:
+        """Drop the bindings after trail ``mark`` and the later face entries."""
+        for x in self.trail[mark:]:
+            self.used.discard(self.fwd.pop(x))
+        del self.trail[mark:]
+        del self.entries[entries:]
+
+    def _map_darts(self, x, y) -> bool:
+        """Map dart x to dart y and all that forces; False on a conflict."""
+        fwd, t1, t2 = self.fwd, self.t1, self.t2
+        queue = [(x, y)]
+        while queue:
+            x, y = queue.pop()
+            if x in fwd:
+                if fwd[x] != y:
+                    return False
+                continue
+            if (x[1] != y[1] or t1.saddle[x].k != t2.saddle[y].k
+                    or not self._bind(x, y)):
+                return False
+            queue += ((t1.succ[x], t2.succ[y]), (flip(x), flip(y)))
+            (a, side), (b, side2) = t1.glue[x], t2.glue[y]
+            if side != side2 or not self._map_annulus(a, b):
+                return False
+        return True
+
+    def _map_annulus(self, a, b) -> bool:
+        """Map annulus a to annulus b and bind their ends by label."""
+        if a in self.fwd:
+            return self.fwd[a] == b
+        if not self._bind(a, b):
+            return False
+        for (v1, label1, face1), (v2, label2, face2) in zip(self.t1.ends[a],
+                                                            self.t2.ends[b]):
+            if label1 != label2 or not (self.fwd.get(v1) == v2
+                                        or self._bind(v1, v2)):
+                return False
+            if face1:
+                if len(face1) != len(face2):
+                    return False
+                self.entries.append((face1[0], face2))
+        return True
+
+    def extend(self, seeds) -> bool:
+        """Extend the map over one assembly component from the first seed
+        that completes it; False, with nothing bound, if none does.
+
+        ``seeds`` are (dart, dart) or (annulus, annulus) pairs.  A face
+        entry whose first dart is mapped by then needs no choice: that
+        dart's annulus was checked against the entry's image face.
+        """
+        entries = self.entries = []
+        # frames: (trail mark, entries mark, next entry to open, choices)
+        stack = [(len(self.trail), 0, 0, seeds)]
+        while stack:
+            t_mark, e_mark, cursor, choices = stack[-1]
+            for x, y in choices:
+                self._undo(t_mark, e_mark)
+                if (self._map_darts(x, y) if isinstance(x, tuple)
+                        else self._map_annulus(x, y)):
                     break
-            elif e_b in used_e_img:
-                break
             else:
-                emap[e_a] = e_b
-                used_e_img.add(e_b)
-                trail.append(e_a)
-        else:
-            return trail
-        for e_a in trail:
-            used_e_img.discard(emap.pop(e_a))
-        return None
-
-    def endpoints_ok():
-        for e in d1.separatrices:
-            other = d2.sep_by_id[emap[e.id]]
-            if smap[e.source] != other.source or smap[e.target] != other.target:
-                return False
-        return True
-
-    def dfs(i):
-        if i == len(s1):
-            if endpoints_ok():
-                yield dict(smap), dict(emap)
-            return
-        a = s1[i]
-        for b in s2:
-            if b.id in used_s or b.k != a.k:
+                self._undo(t_mark, e_mark)
+                stack.pop()
                 continue
-            smap[a.id] = b.id
-            used_s.add(b.id)
-            for shift in range(len(b.rotation)):
-                trail = align(a.rotation, b.rotation, shift)
-                if trail is None:
-                    continue
-                yield from dfs(i + 1)
-                for e_a in trail:
-                    used_e_img.discard(emap.pop(e_a))
-            used_s.discard(b.id)
-            del smap[a.id]
-
-    yield from dfs(0)
-
-
-def _match_graph(p1, p2, smap, emap):
-    """Extend a diagram isomorphism over vertices and annuli, or None."""
-    d2_face_index = _face_index_of_darts(p2.diagram)
-    faces1 = faces_by_component(p1.diagram)
-
-    face_map = {}
-    for comp, faces in faces1.items():
-        for idx, f in enumerate(faces):
-            darts = frozenset((emap[sep], end) for sep, end in f.sides)
-            image = d2_face_index.get(darts)
-            if image is None:
-                return None
-            face_map[(comp, idx)] = image
-
-    comp2_of_saddle = component_of(p2.diagram)
-    comp_map = {}
-    for comp_id, saddle_ids, _ in diagram_components(p1.diagram):
-        comp_map[comp_id] = comp2_of_saddle[smap[min(saddle_ids)]]
-    d_vertex_2 = {v.component: v.id for v in p2.vertices if v.label == "d"}
-    vmap = {}
-    for v in p1.vertices:
-        if v.label == "d":
-            vmap[v.id] = d_vertex_2[comp_map[v.component]]
-
-    leaf_map = {}
-    used_leaf = set()
-    amap = {}
-    used_a = set()
-    a1 = list(p1.annuli)
-
-    def att_compatible(att_a: Attachment, att_b: Attachment, bind):
-        """Check one side; a fresh leaf binding is applied and recorded."""
-        va = p1.vertex_by_id[att_a.vertex]
-        vb = p2.vertex_by_id[att_b.vertex]
-        if va.label != vb.label:
-            return False
-        if va.label == "d":
-            if vmap[att_a.vertex] != att_b.vertex:
-                return False
-            return face_map[_component_face_key(p1, att_a)] == \
-                _component_face_key(p2, att_b)
-        if att_a.vertex in leaf_map:
-            return leaf_map[att_a.vertex] == att_b.vertex
-        if att_b.vertex in used_leaf:
-            return False
-        leaf_map[att_a.vertex] = att_b.vertex
-        used_leaf.add(att_b.vertex)
-        bind.append((att_a.vertex, att_b.vertex))
-        return True
-
-    def dfs(i):
-        if i == len(a1):
-            return True
-        a = a1[i]
-        for b in p2.annuli:
-            if b.id in used_a:
-                continue
-            bind = []
-            if att_compatible(a.neg, b.neg, bind) and \
-               att_compatible(a.pos, b.pos, bind):
-                amap[a.id] = b.id
-                used_a.add(b.id)
-                if dfs(i + 1):
-                    return True
-                del amap[a.id]
-                used_a.discard(b.id)
-            for x, y in bind:
-                del leaf_map[x]
-                used_leaf.discard(y)
+            while cursor < len(entries) and entries[cursor][0] in self.fwd:
+                cursor += 1
+            if cursor == len(entries):
+                return True
+            first, image_face = entries[cursor]
+            stack.append((len(self.trail), len(entries), cursor + 1,
+                          zip(repeat(first), image_face)))
         return False
-
-    if not dfs(0):
-        return None
-    vmap.update(leaf_map)
-    return vmap, amap
 
 
 def _find_direct_iso(p1: InvariantPair, p2: InvariantPair):
-    if _pair_profile(p1) != _pair_profile(p2):
+    """Match the assembly components of ``p1`` greedily: isomorphism is an
+    equivalence, so any unused component of ``p2`` that one matches is as
+    good as any other.  The profile gate has counted the tori."""
+    if p1.profile != p2.profile:
         return None
-    for smap, emap in _diagram_maps(p1.diagram, p2.diagram):
-        matched = _match_graph(p1, p2, smap, emap)
-        if matched is not None:
-            vmap, amap = matched
-            return PairWitness(smap, emap, vmap, amap)
-    return None
+    search = _DartSearch(p1, p2)
+    t1, t2 = search.t1, search.t2
+    faces = p1.diagram.faces_by_component
+    for vertex_ids, annulus_ids in p1.assembly:
+        comps = [p1.vertex_by_id[v].component for v in vertex_ids]
+        comps = [c for c in comps if c is not None]
+        if comps:
+            seeds = zip(repeat(faces[min(comps)][0].sides[0]), t2.succ)
+        elif annulus_ids:  # one annulus between two leaves
+            seeds = zip(repeat(min(annulus_ids)), t2.ends)
+        else:
+            continue
+        if not search.extend(seeds):
+            return None
+    fwd = search.fwd
+    darts = [(x, fwd[x]) for x in t1.saddle]
+    return PairWitness({t1.saddle[x].id: t2.saddle[y].id for x, y in darts},
+                       {x[0]: y[0] for x, y in darts},
+                       {v.id: fwd[v.id] for v in p1.vertices},
+                       {a.id: fwd[a.id] for a in p1.annuli})
 
 
 def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,

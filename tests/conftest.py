@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import signal
 import sys
 from pathlib import Path
 
@@ -19,6 +20,25 @@ def fixture_path(name: str) -> Path:
 
 def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
+
+
+def within_budget(fn, *args, seconds: float = 10.0, **kwargs):
+    """``fn(*args, **kwargs)``, failing the test if the call runs over ``seconds``.
+
+    A real-time interval timer interrupts the call, so a search that
+    would run for hours fails instead of hanging the suite.  Uses SIGALRM:
+    POSIX, main thread only.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"{fn.__name__} ran over its {seconds:g} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def eight_diagram(aligned: bool = False) -> SaddleDiagram:

@@ -159,6 +159,31 @@ def all_connected_multigraphs(max_total: int):
                     yield g
 
 
+def random_graph(n: int) -> Multigraph:
+    """A random tree on n vertices plus n // 2 random extra edges, loops
+    allowed, drawn with seed n: connected, so always realizable."""
+    rng = random.Random(n)
+    edges = {f"t{i}": (f"x{rng.randrange(i)}", f"x{i}") for i in range(1, n)}
+    for j in range(n // 2):
+        u, w = rng.randrange(n), rng.randrange(n)
+        edges[f"r{j}"] = (f"x{u}",) if u == w else (f"x{u}", f"x{w}")
+    return Multigraph.build([f"x{i}" for i in range(n)], edges)
+
+
+def cycle_graph(m: int) -> Multigraph:
+    """m vertices on a cycle: realized, a cycle of m one-loop flowers."""
+    return Multigraph.build(
+        [f"x{i}" for i in range(m)],
+        {f"e{i}": (f"x{i}", f"x{(i + 1) % m}") for i in range(m)})
+
+
+def path_graph(m: int) -> Multigraph:
+    """m vertices on a path."""
+    return Multigraph.build(
+        [f"x{i}" for i in range(m)],
+        {f"e{i}": (f"x{i}", f"x{i + 1}") for i in range(m - 1)})
+
+
 # ---------------------------------------------------------------------------
 # relabeling
 

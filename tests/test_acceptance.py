@@ -2,7 +2,7 @@
 
 The heavyweight criteria share one enumerated model set.  Where a
 criterion quantifies over all unordered model pairs, models are grouped
-by the same invariant-profile gate that the backtracking search applies
+by the same invariant-profile gate that the isomorphism search applies
 first, so cross-group pairs are exactly the ones the search rejects at
 the gate; the gate itself is audited end to end on a random sample of
 cross-group pairs.
@@ -28,7 +28,6 @@ from flowinv.graph import (
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
-    _pair_profile,
     canonical_form,
     pair_isomorphic,
     reverse_pair,
@@ -86,7 +85,7 @@ def _profile_groups(models, mode):
     if not mode.allow_reversal:
         groups = defaultdict(list)
         for i, p in enumerate(models):
-            groups[_pair_profile(p)].append(i)
+            groups[p.profile].append(i)
         return list(groups.values())
     parent = {}
 
@@ -99,7 +98,7 @@ def _profile_groups(models, mode):
 
     membership = []
     for p in models:
-        a, b = _pair_profile(p), _pair_profile(reverse_pair(p))
+        a, b = p.profile, reverse_pair(p).profile
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb

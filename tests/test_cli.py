@@ -1,11 +1,15 @@
+import random
 import subprocess
 import sys
 
 import pytest
 
 from flowinv.cli import main
+from flowinv.model_io import serialize_model
+from flowinv.reconstruction import realize_multigraph
 
-from conftest import fixture_path
+from conftest import fixture_path, within_budget
+from oracles import path_graph, random_relabel
 
 
 def run(capsys, *argv):
@@ -82,6 +86,21 @@ class TestIso:
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: {bad}:")
         assert good not in err
+
+    def test_large_path_pair(self, tmp_path):
+        """A realized 1 200-vertex path against a relabeling of it."""
+        p = realize_multigraph(path_graph(1200))
+        files = []
+        for name, model in (("a", p), ("b", random_relabel(p, random.Random(12)))):
+            files.append(tmp_path / f"{name}.json")
+            files[-1].write_text(serialize_model(model), encoding="utf-8")
+        proc = within_budget(
+            subprocess.run,
+            [sys.executable, "-m", "flowinv", "iso", *map(str, files)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "YES"
+        assert "Traceback" not in proc.stderr
 
     def test_self_iso_prints_witness(self, capsys):
         path = str(fixture_path("three_centers_eight.json"))

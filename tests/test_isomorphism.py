@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from flowinv import isomorphism
 from flowinv.enumeration import EnumBounds, enumerate_diagrams, enumerate_pairs
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair
-from flowinv.diagram import SaddleDiagram
+from flowinv.diagram import Saddle, SaddleDiagram
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
@@ -35,8 +35,9 @@ from conftest import (
     sphere_rotation,
     three_centers_eight,
     torus_pair,
+    within_budget,
 )
-from oracles import random_relabel
+from oracles import cycle_graph, random_graph, random_relabel
 
 MODELS = [
     sphere_rotation,
@@ -339,12 +340,6 @@ def _dipole(m):
     return Multigraph.build("uw", {f"e{i}": "uw" for i in range(m)})
 
 
-def _cycle(m):
-    return Multigraph.build(
-        [f"x{i}" for i in range(m)],
-        {f"e{i}": (f"x{i}", f"x{(i + 1) % m}") for i in range(m)})
-
-
 def _bouquet(m):
     return Multigraph.build(["hub"], {f"l{i}": ("hub",) for i in range(m)})
 
@@ -356,8 +351,9 @@ SYMMETRIC = {
     "star-40": lambda: _star(40),
     "dipole-8": lambda: _dipole(8),
     "dipole-16": lambda: _dipole(16),
-    "cycle-10": lambda: _cycle(10),
-    "cycle-40": lambda: _cycle(40),
+    "cycle-6": lambda: cycle_graph(6),
+    "cycle-10": lambda: cycle_graph(10),
+    "cycle-40": lambda: cycle_graph(40),
     "bouquet-6": lambda: _bouquet(6),
     "bouquet-12": lambda: _bouquet(12),
 }
@@ -392,21 +388,122 @@ class TestSymmetricSearch:
             for _ in range(3):
                 assert canonical_form(random_relabel(p, rng), mode).blob == expected
 
-    # The backtracking search maps the saddles of separate polycycles
-    # blindly, so it is factorial itself on a cycle of one-loop flowers:
-    # it checks the cycle at a size it finishes in milliseconds.
-    @pytest.mark.parametrize("graph", [_star(12), _dipole(8), _cycle(6),
-                                       _bouquet(6)],
-                             ids=["star-12", "dipole-8", "cycle-6", "bouquet-6"])
-    def test_backtracking_search_agrees(self, graph):
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC))
+    def test_backtracking_search_agrees(self, name):
         rng = random.Random(37)
-        p = realize_multigraph(graph)
+        p = realize_multigraph(SYMMETRIC[name]())
         for _ in range(3):
             q = random_relabel(p, rng)
             for mode in (ORIENTED, REVERSIBLE):
                 assert canonical_form(q, mode).blob == canonical_form(p, mode).blob
-                w = pair_isomorphic(p, q, mode)
+                w = within_budget(pair_isomorphic, p, q, mode)
                 assert w is not None and verify_witness(p, q, w)
+
+
+# ---------------------------------------------------------------------------
+# the dart-propagation search at scale, and on near misses
+
+
+def _flipped_annulus(p, annulus_id):
+    """``p`` with one annulus's negative and positive sides swapped."""
+    annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) if a.id == annulus_id
+                   else a for a in p.annuli)
+    return InvariantPair(p.diagram, p.vertices, annuli, p.tori)
+
+
+def _reflected_word(p, saddle_id):
+    """``p`` with one rotation word stored backwards, or None if the
+    result does not validate."""
+    saddles = tuple(Saddle(s.id, s.k, s.rotation[::-1], s.kind)
+                    if s.id == saddle_id else s for s in p.diagram.saddles)
+    q = InvariantPair(SaddleDiagram(saddles, p.diagram.separatrices),
+                      p.vertices, p.annuli, p.tori)
+    return None if q.violations else q
+
+
+def _near_misses(p):
+    for a in p.annuli:
+        yield _flipped_annulus(p, a.id)
+    for s in p.diagram.saddles:
+        q = _reflected_word(p, s.id)
+        if q is not None:
+            yield q
+
+
+def _disjoint_union(*parts, tori=0):
+    """One model holding a renamed copy of each part."""
+    saddles, seps, vertices, annuli = [], [], [], []
+    for i, p in enumerate(parts):
+        q = isomorphism.relabel_pair(p, *(
+            {x: f"{i}{x}" for x in ids} for ids in (
+                [s.id for s in p.diagram.saddles],
+                [e.id for e in p.diagram.separatrices],
+                [v.id for v in p.vertices], [a.id for a in p.annuli])))
+        saddles += q.diagram.saddles
+        seps += q.diagram.separatrices
+        vertices += q.vertices
+        annuli += q.annuli
+    return InvariantPair(SaddleDiagram(tuple(saddles), tuple(seps)),
+                         tuple(vertices), tuple(annuli), tori)
+
+
+NEAR_MISS_MODELS = {
+    "random-20": lambda: [realize_multigraph(random_graph(20))],
+    "random-40": lambda: [realize_multigraph(random_graph(40))],
+    "cycle-10": lambda: [realize_multigraph(cycle_graph(10))],
+    "star-12": lambda: [realize_multigraph(_star(12))],
+    # one annulus joins two petals of one flower: flipped, it lands on
+    # the same polycycle, so only the side check tells the two apart
+    "looped-flower": lambda: [realize_multigraph(Multigraph.build(
+        "hab", {"e1": "ha", "e2": "hb", "e3": "h"}))],
+    "fixtures": lambda: [_fixture_model(f) for f in sorted(GOLDEN_DIGESTS)],
+}
+
+
+class TestPropagationSearch:
+    def test_components_matched_in_any_order(self):
+        cycle = realize_multigraph(cycle_graph(5))
+        parts = [three_centers_eight(), leaf_pair("n", "b"), sphere_rotation(),
+                 cycle, disk_flow(True), three_centers_eight()]
+        p = _disjoint_union(*parts, tori=1)
+        q = random_relabel(_disjoint_union(*parts[::-1], tori=1),
+                           random.Random(5))
+        # one annulus of the cycle flipped: same profile, no isomorphism
+        parts[3] = _flipped_annulus(cycle, "a_e0")
+        other = _disjoint_union(*parts, tori=1)
+        assert other.profile == p.profile
+        for mode in (ORIENTED, REVERSIBLE):
+            w = pair_isomorphic(p, q, mode)
+            assert w is not None and verify_witness(p, q, w)
+            assert pair_isomorphic(p, other, mode) is None
+
+    @pytest.mark.parametrize("n", [20, 40, 80])
+    def test_random_realized_graphs(self, n):
+        rng = random.Random(n)
+        p = realize_multigraph(random_graph(n))
+        q = random_relabel(p, rng)
+        for mode in (ORIENTED, REVERSIBLE):
+            assert canonical_form(q, mode).blob == canonical_form(p, mode).blob
+            for a, b in ((p, q), (q, p)):
+                w = within_budget(pair_isomorphic, a, b, mode)
+                assert w is not None and verify_witness(a, b, w)
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISS_MODELS))
+    def test_near_misses_agree_with_canonical_form(self, name):
+        """Each annulus flipped and each rotation word reflected, then
+        relabeled: the search finds no map exactly when the canonical
+        bytes differ."""
+        rng = random.Random(41)
+        for p in NEAR_MISS_MODELS[name]():
+            canon = {mode: canonical_form(p, mode).blob
+                     for mode in (ORIENTED, REVERSIBLE)}
+            for near in _near_misses(p):
+                q = random_relabel(near, rng)
+                for mode in (ORIENTED, REVERSIBLE):
+                    w = within_budget(pair_isomorphic, p, q, mode)
+                    differ = canonical_form(q, mode).blob != canon[mode]
+                    assert (w is None) == differ
+                    assert w is None or verify_witness(p, q, w)
 
 
 # ---------------------------------------------------------------------------

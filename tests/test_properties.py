@@ -3,9 +3,9 @@
 Models come from the enumerated classes at small bounds and from the
 valid fixtures.  Each is relabeled with every rotation word stored from a
 drawn dart, and optionally reversed twice; the canonical form, the
-witnesses of the backtracking search and the file round trip must not
-see the difference.  The pool holds no cycle of seven or more one-loop
-flowers, on which the backtracking search is factorial.
+witnesses of the isomorphism search and the file round trip must not
+see the difference.  Realized cycles of seven to ten one-loop flowers
+join the pool.
 """
 
 from hypothesis import given, settings
@@ -27,6 +27,7 @@ from flowinv.model_io import parse_graph, parse_model, serialize_model
 from flowinv.reconstruction import realize_multigraph
 
 from conftest import FIXTURES, fixture_text
+from oracles import cycle_graph
 
 BOUNDS = EnumBounds(max_saddles=2, max_k_sum=2, max_centers=2, max_n=1,
                     max_b=1, max_annuli=2, max_tori=1)
@@ -40,7 +41,8 @@ def _fixture_models():
     return models
 
 
-POOL = list(enumerate_pairs(BOUNDS)) + _fixture_models()
+POOL = (list(enumerate_pairs(BOUNDS)) + _fixture_models()
+        + [realize_multigraph(cycle_graph(m)) for m in range(7, 11)])
 
 
 def _names(draw, ids, prefix):

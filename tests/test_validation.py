@@ -8,7 +8,7 @@ import pytest
 
 import flowinv
 from flowinv.diagram import IN, OUT, DiagramError, Saddle, SaddleDiagram, \
-    Separatrix, ValidationError, component_of, faces_by_component, trace_faces
+    Separatrix, ValidationError, faces_by_component, trace_faces
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
     PairValidationError, classify_separation, reduced_label, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, InvalidPairError, canonical_form, \
@@ -87,7 +87,7 @@ def test_no_unbounded_cache():
 def test_derived_data_is_kept_on_the_object():
     p = parse_model(fixture_text("three_centers_eight.json"))
     assert faces_by_component(p.diagram) is faces_by_component(p.diagram)
-    assert component_of(p.diagram) is component_of(p.diagram)
+    assert p.diagram.component_of is p.diagram.component_of
     assert reverse_pair(reverse_pair(p)) == p
 
 
