@@ -253,8 +253,8 @@ class _DartSearch:
     they sit on an explicit stack and ``trail`` undoes their bindings.
     """
 
-    def __init__(self, p1: InvariantPair, p2: InvariantPair):
-        self.t1, self.t2 = _PairTables(p1), _PairTables(p2)
+    def __init__(self, t1: _PairTables, t2: _PairTables):
+        self.t1, self.t2 = t1, t2
         self.fwd, self.used, self.trail, self.entries = {}, set(), [], []
 
     def _bind(self, x, y) -> bool:
@@ -341,14 +341,14 @@ class _DartSearch:
         return False
 
 
-def _find_direct_iso(p1: InvariantPair, p2: InvariantPair):
+def _find_direct_iso(p1: InvariantPair, t2: _PairTables,
+                     reversed_orientation: bool):
     """Match the assembly components of ``p1`` greedily: isomorphism is an
-    equivalence, so any unused component of ``p2`` that one matches is as
-    good as any other.  The profile gate has counted the tori."""
-    if p1.profile != p2.profile:
-        return None
-    search = _DartSearch(p1, p2)
-    t1, t2 = search.t1, search.t2
+    equivalence, so any unused component of the second pair that one
+    matches is as good as any other.  The caller's profile gate has
+    counted the tori."""
+    search = _DartSearch(_PairTables(p1), t2)
+    t1 = search.t1
     faces = p1.diagram.faces_by_component
     for vertex_ids, annulus_ids in p1.assembly:
         comps = [p1.vertex_by_id[v].component for v in vertex_ids]
@@ -366,7 +366,8 @@ def _find_direct_iso(p1: InvariantPair, p2: InvariantPair):
     return PairWitness({t1.saddle[x].id: t2.saddle[y].id for x, y in darts},
                        {x[0]: y[0] for x, y in darts},
                        {v.id: fwd[v.id] for v in p1.vertices},
-                       {a.id: fwd[a.id] for a in p1.annuli})
+                       {a.id: fwd[a.id] for a in p1.annuli},
+                       reversed_orientation)
 
 
 def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,
@@ -378,15 +379,17 @@ def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,
     """
     check_pair(p1)
     check_pair(p2)
-    witness = _find_direct_iso(p1, p2)
-    if witness is not None or not mode.allow_reversal:
-        return witness
-    witness = _find_direct_iso(reverse_pair(p1), p2)
-    if witness is None:
-        return None
-    return PairWitness(witness.saddles, witness.separatrices,
-                       witness.vertices, witness.annuli,
-                       reversed_orientation=True)
+    t2 = None  # the second pair's tables, built once for both orientations
+    for reversed_orientation in ((False, True) if mode.allow_reversal
+                                 else (False,)):
+        source = reverse_pair(p1) if reversed_orientation else p1
+        if source.profile != p2.profile:
+            continue
+        t2 = t2 or _PairTables(p2)
+        witness = _find_direct_iso(source, t2, reversed_orientation)
+        if witness is not None:
+            return witness
+    return None
 
 
 def verify_witness(p1: InvariantPair, p2: InvariantPair, w: PairWitness) -> bool:

@@ -7,10 +7,16 @@ with the line and column of the offending value.  Semantic violations
 (from pair validation) are mapped back to the source location of the
 object that broke the rule.
 
-The reader is a recursive descent that keeps the string offset of every
-value; the stdlib scans the tokens (``re`` skips whitespace and matches
-numbers, ``json.decoder.scanstring`` reads strings by RFC 8259).  Line
-and column are computed from an offset only when a diagnostic is built.
+A valid document is decoded by the stdlib's C scanner, whose hooks
+reject duplicate keys and ``NaN``/``Infinity``; one schema walk then
+reads the plain values, knowing each one by its key path.  Only when
+decoding, the walk or pair validation fails is the text read again by
+the located reader, a recursive descent that keeps the string offset of
+every value (``re`` skips whitespace and matches numbers,
+``json.decoder.scanstring`` reads strings by RFC 8259).  If the text is
+not JSON by the reader's rules, which also bound nesting, leading zeros
+and digit counts, the reader raises its ParseError; otherwise it turns
+the failing key path into a line and column.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import json
 import re
 from dataclasses import dataclass
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii
 
 from .diagram import Saddle, SaddleDiagram, Separatrix
 from .graph import (
@@ -90,6 +97,8 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 
 class _Reader:
+    """The located reader: a tree of ``_Node``s, or a ParseError."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -210,157 +219,202 @@ class _Reader:
         return _Node(value, match.start())
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("duplicate key")
+    return obj
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys,
+                            parse_constant=_no_constant, strict=True)
+
+
+def _decode(text: str):
+    """The plain value of ``text``.  Where the C scanner fails, the located
+    reader raises the ParseError: it rejects every text the scanner does."""
+    try:
+        return _DECODER.decode(text)
+    except (ValueError, RecursionError):
+        _Reader(text).parse_document()
+        raise
+
+
+def _path(keys: tuple) -> str:
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                         for k in keys)
+
+
+def _diagnostic(text: str, root: _Node, keys: tuple, rule: str,
+                message: str) -> Diagnostic:
+    """Place the value at key path ``keys`` by the reader's nodes."""
+    node = root
+    for key in keys:
+        node = node.value[key]
+    return Diagnostic(*_line_col(text, node.pos), _path(keys), rule, message)
+
+
 class _Walker:
-    """Strict schema traversal over position-carrying nodes of ``text``."""
+    """Strict schema checks over the decoded values of ``text``, each
+    given with its key path from the root (a tuple of keys and indices)."""
 
     def __init__(self, text: str):
         self.text = text
 
-    def fail(self, node: _Node, path: str, rule: str, message: str):
-        line, col = _line_col(self.text, node.pos)
-        raise SchemaError([Diagnostic(line, col, path, rule, message)])
+    def fail(self, keys: tuple, rule: str, message: str):
+        """Raise the SchemaError, placed by re-reading the text; the re-read
+        raises ParseError instead if the text is not JSON by the reader's
+        rules (say, nested deeper than MAX_DEPTH)."""
+        root = _Reader(self.text).parse_document()
+        raise SchemaError([_diagnostic(self.text, root, keys, rule, message)])
 
-    def obj(self, node: _Node, path: str, required: tuple, optional: tuple = ()):
-        if not isinstance(node.value, dict):
-            self.fail(node, path, "type", "expected an object")
-        for key in node.value:
+    def obj(self, value, keys: tuple, required: tuple,
+            optional: tuple = ()) -> dict:
+        if not isinstance(value, dict):
+            self.fail(keys, "type", "expected an object")
+        for key in value:
             if key not in required and key not in optional:
-                self.fail(node.value[key], f"{path}.{key}", "unknown-field",
+                self.fail(keys + (key,), "unknown-field",
                           f"unknown field {key!r}")
         for key in required:
-            if key not in node.value:
-                self.fail(node, path, "missing-field",
+            if key not in value:
+                self.fail(keys, "missing-field",
                           f"missing required field {key!r}")
-        return node.value
+        return value
 
-    def string(self, node: _Node, path: str) -> str:
-        if not isinstance(node.value, str):
-            self.fail(node, path, "type", "expected a string")
-        return node.value
+    def string(self, value, keys: tuple) -> str:
+        if not isinstance(value, str):
+            self.fail(keys, "type", "expected a string")
+        return value
 
-    def integer(self, node: _Node, path: str, minimum: int | None = None) -> int:
-        if not isinstance(node.value, int) or isinstance(node.value, bool):
-            self.fail(node, path, "type", "expected an integer")
-        if minimum is not None and node.value < minimum:
-            self.fail(node, path, "range", f"expected an integer >= {minimum}")
-        return node.value
+    def integer(self, value, keys: tuple, minimum: int | None = None) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            self.fail(keys, "type", "expected an integer")
+        if minimum is not None and value < minimum:
+            self.fail(keys, "range", f"expected an integer >= {minimum}")
+        return value
 
-    def name(self, node: _Node, path: str):
-        if not isinstance(node.value, (str, int)) or isinstance(node.value, bool):
-            self.fail(node, path, "type", "expected a string or an integer")
-        return node.value
+    def name(self, value, keys: tuple):
+        if not isinstance(value, (str, int)) or isinstance(value, bool):
+            self.fail(keys, "type", "expected a string or an integer")
+        return value
 
-    def boolean(self, node: _Node, path: str) -> bool:
-        if not isinstance(node.value, bool):
-            self.fail(node, path, "type", "expected a boolean")
-        return node.value
+    def boolean(self, value, keys: tuple) -> bool:
+        if not isinstance(value, bool):
+            self.fail(keys, "type", "expected a boolean")
+        return value
 
-    def array(self, node: _Node, path: str) -> list:
-        if not isinstance(node.value, list):
-            self.fail(node, path, "type", "expected an array")
-        return node.value
+    def array(self, value, keys: tuple) -> list:
+        if not isinstance(value, list):
+            self.fail(keys, "type", "expected an array")
+        return value
 
 
-def _read_model(node: _Node, walker: _Walker):
-    """Build the pair plus a map from semantic subjects to positions."""
-    top = walker.obj(node, "$", ("version", "diagram", "graph"))
-    version = walker.integer(top["version"], "$.version")
+def _read_model(doc, walker: _Walker) -> tuple:
+    """Build the pair plus a map from semantic subjects to key paths."""
+    top = walker.obj(doc, (), ("version", "diagram", "graph"))
+    version = walker.integer(top["version"], ("version",))
     if version != FORMAT_VERSION:
-        walker.fail(top["version"], "$.version", "version",
+        walker.fail(("version",), "version",
                     f"unsupported version {version}; this tool reads"
                     f" version {FORMAT_VERSION}")
 
     positions = {}
 
-    dia = walker.obj(top["diagram"], "$.diagram", ("saddles", "separatrices"))
+    dia = walker.obj(top["diagram"], ("diagram",), ("saddles", "separatrices"))
     saddles = []
-    for i, snode in enumerate(walker.array(dia["saddles"], "$.diagram.saddles")):
-        path = f"$.diagram.saddles[{i}]"
+    for i, snode in enumerate(walker.array(dia["saddles"],
+                                           ("diagram", "saddles"))):
+        path = ("diagram", "saddles", i)
         fields = walker.obj(snode, path, ("id", "kind", "k", "rotation"))
-        sid = walker.string(fields["id"], path + ".id")
-        kind = walker.string(fields["kind"], path + ".kind")
+        sid = walker.string(fields["id"], path + ("id",))
+        kind = walker.string(fields["kind"], path + ("kind",))
         if kind not in ("interior", "boundary"):
-            walker.fail(fields["kind"], path + ".kind", "enum",
+            walker.fail(path + ("kind",), "enum",
                         "kind must be 'interior' or 'boundary'")
-        k = walker.integer(fields["k"], path + ".k", minimum=0)
+        k = walker.integer(fields["k"], path + ("k",), minimum=0)
         rotation = []
         for j, dnode in enumerate(walker.array(fields["rotation"],
-                                               path + ".rotation")):
-            dpath = f"{path}.rotation[{j}]"
+                                               path + ("rotation",))):
+            dpath = path + ("rotation", j)
             dart = walker.obj(dnode, dpath, ("sep", "end"))
-            sep = walker.string(dart["sep"], dpath + ".sep")
-            end = walker.string(dart["end"], dpath + ".end")
+            sep = walker.string(dart["sep"], dpath + ("sep",))
+            end = walker.string(dart["end"], dpath + ("end",))
             if end not in ("out", "in"):
-                walker.fail(dart["end"], dpath + ".end", "enum",
+                walker.fail(dpath + ("end",), "enum",
                             "end must be 'out' or 'in'")
             rotation.append((sep, end))
         saddles.append(Saddle(sid, k, tuple(rotation), kind))
-        positions[("saddle", sid)] = (snode.pos, path)
+        positions[("saddle", sid)] = path
 
     separatrices = []
     for i, enode in enumerate(walker.array(dia["separatrices"],
-                                           "$.diagram.separatrices")):
-        path = f"$.diagram.separatrices[{i}]"
+                                           ("diagram", "separatrices"))):
+        path = ("diagram", "separatrices", i)
         fields = walker.obj(enode, path, ("id", "source", "target"),
                             optional=("twisted",))
-        eid = walker.string(fields["id"], path + ".id")
+        eid = walker.string(fields["id"], path + ("id",))
         twisted = False
         if "twisted" in fields:
-            twisted = walker.boolean(fields["twisted"], path + ".twisted")
+            twisted = walker.boolean(fields["twisted"], path + ("twisted",))
         separatrices.append(Separatrix(
             eid,
-            walker.string(fields["source"], path + ".source"),
-            walker.string(fields["target"], path + ".target"),
+            walker.string(fields["source"], path + ("source",)),
+            walker.string(fields["target"], path + ("target",)),
             twisted,
         ))
-        positions[("separatrix", eid)] = (enode.pos, path)
+        positions[("separatrix", eid)] = path
 
-    gr = walker.obj(top["graph"], "$.graph", ("vertices", "annuli", "tori"))
+    gr = walker.obj(top["graph"], ("graph",), ("vertices", "annuli", "tori"))
     vertices = []
-    for i, vnode in enumerate(walker.array(gr["vertices"], "$.graph.vertices")):
-        path = f"$.graph.vertices[{i}]"
+    for i, vnode in enumerate(walker.array(gr["vertices"],
+                                           ("graph", "vertices"))):
+        path = ("graph", "vertices", i)
         fields = walker.obj(vnode, path, ("id", "label"), optional=("component",))
-        vid = walker.string(fields["id"], path + ".id")
-        label = walker.string(fields["label"], path + ".label")
+        vid = walker.string(fields["id"], path + ("id",))
+        label = walker.string(fields["label"], path + ("label",))
         if label not in ("c", "n", "b", "polycycle"):
-            walker.fail(fields["label"], path + ".label", "enum",
+            walker.fail(path + ("label",), "enum",
                         "label must be 'c', 'n', 'b' or 'polycycle'")
         component = None
         if "component" in fields:
-            component = walker.string(fields["component"], path + ".component")
+            component = walker.string(fields["component"],
+                                      path + ("component",))
         if label == "polycycle" and component is None:
-            walker.fail(vnode, path, "missing-field",
+            walker.fail(path, "missing-field",
                         "polycycle vertices must name their component")
         if label != "polycycle" and component is not None:
-            walker.fail(fields["component"], path + ".component",
-                        "unknown-field",
+            walker.fail(path + ("component",), "unknown-field",
                         "only polycycle vertices carry a component")
         vertices.append(VertexNode(vid, "d" if label == "polycycle" else label,
                                    component))
-        positions[("vertex", vid)] = (vnode.pos, path)
+        positions[("vertex", vid)] = path
 
-    def read_attachment(anode: _Node, path: str) -> Attachment:
+    def read_attachment(anode, path: tuple) -> Attachment:
         fields = walker.obj(anode, path, ("vertex",), optional=("face",))
-        vertex = walker.string(fields["vertex"], path + ".vertex")
+        vertex = walker.string(fields["vertex"], path + ("vertex",))
         face = None
         if "face" in fields:
-            face = walker.integer(fields["face"], path + ".face", minimum=0)
+            face = walker.integer(fields["face"], path + ("face",), minimum=0)
         return Attachment(vertex, face)
 
     annuli = []
-    for i, anode in enumerate(walker.array(gr["annuli"], "$.graph.annuli")):
-        path = f"$.graph.annuli[{i}]"
+    for i, anode in enumerate(walker.array(gr["annuli"], ("graph", "annuli"))):
+        path = ("graph", "annuli", i)
         fields = walker.obj(anode, path, ("id", "neg", "pos"))
-        aid = walker.string(fields["id"], path + ".id")
+        aid = walker.string(fields["id"], path + ("id",))
         annuli.append(AnnulusEdge(
             aid,
-            read_attachment(fields["neg"], path + ".neg"),
-            read_attachment(fields["pos"], path + ".pos"),
+            read_attachment(fields["neg"], path + ("neg",)),
+            read_attachment(fields["pos"], path + ("pos",)),
         ))
-        positions[("annulus", aid)] = (anode.pos, path)
+        positions[("annulus", aid)] = path
 
-    tori = walker.integer(gr["tori"], "$.graph.tori", minimum=0)
-    positions[("model", "")] = (node.pos, "$")
+    tori = walker.integer(gr["tori"], ("graph", "tori"), minimum=0)
 
     pair = InvariantPair(SaddleDiagram(tuple(saddles), tuple(separatrices)),
                          tuple(vertices), tuple(annuli), tori)
@@ -373,17 +427,14 @@ def parse_model(text: str) -> InvariantPair:
     Raises ParseError (syntax), SchemaError (structure) or SemanticError
     (model rule violations, with source positions).
     """
-    root = _Reader(text).parse_document()
-    pair, positions = _read_model(root, _Walker(text))
+    pair, positions = _read_model(_decode(text), _Walker(text))
     violations = validate_pair(pair)
     if violations:
-        diags = []
-        for v in violations:
-            pos, path = positions.get((v.kind, v.subject),
-                                      positions[("model", "")])
-            diags.append(Diagnostic(*_line_col(text, pos), path, v.rule,
-                                    v.message))
-        raise SemanticError(diags)
+        root = _Reader(text).parse_document()
+        raise SemanticError([
+            _diagnostic(text, root, positions.get((v.kind, v.subject), ()),
+                        v.rule, v.message)
+            for v in violations])
     return pair
 
 
@@ -395,33 +446,33 @@ def parse_graph(text: str) -> Multigraph:
     twice.  Raises ParseError or SchemaError.
     """
     walker = _Walker(text)
-    top = walker.obj(_Reader(text).parse_document(), "$", ("vertices", "edges"))
+    top = walker.obj(_decode(text), (), ("vertices", "edges"))
     seen = set()
 
-    def unique(node: _Node, path: str, kind: str):
-        name = walker.name(node, path)
+    def unique(value, keys: tuple, kind: str):
+        name = walker.name(value, keys)
         if (kind, str(name)) in seen:
-            walker.fail(node, path, "unique-id", f"duplicate {kind} id {name!r}")
+            walker.fail(keys, "unique-id", f"duplicate {kind} id {name!r}")
         seen.add((kind, str(name)))
         return name
 
-    vertices = [unique(vnode, f"$.vertices[{i}]", "vertex") for i, vnode
-                in enumerate(walker.array(top["vertices"], "$.vertices"))]
+    vertices = [unique(value, ("vertices", i), "vertex") for i, value
+                in enumerate(walker.array(top["vertices"], ("vertices",)))]
     edges = []
-    for i, enode in enumerate(walker.array(top["edges"], "$.edges")):
-        path = f"$.edges[{i}]"
+    for i, enode in enumerate(walker.array(top["edges"], ("edges",))):
+        path = ("edges", i)
         fields = walker.obj(enode, path, ("id", "ends"))
-        eid = unique(fields["id"], path + ".id", "edge")
-        ends = walker.array(fields["ends"], path + ".ends")
+        eid = unique(fields["id"], path + ("id",), "edge")
+        ends = walker.array(fields["ends"], path + ("ends",))
         if not 1 <= len(ends) <= 2:
-            walker.fail(fields["ends"], path + ".ends", "range",
+            walker.fail(path + ("ends",), "range",
                         "an edge has one or two ends")
-        edges.append((eid, [walker.name(end, f"{path}.ends[{j}]")
+        edges.append((eid, [walker.name(end, path + ("ends", j))
                             for j, end in enumerate(ends)]))
     try:
         return Multigraph.build(vertices, edges)
     except ValueError as exc:  # an end that is not a vertex
-        walker.fail(top["edges"], "$.edges", "graph", str(exc))
+        walker.fail(("edges",), "graph", str(exc))
 
 
 def _document_of(p: InvariantPair) -> dict:
@@ -475,7 +526,31 @@ def serialize_model(p: InvariantPair, compact: bool = False) -> str:
     doc = _document_of(p)
     if compact:
         return json.dumps(doc, separators=(",", ":"))
-    return json.dumps(doc, indent=2) + "\n"
+    return _indented(doc) + "\n"
+
+
+def _indented(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the str, int, bool, list and dict
+    values of a document, without the stdlib's pure-Python encoder (its C
+    encoder does not indent).  ``newline`` opens a line at the depth of
+    ``value``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}"
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [_indented(v, inner) for v in value]
+        brackets = "[]"
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _dot_quote(s: str) -> str:

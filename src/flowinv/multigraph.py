@@ -88,47 +88,70 @@ def _vertex_signature(g: Multigraph) -> dict:
     return {v: (g.degree(v), g.loop_count(v)) for v in g.vertices}
 
 
-def _edge_counter(g: Multigraph, relabel=None) -> Counter:
-    c = Counter()
+def _neighbours(g: Multigraph) -> dict:
+    """Per vertex, the number of its edges to each other vertex."""
+    adj = {v: Counter() for v in g.vertices}
     for _, ends in g.edges:
-        if relabel is not None:
-            ends = frozenset(relabel[v] for v in ends)
-        c[ends] += 1
-    return c
+        if len(ends) == 2:
+            u, w = ends
+            adj[u][w] += 1
+            adj[w][u] += 1
+    return adj
 
 
 def multigraph_isomorphic(g1: Multigraph, g2: Multigraph) -> dict | None:
     """Find a vertex bijection matching edge multiplicities, or None.
 
-    Plain backtracking over vertices ordered by (degree, loop count)
-    signature; adequate at the handful-of-vertices scale used here.
+    Each connected piece of ``g1`` is mapped in breadth-first order from
+    its least vertex by (degree, loop count) signature.  A vertex is
+    offered only the unused images with its signature that are joined to
+    the images of its mapped neighbours exactly as it is joined to them,
+    so an edge is checked as soon as both its ends are mapped.  A mapped
+    piece is then a whole piece of ``g2``; as isomorphism is an
+    equivalence, pieces match greedily.
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
     sig1, sig2 = _vertex_signature(g1), _vertex_signature(g2)
     if Counter(sig1.values()) != Counter(sig2.values()):
         return None
-    order = sorted(g1.vertices, key=lambda v: (sig1[v], repr(v)))
-    target_edges = _edge_counter(g2)
+    adj1, adj2 = _neighbours(g1), _neighbours(g2)
+    targets = sorted(g2.vertices, key=repr)
+    mapping, used = {}, set()
 
-    mapping = {}
-    used = set()
+    def joined_alike(v, w) -> bool:
+        return ({mapping[u]: c for u, c in adj1[v].items() if u in mapping}
+                == {x: c for x, c in adj2[w].items() if x in used})
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return _edge_counter(g1, mapping) == target_edges
-        v = order[i]
-        for w in sorted(g2.vertices, key=repr):
-            if w in used or sig2[w] != sig1[v]:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    if extend(0):
-        return dict(mapping)
-    return None
+    for root in sorted(g1.vertices, key=lambda v: (sig1[v], repr(v))):
+        if root in mapping:
+            continue
+        order, parent = [root], {root: None}
+        for v in order:
+            for u in adj1[v]:
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        choices = []  # per position in order, the images not yet tried
+        i = 0
+        while 0 <= i < len(order):
+            v = order[i]
+            if i == len(choices):
+                p = parent[v]
+                pool = targets if p is None else adj2[mapping[p]]
+                choices.append(iter([w for w in pool if w not in used
+                                     and sig2[w] == sig1[v]]))
+            elif v in mapping:
+                used.discard(mapping.pop(v))
+            for w in choices[i]:
+                if joined_alike(v, w):
+                    mapping[v] = w
+                    used.add(w)
+                    i += 1
+                    break
+            else:
+                choices.pop()
+                i -= 1
+        if i < 0:
+            return None
+    return mapping

@@ -286,18 +286,24 @@ def specialization_order(space: FinSpace) -> FinPoset:
 
 
 def alexandroff_space(poset: FinPoset) -> FinSpace:
-    """The Alexandroff topology of a poset: opens are exactly the upsets."""
+    """The Alexandroff topology of a poset: opens are exactly the upsets.
+
+    Every upset is the union of the principal upsets of its elements, so
+    the opens are the closure of {empty set} under union with a principal
+    upset, built as bitmasks in O(n * |opens|).
+    """
     elems = sorted(poset.elements, key=repr)
-    n = len(elems)
-    up_mask = [0] * n
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            if poset.leq(x, y):
-                up_mask[i] |= 1 << j
-    opens = []
-    for mask in range(1 << n):
-        if all(up_mask[i] | mask == mask for i in range(n) if mask >> i & 1):
-            opens.append(
-                frozenset(elems[i] for i in range(n) if mask >> i & 1)
-            )
-    return FinSpace(poset.elements, frozenset(opens))
+    bit = {x: 1 << i for i, x in enumerate(elems)}
+    up_mask = dict.fromkeys(elems, 0)
+    for a, b in poset.order:
+        up_mask[a] |= bit[b]
+    up_masks = set(up_mask.values())
+    opens, todo = {0}, [0]
+    while todo:
+        mask = todo.pop()
+        for up in up_masks:
+            if mask | up not in opens:
+                opens.add(mask | up)
+                todo.append(mask | up)
+    return FinSpace(poset.elements, frozenset(
+        frozenset(x for x in elems if mask & bit[x]) for mask in opens))

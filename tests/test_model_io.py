@@ -1,4 +1,5 @@
 import io
+import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -7,16 +8,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowinv.cli import main
+from flowinv.diagram import SaddleDiagram
+from flowinv.enumeration import EnumBounds, enumerate_pairs
+from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, VertexNode
 from flowinv.isomorphism import canonical_form
 from flowinv.model_io import (
     ParseError,
     SchemaError,
     SemanticError,
+    _document_of,
+    _Reader,
     export_dot,
     parse_graph,
     parse_model,
     serialize_model,
 )
+from flowinv.multigraph import Multigraph
+from flowinv.reconstruction import realize_multigraph
 
 from conftest import (
     FIXTURES,
@@ -27,6 +35,7 @@ from conftest import (
     three_centers_eight,
     torus_pair,
 )
+from oracles import cycle_graph
 
 
 class TestParse:
@@ -135,6 +144,10 @@ PINNED = {
     "duplicate-key-nested": (_sub('"tori": 0', '"tori": 0,\n    "tori": 0'),
                              parse_model, ParseError,
                              "16:5: duplicate key 'tori'"),
+    "duplicate-key-deep": (_sub('"label": "c"}',
+                                '"label": "c", "label": "c"}'),
+                           parse_model, ParseError,
+                           "9:37: duplicate key 'label'"),
     "number-leading-zero": (_sub('"version": 1', '"version": 01'), parse_model,
                             ParseError, "2:14: leading zero in number"),
     "number-negative-leading-zero": (_sub('"version": 1', '"version": -01'),
@@ -159,6 +172,11 @@ PINNED = {
     "number-float-overflow": (_sub('"tori": 0', '"tori": 1e400'), parse_model,
                               SchemaError,
                               "15:13 $.graph.tori: expected an integer [type]"),
+    "literal-nan": (_sub('"tori": 0', '"tori": NaN'), parse_model, ParseError,
+                    "15:13: unexpected character 'N'"),
+    "literal-negative-infinity": (_sub('"tori": 0', '"tori": -Infinity'),
+                                  parse_model, ParseError,
+                                  "15:13: invalid number"),
     "literal-truncated": (_sub('"tori": 0', '"tori": tru'), parse_model,
                           ParseError, "15:13: unexpected character 't'"),
     "literal-capitalized": (_sub('"tori": 0', '"tori": True'), parse_model,
@@ -183,6 +201,12 @@ PINNED = {
                   "1:65: document nested deeper than 64 levels"),
     "depth-at-limit": ("[" * 64 + "]" * 64, parse_model, SchemaError,
                        "1:1 $: expected an object [type]"),
+    "max-depth-in-document": (_sub('"saddles": []',
+                                   '"saddles": ' + "[" * 65 + "]" * 65),
+                              parse_model, ParseError,
+                              "4:78: document nested deeper than 64 levels"),
+    "byte-order-mark": ("\ufeff" + SPHERE, parse_model, ParseError,
+                        "1:1: unexpected character '\\ufeff'"),
     "unknown-field": (fixture_text("bad_unknown_field.json"), parse_model,
                       SchemaError,
                       "5:54 $.graph.vertices[0].colour: unknown field"
@@ -315,6 +339,42 @@ class TestFuzzedFiles:
         assert _exit_code(path, ("realize", "{}")) in {0, 1, 2, 64}
 
 
+# texts the C scanner takes, or fails on, otherwise than the located reader
+SCANNER_TOKENS = [b"NaN", b"-Infinity", b"Infinity", b"\xef\xbb\xbf",
+                  b"[" * 70 + b"]" * 70, b"[" * 2000, b"1" * 4400,
+                  b'"id": "x", "id": "x", ', b"1e400", b"-0"]
+
+
+@st.composite
+def _scanner_edge_cases(draw):
+    data = bytearray(draw(_mutated(MODEL_FILES)))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data)))
+        data[i:i] = draw(st.sampled_from(SCANNER_TOKENS))
+    return data.decode("utf-8", "replace")
+
+
+class TestReaderParity:
+    """Valid documents are decoded by the stdlib's C scanner, yet a text
+    is a ParseError exactly when the located reader rejects it, with the
+    reader's diagnostic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_scanner_edge_cases())
+    def test_parse_error_is_the_readers(self, text):
+        try:
+            _Reader(text).parse_document()
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                parse_model(text)
+            assert str(err.value) == str(exc)
+        else:
+            try:
+                parse_model(text)
+            except (SchemaError, SemanticError):
+                pass
+
+
 class TestSerialize:
     @pytest.mark.parametrize("build", [sphere_rotation, three_centers_eight,
                                        eight_torus_pair, torus_pair])
@@ -338,6 +398,25 @@ class TestSerialize:
         q = parse_model(serialize_model(p))
         assert canonical_form(q).blob == canonical_form(p).blob
 
+    def test_indented_text_is_json_dumps(self):
+        pairs = [parse_model(fixture_text(name)) for name in MODEL_FILES
+                 if not name.startswith("bad_")]
+        pairs += enumerate_pairs(EnumBounds(max_saddles=1, max_k_sum=1,
+                                            max_centers=2, max_n=1, max_b=1,
+                                            max_annuli=2, max_tori=1))
+        pairs += [realize_multigraph(g) for g in (
+            Multigraph.build(["hub", "x", "y"], {"e": ("hub", "x"),
+                                                 "f": ("hub", "y")}),
+            cycle_graph(5))]
+        pairs.append(InvariantPair(
+            SaddleDiagram.empty(),
+            (VertexNode("n\u00f6rd", "c"), VertexNode("\U0001F600", "c")),
+            (AnnulusEdge("g\u00fcrtel\t\"", Attachment("n\u00f6rd"),
+                         Attachment("\U0001F600")),)))
+        for p in pairs:
+            assert serialize_model(p) == \
+                json.dumps(_document_of(p), indent=2) + "\n"
+
     def test_compact_single_line(self):
         text = serialize_model(sphere_rotation(), compact=True)
         assert "\n" not in text
@@ -348,7 +427,6 @@ class TestFormalSchema:
     """The shipped JSON Schema file agrees with the strict parser."""
 
     def _validator(self):
-        import json
         from pathlib import Path
 
         from jsonschema import Draft202012Validator
@@ -359,8 +437,6 @@ class TestFormalSchema:
         return Draft202012Validator(schema)
 
     def test_fixtures_conform(self):
-        import json
-
         v = self._validator()
         for name in ("sphere_rotation.json", "three_centers_eight.json",
                      "disk_eight_opposed.json", "disk_eight_aligned.json", "three_centers_mobius.json",
@@ -368,15 +444,11 @@ class TestFormalSchema:
             assert not list(v.iter_errors(json.loads(fixture_text(name))))
 
     def test_serializer_output_conforms(self):
-        import json
-
         v = self._validator()
         doc = json.loads(serialize_model(three_centers_eight()))
         assert not list(v.iter_errors(doc))
 
     def test_schema_rejects_unknown_field(self):
-        import json
-
         v = self._validator()
         doc = json.loads(fixture_text("bad_unknown_field.json"))
         assert list(v.iter_errors(doc))

@@ -1,7 +1,13 @@
+import random
+from collections import Counter
+
 import pytest
 
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
 from flowinv.topology import is_multigraph_like
+
+from conftest import within_budget
+from oracles import cycle_graph, random_graph
 
 
 def star(leaves: int) -> Multigraph:
@@ -65,3 +71,39 @@ class TestIsomorphism:
 
     def test_size_mismatch(self):
         assert multigraph_isomorphic(star(3), star(4)) is None
+
+
+def _relabeled(g: Multigraph, seed: int) -> Multigraph:
+    rng = random.Random(seed)
+    images = [f"y{i}" for i in range(len(g.vertices))]
+    rng.shuffle(images)
+    image = dict(zip(sorted(g.vertices), images))
+    return Multigraph.build(images, {f"f{eid}": [image[v] for v in ends]
+                                     for eid, ends in g.edges})
+
+
+def _is_isomorphism(g1: Multigraph, g2: Multigraph, mapping: dict) -> bool:
+    edges = Counter(frozenset(mapping[v] for v in ends)
+                    for _, ends in g1.edges)
+    return (set(mapping.values()) == g2.vertices
+            and edges == Counter(ends for _, ends in g2.edges))
+
+
+class TestIsomorphismScale:
+    """The map grows in breadth-first order and checks edges as it goes,
+    so relabeled graphs no longer cost a factorial."""
+
+    @pytest.mark.parametrize("build", [cycle_graph, random_graph])
+    def test_relabeled_graph_of_40(self, build):
+        g = build(40)
+        h = _relabeled(g, 40)
+        mapping = within_budget(multigraph_isomorphic, g, h)
+        assert mapping is not None and _is_isomorphism(g, h, mapping)
+
+    def test_same_degrees_near_miss(self):
+        triangles = Multigraph.build("abcdef", {
+            "e1": "ab", "e2": "bc", "e3": "ca", "e4": "de", "e5": "ef",
+            "e6": "fd"})
+        hexagon = cycle_graph(6)
+        assert within_budget(multigraph_isomorphic, triangles, hexagon) is None
+        assert within_budget(multigraph_isomorphic, hexagon, triangles) is None

@@ -12,6 +12,7 @@ from flowinv.topology import (
     separation_axioms,
     specialization_order,
 )
+from conftest import within_budget
 from oracles import all_labeled_posets, chain_height_oracle, poset_from_upmasks, upsets_oracle
 
 
@@ -184,3 +185,9 @@ class TestAlexandroff:
         for up in all_labeled_posets(4):
             p = poset_from_upmasks(up)
             assert specialization_order(alexandroff_space(p)) == p
+
+    def test_long_chain_costs_its_opens_not_every_subset(self):
+        p = chain(40)
+        space = within_budget(alexandroff_space, p)
+        assert len(space.opens) == 41
+        assert specialization_order(space) == p
