@@ -13,7 +13,6 @@ equivalence classes within size bounds.
 from .diagram import (
     IN,
     OUT,
-    DiagramError,
     FaceCycle,
     Saddle,
     SaddleDiagram,
@@ -38,7 +37,6 @@ from .graph import (
     AnnulusEdge,
     Attachment,
     InvariantPair,
-    PairValidationError,
     SeparationReport,
     VertexNode,
     assembly_components,
@@ -52,7 +50,6 @@ from .isomorphism import (
     ORIENTED,
     REVERSIBLE,
     CanonicalForm,
-    InvalidPairError,
     IsoMode,
     PairWitness,
     canonical_form,

@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-b", type=_bound, default=0)
     p.add_argument("--max-annuli", type=_bound, default=0)
     p.add_argument("--max-tori", type=_bound, default=0)
-    p.add_argument("--closed-only", action="store_true")
-    p.add_argument("--orientable-only", action="store_true")
     with_reversal(p)
 
     p = sub.add_parser("export-dot", help="Graphviz view of a model")
@@ -189,8 +187,6 @@ def _cmd_enumerate(args) -> int:
         max_b=args.max_b,
         max_annuli=args.max_annuli,
         max_tori=args.max_tori,
-        closed_only=args.closed_only,
-        orientable_only=args.orientable_only,
         mode=_mode(args),
     )
     for blob, pair in _enumerate_classes(bounds):

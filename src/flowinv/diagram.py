@@ -48,9 +48,6 @@ class ValidationError(ValueError):
         super().__init__("; ".join(v.message for v in self.violations))
 
 
-DiagramError = ValidationError
-
-
 def flip(dart: Dart) -> Dart:
     sep, end = dart
     return (sep, IN if end == OUT else OUT)

@@ -44,8 +44,6 @@ class EnumBounds:
     max_b: int = 0
     max_annuli: int = 0
     max_tori: int = 0
-    closed_only: bool = False
-    orientable_only: bool = False
     mode: IsoMode = ORIENTED
 
     def __post_init__(self):
@@ -134,13 +132,12 @@ def _face_closures(points: list, max_annuli: int, rng: random.Random | None):
     return _maybe_shuffle(results, rng)
 
 
-_LEAF_KINDS = ("c", "n", "b")
-
-
 def _allowed_leaf_kinds(bounds: EnumBounds):
-    return [k for k in _LEAF_KINDS
-            if not (bounds.closed_only and k == "b")
-            and not (bounds.orientable_only and k == "n")]
+    """The leaf kinds with a positive budget: only b leaves make boundary
+    and only n leaves make a surface non-orientable."""
+    budgets = (("c", bounds.max_centers), ("n", bounds.max_n),
+               ("b", bounds.max_b))
+    return [k for k, budget in budgets if budget > 0]
 
 
 def _leaf_budget_ok(counts: dict, bounds: EnumBounds) -> bool:

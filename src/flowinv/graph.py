@@ -28,9 +28,6 @@ C, N, B, D = "c", "n", "b", "d"
 LABELS = (C, N, B, D)
 
 
-PairValidationError = ValidationError
-
-
 @dataclass(frozen=True)
 class VertexNode:
     id: str

@@ -32,7 +32,6 @@ from .diagram import (
     Saddle,
     SaddleDiagram,
     Separatrix,
-    ValidationError,
     check_diagram,
     diagram_components,
     faces_by_component,
@@ -60,8 +59,6 @@ class IsoMode:
 ORIENTED = IsoMode(allow_reversal=False)
 REVERSIBLE = IsoMode(allow_reversal=True)
 
-
-InvalidPairError = ValidationError
 
 
 class CyclicWitness(NamedTuple):
@@ -111,15 +108,6 @@ class PairWitness:
 # structural rewrites: relabel and reverse
 
 
-def _face_index_of_darts(d: SaddleDiagram) -> dict:
-    """frozenset of darts -> (component id, face index)."""
-    out = {}
-    for comp, faces in faces_by_component(d).items():
-        for idx, f in enumerate(faces):
-            out[frozenset(f.sides)] = (comp, idx)
-    return out
-
-
 def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
                       vertices: dict, separatrices: dict):
     """Attachment of ``p`` -> attachment in ``new_diagram``.
@@ -129,7 +117,11 @@ def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
     indices are positional (faces ordered by least dart).
     """
     old_faces = faces_by_component(p.diagram)
-    new_face_index = _face_index_of_darts(new_diagram)
+    new_face_index = {
+        frozenset(f.sides): idx
+        for faces in faces_by_component(new_diagram).values()
+        for idx, f in enumerate(faces)
+    }
 
     def remap(att: Attachment) -> Attachment:
         v = p.vertex_by_id[att.vertex]
@@ -137,8 +129,7 @@ def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
             return Attachment(vertices[att.vertex])
         face = old_faces[v.component][att.face]
         darts = frozenset((separatrices[sep], end) for sep, end in face.sides)
-        _, idx = new_face_index[darts]
-        return Attachment(vertices[att.vertex], idx)
+        return Attachment(vertices[att.vertex], new_face_index[darts])
 
     return remap
 
@@ -197,21 +188,14 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     """The orientation reversal of the whole model.
 
     Separatrices reverse, rotation words reflect, every annulus swaps its
-    negative and positive side.  Boundary circles survive: a reversed
+    negative and positive side.  Attachments stay as they are: a reversed
     face carries exactly the dart names of its original (each dart's end
     flag flips, but so does the naming of the separatrix ends, and the
-    two cancel).
+    two cancel), so it keeps its least dart and with it its face index.
     """
-    new_diagram = reverse_diagram(p.diagram)
-    remap = _attachment_remap(
-        p, new_diagram,
-        {v.id: v.id for v in p.vertices},
-        {e.id: e.id for e in p.diagram.separatrices},
-    )
-    new_annuli = tuple(
-        AnnulusEdge(a.id, remap(a.pos), remap(a.neg)) for a in p.annuli
-    )
-    return InvariantPair(new_diagram, p.vertices, new_annuli, p.tori)
+    new_annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) for a in p.annuli)
+    return InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
+                         p.tori)
 
 
 # ---------------------------------------------------------------------------

@@ -84,19 +84,20 @@ class Multigraph:
         return cls.build(vertices, edges)
 
 
-def _vertex_signature(g: Multigraph) -> dict:
-    return {v: (g.degree(v), g.loop_count(v)) for v in g.vertices}
-
-
-def _neighbours(g: Multigraph) -> dict:
-    """Per vertex, the number of its edges to each other vertex."""
+def _neighbours(g: Multigraph) -> tuple:
+    """Per vertex, the number of its edges to each vertex (a loop once, on
+    the diagonal), and its (degree, loop count) signature."""
     adj = {v: Counter() for v in g.vertices}
     for _, ends in g.edges:
         if len(ends) == 2:
             u, w = ends
             adj[u][w] += 1
             adj[w][u] += 1
-    return adj
+        else:
+            (v,) = ends
+            adj[v][v] += 1
+    sig = {v: (sum(row.values()) + row[v], row[v]) for v, row in adj.items()}
+    return adj, sig
 
 
 def multigraph_isomorphic(g1: Multigraph, g2: Multigraph) -> dict | None:
@@ -112,10 +113,9 @@ def multigraph_isomorphic(g1: Multigraph, g2: Multigraph) -> dict | None:
     """
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    sig1, sig2 = _vertex_signature(g1), _vertex_signature(g2)
+    (adj1, sig1), (adj2, sig2) = _neighbours(g1), _neighbours(g2)
     if Counter(sig1.values()) != Counter(sig2.values()):
         return None
-    adj1, adj2 = _neighbours(g1), _neighbours(g2)
     targets = sorted(g2.vertices, key=repr)
     mapping, used = {}, set()
 

@@ -32,6 +32,7 @@ from .graph import (
     check_pair,
 )
 from .multigraph import Multigraph
+from .topology import connected_groups
 
 CENTER_DISK = "center_disk"
 ANNULUS = "annulus"
@@ -39,6 +40,28 @@ MOBIUS_COLLAR = "mobius_collar"
 BOUNDARY_COLLAR = "boundary_collar"
 POLYCYCLE_NBHD = "polycycle_nbhd"
 TORUS = "torus"
+
+# vertex label -> (cell id prefix, cell kind)
+_CELLS = {
+    "c": ("disk", CENTER_DISK),
+    "n": ("mobius", MOBIUS_COLLAR),
+    "b": ("collar", BOUNDARY_COLLAR),
+    "d": ("poly", POLYCYCLE_NBHD),
+}
+_LABEL_OF_KIND = {kind: label for label, (_, kind) in _CELLS.items()}
+
+# cell kind -> interior (V, E, F) beyond its circles: an annulus or collar
+# is one edge and one face across, a Möbius collar or torus a vertex, two
+# edges and a face; a polycycle neighborhood adds its ribbon core plus
+# one edge and one face per circle
+_INTERIOR = {
+    CENTER_DISK: (0, 0, 1),
+    ANNULUS: (0, 1, 1),
+    BOUNDARY_COLLAR: (0, 1, 1),
+    MOBIUS_COLLAR: (1, 2, 1),
+    TORUS: (1, 2, 1),
+    POLYCYCLE_NBHD: (0, 0, 0),
+}
 
 
 class ReconstructionError(ValueError):
@@ -120,13 +143,10 @@ def chi_cells(p: InvariantPair) -> list:
 
 def _circle_of_attachment(p: InvariantPair, att: Attachment) -> str:
     v = p.vertex_by_id[att.vertex]
-    if v.label == "c":
-        return f"disk:{v.id}:0"
-    if v.label == "n":
-        return f"mobius:{v.id}:0"
-    if v.label == "b":
-        return f"collar:{v.id}:0"
-    return f"poly:{v.component}:{att.face}"
+    prefix = _CELLS[v.label][0]
+    if v.label == "d":
+        return f"{prefix}:{v.component}:{att.face}"
+    return f"{prefix}:{v.id}:0"
 
 
 def build_cell_model(p: InvariantPair) -> CellModel:
@@ -134,21 +154,21 @@ def build_cell_model(p: InvariantPair) -> CellModel:
     cells = []
     boundary = set()
     for v in p.vertices:
-        if v.label == "c":
-            cells.append(Cell(f"disk:{v.id}", CENTER_DISK, (f"disk:{v.id}:0",)))
-        elif v.label == "n":
-            cells.append(Cell(f"mobius:{v.id}", MOBIUS_COLLAR, (f"mobius:{v.id}:0",)))
-        elif v.label == "b":
-            rim = f"collar:{v.id}:rim"
-            boundary.add(rim)
-            cells.append(Cell(f"collar:{v.id}", BOUNDARY_COLLAR,
-                              (rim, f"collar:{v.id}:0")))
+        if v.label == "d":
+            continue  # polycycle cells come from the diagram components
+        prefix, kind = _CELLS[v.label]
+        cid = f"{prefix}:{v.id}"
+        circles = (f"{cid}:0",)
+        if kind == BOUNDARY_COLLAR:
+            boundary.add(f"{cid}:rim")
+            circles = (f"{cid}:rim",) + circles
+        cells.append(Cell(cid, kind, circles))
+    prefix, kind = _CELLS["d"]
     faces = faces_by_component(p.diagram)
     for comp_id, _, _ in diagram_components(p.diagram):
-        circles = tuple(
-            f"poly:{comp_id}:{i}" for i in range(len(faces[comp_id]))
-        )
-        cells.append(Cell(f"poly:{comp_id}", POLYCYCLE_NBHD, circles))
+        cid = f"{prefix}:{comp_id}"
+        circles = tuple(f"{cid}:{i}" for i in range(len(faces[comp_id])))
+        cells.append(Cell(cid, kind, circles))
     gluings = set()
     for a in p.annuli:
         neg, pos = f"ann:{a.id}:neg", f"ann:{a.id}:pos"
@@ -180,24 +200,21 @@ def extract_pair(cm: CellModel) -> InvariantPair:
     circle_to_key = {}
     for cell in cm.cells:
         name = cell.id.split(":", 1)[1] if ":" in cell.id else cell.id
-        if cell.kind == CENTER_DISK:
-            vertices.append(VertexNode(name, "c"))
-            circle_to_key[cell.circles[0]] = (name, None)
-        elif cell.kind == MOBIUS_COLLAR:
-            vertices.append(VertexNode(name, "n"))
-            circle_to_key[cell.circles[0]] = (name, None)
-        elif cell.kind == BOUNDARY_COLLAR:
-            vertices.append(VertexNode(name, "b"))
-            circle_to_key[cell.circles[1]] = (name, None)
-        elif cell.kind == POLYCYCLE_NBHD:
-            vertices.append(VertexNode(f"poly:{name}", "d", name))
+        if cell.kind == TORUS:
+            tori += 1
+        if cell.kind in (ANNULUS, TORUS):
+            continue
+        label = _LABEL_OF_KIND.get(cell.kind)
+        if label is None:
+            raise ReconstructionError(f"unknown cell kind {cell.kind!r}")
+        if label == "d":
+            vertices.append(VertexNode(cell.id, "d", name))
             for circle in cell.circles:
                 idx = int(circle.rsplit(":", 1)[1])
-                circle_to_key[circle] = (f"poly:{name}", idx)
-        elif cell.kind == TORUS:
-            tori += 1
-        elif cell.kind != ANNULUS:
-            raise ReconstructionError(f"unknown cell kind {cell.kind!r}")
+                circle_to_key[circle] = (cell.id, idx)
+        else:  # the glued circle; a boundary collar lists its rim first
+            vertices.append(VertexNode(name, label))
+            circle_to_key[cell.circles[-1]] = (name, None)
     for cell in cm.cells:
         if cell.kind != ANNULUS:
             continue
@@ -245,85 +262,38 @@ def reconstruct(p: InvariantPair) -> tuple:
 def cellmodel_euler(cm: CellModel) -> list:
     """Independent Euler count per component: tally actual cells.
 
-    Every circle carries one vertex and one edge (glued circles counted
-    once).  Interiors: a disk adds a face; an annulus or collar adds an
-    edge and a face; a Möbius collar adds a vertex, two edges and a face;
-    a polycycle neighborhood adds its core graph plus one edge and one
-    face per boundary circle; a torus adds a vertex, two edges and a face.
+    Cells are linked through their gluings; components come ordered by
+    least cell id.  Every circle class (a circle, or two glued ones)
+    carries one vertex and one edge; each cell adds its interior from
+    ``_INTERIOR``.  Reads only cells, gluings and the ribbon cores, so it
+    checks ``chi_cells`` rather than repeating it.
     """
-    circle_rep = {}
+    cell_of = {circle: cell.id for cell in cm.cells for circle in cell.circles}
+    groups = connected_groups(
+        sorted(cell.id for cell in cm.cells),
+        ((cell_of[a], cell_of[b]) for a, b in cm.gluings),
+    )
+    group_of = {cid: i for i, group in enumerate(groups) for cid in group}
+    cores = {comp_id: (len(saddle_ids), len(sep_ids))
+             for comp_id, saddle_ids, sep_ids in cm.diagram.components}
+    tally = [[0, 0, 0] for _ in groups]
+    for a, _ in cm.gluings:  # two circles, one class
+        t = tally[group_of[cell_of[a]]]
+        t[0] -= 1
+        t[1] -= 1
     for cell in cm.cells:
-        for circle in cell.circles:
-            circle_rep[circle] = circle
-    for pair in cm.gluings:
-        a, b = sorted(pair)
-        circle_rep[b] = a
-
-    def find(c):
-        while circle_rep[c] != c:
-            circle_rep[c] = circle_rep[circle_rep[c]]
-            c = circle_rep[c]
-        return c
-
-    # component structure on cells through shared circles
-    parent = {cell.id: cell.id for cell in cm.cells}
-
-    def cfind(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    owner = {}
-    for cell in cm.cells:
-        for circle in cell.circles:
-            rep = find(circle)
-            if rep in owner:
-                a, b = cfind(owner[rep]), cfind(cell.id)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-            else:
-                owner[rep] = cell.id
-
-    comp_saddle_counts = {}
-    comp_sep_counts = {}
-    for comp_id, saddle_ids, sep_ids in diagram_components(cm.diagram):
-        comp_saddle_counts[comp_id] = len(saddle_ids)
-        comp_sep_counts[comp_id] = len(sep_ids)
-
-    counts = {}  # root cell -> [v, e, f]
-    seen_circles = set()
-    for cell in cm.cells:
-        root = cfind(cell.id)
-        tally = counts.setdefault(root, [0, 0, 0])
-        for circle in cell.circles:
-            rep = find(circle)
-            if rep not in seen_circles:
-                seen_circles.add(rep)
-                tally[0] += 1
-                tally[1] += 1
-        if cell.kind == CENTER_DISK:
-            tally[2] += 1
-        elif cell.kind in (ANNULUS, BOUNDARY_COLLAR):
-            tally[1] += 1
-            tally[2] += 1
-        elif cell.kind == MOBIUS_COLLAR:
-            tally[0] += 1
-            tally[1] += 2
-            tally[2] += 1
-        elif cell.kind == POLYCYCLE_NBHD:
-            comp_id = cell.id.split(":", 1)[1]
-            n_faces = len(cell.circles)
-            tally[0] += comp_saddle_counts[comp_id]
-            tally[1] += comp_sep_counts[comp_id] + n_faces
-            tally[2] += n_faces
-        elif cell.kind == TORUS:
-            tally[0] += 1
-            tally[1] += 2
-            tally[2] += 1
-
-    roots = sorted(counts)
-    return [counts[r][0] - counts[r][1] + counts[r][2] for r in roots]
+        if cell.kind not in _INTERIOR:
+            raise ReconstructionError(f"unknown cell kind {cell.kind!r}")
+        v, e, f = _INTERIOR[cell.kind]
+        n = len(cell.circles)
+        if cell.kind == POLYCYCLE_NBHD:
+            saddles, seps = cores[cell.id.split(":", 1)[1]]
+            v, e, f = v + saddles, e + seps + n, f + n
+        t = tally[group_of[cell.id]]
+        t[0] += v + n
+        t[1] += e + n
+        t[2] += f
+    return [v - e + f for v, e, f in tally]
 
 
 def realize_multigraph(g: Multigraph) -> InvariantPair:

@@ -240,12 +240,8 @@ def brute_force_pairs(bounds: EnumBounds) -> list:
     if bounds.max_tori >= 1:
         offer(InvariantPair(SaddleDiagram.empty(), (), (), 1))
 
-    leaf_kinds = []
-    leaf_kinds += ["c"] * bounds.max_centers
-    if not bounds.orientable_only:
-        leaf_kinds += ["n"] * bounds.max_n
-    if not bounds.closed_only:
-        leaf_kinds += ["b"] * bounds.max_b
+    leaf_kinds = (["c"] * bounds.max_centers + ["n"] * bounds.max_n
+                  + ["b"] * bounds.max_b)
 
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
         for diagram in _diagram_candidates(ks):

@@ -182,8 +182,7 @@ class TestRealizeAndEnumerate:
 
     def test_enumerate_stream_format(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--max-centers", "2",
-                           "--max-annuli", "1", "--max-tori", "1",
-                           "--closed-only", "--orientable-only")
+                           "--max-annuli", "1", "--max-tori", "1")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2

@@ -3,10 +3,10 @@ import pytest
 from flowinv.diagram import (
     IN,
     OUT,
-    DiagramError,
     Saddle,
     SaddleDiagram,
     Separatrix,
+    ValidationError,
     diagram_components,
     diagram_multigraph,
     diagram_poset,
@@ -118,7 +118,7 @@ class TestFaces:
             (Saddle("s", 1, (("a", OUT), ("a", IN))),),
             (Separatrix("a", "s", "s"),),
         )
-        with pytest.raises(DiagramError):
+        with pytest.raises(ValidationError):
             trace_faces(bad)
 
     def test_alternation_is_what_keeps_faces_coherent(self):

@@ -101,8 +101,7 @@ class TestDiagrams:
 class TestPairs:
     def test_sphere_and_torus_only(self):
         bounds = EnumBounds(max_saddles=0, max_k_sum=0, max_centers=2,
-                            max_annuli=1, max_tori=1, closed_only=True,
-                            orientable_only=True)
+                            max_annuli=1, max_tori=1)
         ps = list(enumerate_pairs(bounds))
         assert len(ps) == 2
         keys = {(len(p.vertices), p.tori) for p in ps}
@@ -110,8 +109,7 @@ class TestPairs:
 
     def test_adds_projective_and_klein(self):
         bounds = EnumBounds(max_saddles=0, max_k_sum=0, max_centers=2,
-                            max_n=2, max_annuli=1, closed_only=True,
-                            mode=REVERSIBLE)
+                            max_n=2, max_annuli=1, mode=REVERSIBLE)
         labels = sorted(
             "".join(sorted(v.label for v in p.vertices))
             for p in enumerate_pairs(bounds)
@@ -176,8 +174,7 @@ class TestPairs:
 class TestCountClasses:
     def test_sphere_torus_table(self):
         bounds = EnumBounds(max_saddles=0, max_k_sum=0, max_centers=2,
-                            max_annuli=1, max_tori=1, closed_only=True,
-                            orientable_only=True)
+                            max_annuli=1, max_tori=1)
         table = count_classes(bounds)
         assert table.counts() == {
             (True, 0, 0, 0): 1,
@@ -186,8 +183,7 @@ class TestCountClasses:
 
     def test_three_center_sphere_class_present(self):
         bounds = EnumBounds(max_saddles=1, max_k_sum=1, max_centers=3,
-                            max_annuli=3, closed_only=True,
-                            orientable_only=True)
+                            max_annuli=3)
         table = count_classes(bounds)
         assert (True, 0, 0, 1) in table.counts()
 

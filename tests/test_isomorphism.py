@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from flowinv import isomorphism
 from flowinv.enumeration import EnumBounds, enumerate_diagrams, enumerate_pairs
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair
-from flowinv.diagram import Saddle, SaddleDiagram
+from flowinv.diagram import Saddle, SaddleDiagram, ValidationError
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
-    InvalidPairError,
     canonical_diagram,
     canonical_form,
     cyclic_equivalent,
@@ -130,7 +129,7 @@ class TestPairIsomorphic:
 
     def test_invalid_input_raises(self):
         bad = InvariantPair(SaddleDiagram.empty(), (), (), 0)
-        with pytest.raises(InvalidPairError):
+        with pytest.raises(ValidationError):
             pair_isomorphic(bad, bad)
 
     def test_symmetry_of_witnesses(self):

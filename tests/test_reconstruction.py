@@ -7,7 +7,10 @@ from flowinv.diagram import SaddleDiagram
 from flowinv.isomorphism import ORIENTED, canonical_form
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
 from flowinv.reconstruction import (
+    Cell,
+    CellModel,
     NotRealizableError,
+    ReconstructionError,
     build_cell_model,
     cellmodel_euler,
     chi_cells,
@@ -115,11 +118,27 @@ class TestCellModel:
         assert len(poly) == 1 and len(poly[0].circles) == 3
 
     def test_independent_euler_count(self):
+        """Möbius and boundary collars included, not only closed
+        orientable models."""
         for build in (sphere_rotation, three_centers_eight, eight_torus_pair,
-                      torus_pair):
+                      torus_pair, lambda: leaf_pair("n", "c"),
+                      lambda: leaf_pair("n", "n"), lambda: leaf_pair("b", "c"),
+                      lambda: three_centers_eight("n"),
+                      lambda: three_centers_eight("b"),
+                      lambda: disk_flow(aligned=True),
+                      lambda: disk_flow(aligned=False)):
             p = build()
             cm = build_cell_model(p)
             assert cellmodel_euler(cm) == chi_cells(p)
+
+    def test_unknown_cell_kind_raises(self):
+        cm = build_cell_model(sphere_rotation())
+        odd = CellModel(cm.cells + (Cell("odd:0", "odd", ()),), cm.gluings,
+                        cm.boundary, cm.diagram)
+        with pytest.raises(ReconstructionError, match="'odd'"):
+            cellmodel_euler(odd)
+        with pytest.raises(ReconstructionError, match="'odd'"):
+            extract_pair(odd)
 
     def test_disconnected_euler_counts(self):
         p = InvariantPair(

@@ -7,12 +7,12 @@ from functools import cached_property
 import pytest
 
 import flowinv
-from flowinv.diagram import IN, OUT, DiagramError, Saddle, SaddleDiagram, \
-    Separatrix, ValidationError, faces_by_component, trace_faces
+from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
+    ValidationError, faces_by_component, trace_faces
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
-    PairValidationError, classify_separation, reduced_label, to_extended_poset
-from flowinv.isomorphism import REVERSIBLE, InvalidPairError, canonical_form, \
-    pair_isomorphic, reverse_pair
+    classify_separation, reduced_label, to_extended_poset
+from flowinv.isomorphism import REVERSIBLE, canonical_form, pair_isomorphic, \
+    reverse_pair
 from flowinv.model_io import parse_model
 from flowinv.reconstruction import build_cell_model, chi_cells, reconstruct
 
@@ -59,8 +59,6 @@ def test_entry_point_raises_validation_error(name, make):
     p = make()
     with pytest.raises(ValidationError) as err:
         ENTRY_POINTS[name](p)
-    for alias in (DiagramError, PairValidationError, InvalidPairError):
-        assert isinstance(err.value, alias)
     assert err.value.violations and err.value.violations == list(p.violations)
 
 
