@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from hashlib import sha256
 
-from .enumeration import EnumBounds, _enumerate_classes
+from .enumeration import EnumBounds, enumerate_pairs
 from .graph import classify_separation
 from .isomorphism import (
     REVERSIBLE,
@@ -189,8 +188,9 @@ def _cmd_enumerate(args) -> int:
         max_tori=args.max_tori,
         mode=_mode(args),
     )
-    for blob, pair in _enumerate_classes(bounds):
-        print(f"{sha256(blob).hexdigest()} {serialize_model(pair, compact=True)}")
+    for pair in enumerate_pairs(bounds):
+        digest = canonical_form(pair, bounds.mode).digest()
+        print(f"{digest} {serialize_model(pair, compact=True)}")
     return EXIT_OK
 
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from hashlib import sha256
 from itertools import combinations_with_replacement, permutations, product
 
 from .diagram import SaddleDiagram, Saddle, Separatrix, check_diagram, \
     diagram_components, faces_by_component
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     assembly_components, check_pair
-from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram
+from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram, \
+    canonical_form
 from .reconstruction import reconstruct
 from .topology import connected_groups
 
@@ -170,16 +170,13 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     """All connected model classes within the bounds, exactly once per class.
 
     Emitted in increasing cell count and by canonical bytes within a
-    bucket; every emitted pair validates.  ``rng`` shuffles candidate
-    order: the classes and their order stay the same, but the emitted
-    representative of a class may change with it.
+    bucket; every emitted pair validates and keeps the canonical search
+    results that placed it (``oriented_leaves``, and ``mirrored_blobs`` in
+    REVERSIBLE mode), so ``canonical_form(pair, bounds.mode)`` on it runs
+    no search.  ``rng`` shuffles candidate order: the classes and their
+    order stay the same, but the emitted representative of a class may
+    change with it.
     """
-    for _, pair in _enumerate_classes(bounds, rng):
-        yield pair
-
-
-def _enumerate_classes(bounds: EnumBounds, rng: random.Random | None = None):
-    """``enumerate_pairs`` with each pair's canonical bytes: ``(blob, pair)``."""
     found = {}
 
     def offer(pair: InvariantPair):
@@ -228,8 +225,8 @@ def _enumerate_classes(bounds: EnumBounds, rng: random.Random | None = None):
                     offer(_assemble(diagram, d_vertices, vertex_of_comp,
                                     pairs, singles, kinds, orient))
 
-    for (_, key), pair in sorted(found.values(), key=lambda item: item[0]):
-        yield key, pair
+    for _, pair in sorted(found.values(), key=lambda item: item[0]):
+        yield pair
 
 
 def _joins_components(comps, pairs) -> bool:
@@ -290,7 +287,7 @@ class ClassTable:
 
 def count_classes(bounds: EnumBounds, rng: random.Random | None = None) -> ClassTable:
     table = {}
-    for blob, pair in _enumerate_classes(bounds, rng):
+    for pair in enumerate_pairs(bounds, rng):
         _, sig = reconstruct(pair)
         key = (
             all(c.orientable for c in sig.components),
@@ -298,7 +295,8 @@ def count_classes(bounds: EnumBounds, rng: random.Random | None = None) -> Class
             sum(c.boundary for c in sig.components),
             len(pair.diagram.saddles),
         )
-        table.setdefault(key, []).append(sha256(blob).hexdigest())
+        table.setdefault(key, []).append(
+            canonical_form(pair, bounds.mode).digest())
     entries = tuple(sorted(
         (key, tuple(sorted(digests))) for key, digests in table.items()
     ))

@@ -16,6 +16,13 @@ an annulus starts.  ``canonical_form`` is an independent
 refinement-plus-individualization canonical labeling; the two are
 cross-checked against each other in the test suite rather than sharing
 code.
+
+The canonical search of each assembly component runs at most once per
+pair object in each orientation.  Its results, the first and the least
+leaf bytes, stay on the pair (``InvariantPair.oriented_leaves``): ORIENTED
+frames the least leaves, and REVERSIBLE reuses them and runs only the
+mirrored searches, which stop on those two leaves.  Only bytes are kept,
+never engines, and they go away with the pair; no cache outlives it.
 """
 
 from __future__ import annotations
@@ -671,20 +678,27 @@ class _CanonicalEngine:
         ]
         return "|".join(parts).encode("ascii")
 
-    def canonical(self, oriented: "_CanonicalEngine | None" = None) -> bytes:
+    def canonical(self, stop: tuple = ()) -> bytes:
         """The least leaf serialization of the search tree.
 
-        ``oriented`` is the searched engine this one mirrors.  The search
-        then stops at its first leaf that serializes like the first or the
-        best leaf of ``oriented``: the two orientations are isomorphic, so
-        their canonical bytes are the oriented ones.
+        ``stop`` holds the first and the least leaf bytes of the oriented
+        search when this engine is its mirror.  The search then stops at
+        its first leaf that serializes like either: the two orientations
+        are isomorphic, so their canonical bytes are the oriented ones,
+        ``stop[1]``.  ``leaves`` reads the first and least leaf bytes of
+        a search that ran to the end.
         """
         self.automorphisms = []
         self._first = self._best = None
-        self._stop = (oriented._first[0], oriented._best[0]) if oriented else ()
+        self._stop = stop
         if self._search(self.initial, []):
-            return oriented._best[0]
+            return stop[1]
         return self._best[0]
+
+    @property
+    def leaves(self) -> tuple:
+        """``(first, least)`` leaf bytes of the last full search."""
+        return self._first[0], self._best[0]
 
     def _search(self, col: list, fixed: list) -> bool:
         """Visit the subtree below ``col``; True once a leaf hits ``_stop``.
@@ -757,25 +771,35 @@ def _framed(blobs) -> bytes:
     return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
-def _framed_canonical(engines, mode: IsoMode) -> bytes:
-    """The framed canonical bytes of a model's component engines.
-
-    ``None`` stands for a periodic torus.  In REVERSIBLE mode the model's
-    bytes are the lesser of its framed bytes and those of its mirror
-    engines: reversal acts on the whole model at once, so the lesser is
-    taken over whole models, not per component.
-    """
-    blobs, mirrored = [], []
+def _oriented_leaves(engines) -> tuple:
+    """Per component engine, the ``(first, least)`` leaf bytes of its
+    search; None stands for a periodic torus."""
+    leaves = []
     for engine in engines:
-        if engine is None:
-            blobs.append(b"T")
-            mirrored.append(b"T")
-            continue
-        blobs.append(engine.canonical())
-        if mode.allow_reversal:
-            mirrored.append(engine.mirrored().canonical(engine))
-    blob = _framed(blobs)
-    return min(blob, _framed(mirrored)) if mode.allow_reversal else blob
+        if engine is not None:
+            engine.canonical()
+        leaves.append(engine and engine.leaves)
+    return tuple(leaves)
+
+
+def _mirrored_blobs(engines, oriented) -> tuple:
+    """Per component engine, the canonical bytes of its orientation
+    reversal: the mirror search stops on the component's oriented leaves."""
+    return tuple(b"T" if engine is None else engine.mirrored().canonical(leaves)
+                 for engine, leaves in zip(engines, oriented))
+
+
+def _framed_canonical(oriented, mirrored=None) -> bytes:
+    """The framed canonical bytes of a model from its components' search
+    results.
+
+    A periodic torus frames as ``b"T"``.  Given ``mirrored`` (REVERSIBLE
+    mode) the model's bytes are the lesser of its framed bytes and those
+    of its mirror: reversal acts on the whole model at once, so the
+    lesser is taken over whole models, not per component.
+    """
+    blob = _framed(b"T" if leaves is None else leaves[1] for leaves in oriented)
+    return blob if mirrored is None else min(blob, _framed(mirrored))
 
 
 def _component_engines(p: InvariantPair):
@@ -790,8 +814,27 @@ def _component_engines(p: InvariantPair):
 
 
 def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
-    """Canonical bytes of an already-validated pair."""
-    return _framed_canonical(_component_engines(p), mode)
+    """Canonical bytes of an already-validated pair.
+
+    The search results stay on the pair, as bytes only:
+    ``p.oriented_leaves`` holds each component's ``(first, least)`` leaf
+    bytes and ``p.mirrored_blobs`` the canonical bytes of each
+    component's reversal.  So each component's oriented search runs once
+    per pair object, and its mirror search at most once, the first time
+    REVERSIBLE mode asks; a repeat call in either mode runs no search.
+    """
+    engines = None
+    if p.oriented_leaves is None:
+        engines = list(_component_engines(p))
+        object.__setattr__(p, "oriented_leaves", _oriented_leaves(engines))
+    if not mode.allow_reversal:
+        return _framed_canonical(p.oriented_leaves)
+    if p.mirrored_blobs is None:
+        if engines is None:
+            engines = list(_component_engines(p))
+        object.__setattr__(p, "mirrored_blobs",
+                           _mirrored_blobs(engines, p.oriented_leaves))
+    return _framed_canonical(p.oriented_leaves, p.mirrored_blobs)
 
 
 def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
@@ -803,6 +846,8 @@ def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
 def canonical_diagram(d: SaddleDiagram, mode: IsoMode = ORIENTED) -> bytes:
     """Canonical bytes for a bare diagram (per-polycycle, sorted)."""
     check_diagram(d)
+    engines = [_CanonicalEngine(d, {comp_id}) for comp_id, _, _ in d.components]
+    oriented = _oriented_leaves(engines)
     return _framed_canonical(
-        (_CanonicalEngine(d, {comp_id}) for comp_id, _, _ in d.components),
-        mode)
+        oriented,
+        _mirrored_blobs(engines, oriented) if mode.allow_reversal else None)

@@ -57,6 +57,31 @@ def upsets_oracle(poset: FinPoset) -> set:
     return out
 
 
+def broken_topology_rules(points: frozenset, opens: frozenset) -> set:
+    """The rules a family of subsets of ``points`` breaks, checked over
+    every pair of opens: a subset of {"empty", "whole", "union",
+    "intersection"}."""
+    broken = set()
+    if frozenset() not in opens:
+        broken.add("empty")
+    if points not in opens:
+        broken.add("whole")
+    for a, b in combinations(opens, 2):
+        if a | b not in opens:
+            broken.add("union")
+        if a & b not in opens:
+            broken.add("intersection")
+    return broken
+
+
+def all_families(points: frozenset):
+    """Every family of subsets of ``points``."""
+    subsets = [frozenset(combo) for size in range(len(points) + 1)
+               for combo in combinations(sorted(points), size)]
+    for bits in range(1 << len(subsets)):
+        yield frozenset(s for i, s in enumerate(subsets) if bits >> i & 1)
+
+
 def all_labeled_posets(n: int):
     """Every partial order on elements 0..n-1, as up-set bitmask lists.
 

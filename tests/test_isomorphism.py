@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -623,3 +624,84 @@ class TestEngineShortcuts:
                     found += len(e.automorphisms)
                     assert all(_is_automorphism(e, g) for g in e.automorphisms)
         assert found
+
+
+# ---------------------------------------------------------------------------
+# search results kept on the pair: one search per component and orientation
+
+
+def _root_searches(monkeypatch) -> list:
+    """Collects, from now on, each engine whose search starts at its root."""
+    search = isomorphism._CanonicalEngine._search
+    roots = []
+
+    def counting(engine, col, fixed):
+        if not fixed:
+            roots.append(engine)
+        return search(engine, col, fixed)
+
+    monkeypatch.setattr(isomorphism._CanonicalEngine, "_search", counting)
+    return roots
+
+
+def _rebuilt(p):
+    """An equal pair built from scratch: nothing computed on ``p`` is kept."""
+    d = p.diagram
+    return InvariantPair(SaddleDiagram(d.saddles, d.separatrices),
+                         p.vertices, p.annuli, p.tori)
+
+
+def _kept_models():
+    """The classes at SMALL_CLASSES in both modes and realized symmetric
+    shapes."""
+    models = list(enumerate_pairs(SMALL_CLASSES))
+    models += enumerate_pairs(replace(SMALL_CLASSES, mode=REVERSIBLE))
+    models += [realize_multigraph(SYMMETRIC[name]())
+               for name in ("star-12", "dipole-8", "cycle-10")]
+    return models
+
+
+class TestKeptSearch:
+    def test_one_search_per_component_and_orientation(self, monkeypatch):
+        parts = [three_centers_eight(), leaf_pair("n", "b"),
+                 realize_multigraph(cycle_graph(5))]
+        p = _disjoint_union(*parts, tori=1)
+        assert len(p.assembly) == 4  # three parts and the torus
+        roots = _root_searches(monkeypatch)
+        canonical_form(p, ORIENTED)
+        assert len(roots) == 3
+        canonical_form(p, REVERSIBLE)
+        assert len(roots) == 6  # only the mirrors, one per component
+        for mode in (ORIENTED, REVERSIBLE, ORIENTED):
+            canonical_form(p, mode)
+        assert len(roots) == 6
+
+    def test_reversible_first_then_oriented(self, monkeypatch):
+        p = _disjoint_union(three_centers_eight(), disk_flow(True))
+        roots = _root_searches(monkeypatch)
+        canonical_form(p, REVERSIBLE)
+        assert len(roots) == 4  # both orientations of both components
+        canonical_form(p, ORIENTED)
+        canonical_form(p, REVERSIBLE)
+        assert len(roots) == 4
+
+    @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                             ids=["oriented", "reversible"])
+    def test_enumerated_pairs_carry_their_bytes(self, mode, monkeypatch):
+        pairs = list(enumerate_pairs(replace(SMALL_CLASSES, mode=mode)))
+        roots = _root_searches(monkeypatch)
+        for p in pairs:
+            canonical_form(p, mode)
+        assert pairs and not roots
+
+    @pytest.mark.parametrize("order", [(ORIENTED, REVERSIBLE),
+                                       (REVERSIBLE, ORIENTED)],
+                             ids=["oriented-first", "reversible-first"])
+    def test_kept_bytes_equal_fresh_search(self, order):
+        for model in _kept_models():
+            for p in (model, _rebuilt(model)):
+                kept = [canonical_form(p, mode).blob for mode in order]
+                kept += [canonical_form(p, mode).blob for mode in order]
+                fresh = [canonical_form(_rebuilt(model), mode).blob
+                         for mode in order]
+                assert kept == fresh * 2

@@ -13,7 +13,14 @@ from flowinv.topology import (
     specialization_order,
 )
 from conftest import within_budget
-from oracles import all_labeled_posets, chain_height_oracle, poset_from_upmasks, upsets_oracle
+from oracles import (
+    all_families,
+    all_labeled_posets,
+    broken_topology_rules,
+    chain_height_oracle,
+    poset_from_upmasks,
+    upsets_oracle,
+)
 
 
 def sierpinski() -> FinSpace:
@@ -120,6 +127,32 @@ class TestSpaces:
         opens = {frozenset(), pts, frozenset("a"), frozenset("b")}
         with pytest.raises(TopologyError, match="union"):
             FinSpace(pts, frozenset(opens))
+
+    def test_topology_intersection_closure_enforced(self):
+        pts = frozenset("abc")
+        opens = {frozenset(), pts, frozenset("ab"), frozenset("bc")}
+        with pytest.raises(TopologyError, match="intersection"):
+            FinSpace(pts, frozenset(opens))
+
+    def test_closure_check_agrees_with_pairwise_oracle(self):
+        checked = 0
+        for n in range(4):
+            pts = frozenset(range(n))
+            for opens in all_families(pts):
+                broken = broken_topology_rules(pts, opens)
+                if not broken:
+                    space = FinSpace(pts, opens)
+                    assert space.minimal_opens == {
+                        x: frozenset.intersection(*(u for u in opens if x in u))
+                        for x in pts}
+                    continue
+                with pytest.raises(TopologyError) as exc:
+                    FinSpace(pts, opens)
+                if len(broken) == 1:  # the message names the broken rule
+                    rule = next(iter(broken))
+                    assert rule in str(exc.value)
+                checked += 1
+        assert checked == 278 - 35  # 1 + 1 + 4 + 29 topologies on 0-3 points
 
     def test_sierpinski_specialization(self):
         p = specialization_order(sierpinski())
