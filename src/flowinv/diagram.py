@@ -121,14 +121,6 @@ class SaddleDiagram:
         return {e.id: e for e in self.separatrices}
 
     @cached_property
-    def darts(self) -> tuple:
-        out = []
-        for e in self.separatrices:
-            out.append(e.out_dart)
-            out.append(e.in_dart)
-        return tuple(sorted(out))
-
-    @cached_property
     def violations(self) -> tuple:
         """Structural rule violations; empty when the diagram is valid.
 

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .diagram import SaddleDiagram, Saddle, Separatrix, check_diagram, \
-    diagram_components, faces_by_component
+from .diagram import SaddleDiagram, Saddle, Separatrix, diagram_components, \
+    faces_by_component
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     assembly_components, check_pair
 from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram, \
@@ -105,7 +105,6 @@ def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
         candidates = list(_diagram_candidates(ks))
         for d in _maybe_shuffle(candidates, rng):
-            check_diagram(d)
             key = canonical_diagram(d, bounds.mode)
             if key not in found:
                 found[key] = (((len(ks), sum(ks)), key), d)
@@ -170,12 +169,12 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     """All connected model classes within the bounds, exactly once per class.
 
     Emitted in increasing cell count and by canonical bytes within a
-    bucket; every emitted pair validates and keeps the canonical search
-    results that placed it (``oriented_leaves``, and ``mirrored_blobs`` in
-    REVERSIBLE mode), so ``canonical_form(pair, bounds.mode)`` on it runs
-    no search.  ``rng`` shuffles candidate order: the classes and their
-    order stay the same, but the emitted representative of a class may
-    change with it.
+    bucket; every emitted pair validates and keeps the canonical bytes of
+    its components that placed it (of both orientations in REVERSIBLE
+    mode), so ``canonical_form(pair, bounds.mode)`` on it runs no search.
+    ``rng`` shuffles candidate order: the classes and their order stay
+    the same, but the emitted representative of a class may change with
+    it.
     """
     found = {}
 

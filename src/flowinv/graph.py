@@ -68,13 +68,6 @@ class InvariantPair:
             self, "annuli", tuple(sorted(self.annuli, key=lambda a: a.id))
         )
 
-    # Canonical search results ``isomorphism`` keeps on this pair object,
-    # bytes only; None until a canonical form is asked for.  Like a
-    # cached_property's value, they are set in the instance's own dict
-    # (``object.__setattr__``) and go away with the pair.
-    oriented_leaves = None
-    mirrored_blobs = None
-
     @cached_property
     def vertex_by_id(self) -> dict:
         return {v.id: v for v in self.vertices}

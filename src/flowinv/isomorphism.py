@@ -18,10 +18,10 @@ cross-checked against each other in the test suite rather than sharing
 code.
 
 The canonical search of each assembly component runs at most once per
-pair object in each orientation.  Its results, the first and the least
-leaf bytes, stay on the pair (``InvariantPair.oriented_leaves``): ORIENTED
-frames the least leaves, and REVERSIBLE reuses them and runs only the
-mirrored searches, which stop on those two leaves.  Only bytes are kept,
+pair object in each orientation.  Its one result, the component's
+canonical bytes, stays in the pair's instance dict: ORIENTED frames them,
+and REVERSIBLE reuses them and runs only the mirrored searches, each of
+which stops on its component's oriented bytes.  Only bytes are kept,
 never engines, and they go away with the pair; no cache outlives it.
 """
 
@@ -461,11 +461,13 @@ class _CanonicalEngine:
     return the same coloring (see ``refine``).  ``_least_rotation``
     builds only the rotations that start at the least letter, and the
     least rotation starts there.  The search records an automorphism
-    whenever two leaves serialize equal, and skips a target-cell member
-    that lies in the orbit of an explored one under the recorded
-    automorphisms fixing every individualized object of the node: such
-    an automorphism carries the explored subtree onto the skipped one,
-    leaf for leaf with equal bytes (McKay 1981), so the least leaf stays.
+    whenever a leaf serializes like its first leaf or its least one so
+    far (the first leaf lives only inside one search), and skips a
+    target-cell member that lies in the orbit of an explored one under
+    the recorded automorphisms fixing every individualized object of
+    the node: such an automorphism carries the explored subtree onto the
+    skipped one, leaf for leaf with equal bytes (McKay 1981), so the
+    least leaf stays.
     """
 
     def __init__(self, diagram: SaddleDiagram, comps, vertices=(), annuli=()):
@@ -678,27 +680,20 @@ class _CanonicalEngine:
         ]
         return "|".join(parts).encode("ascii")
 
-    def canonical(self, stop: tuple = ()) -> bytes:
+    def canonical(self, stop: bytes | None = None) -> bytes:
         """The least leaf serialization of the search tree.
 
-        ``stop`` holds the first and the least leaf bytes of the oriented
-        search when this engine is its mirror.  The search then stops at
-        its first leaf that serializes like either: the two orientations
-        are isomorphic, so their canonical bytes are the oriented ones,
-        ``stop[1]``.  ``leaves`` reads the first and least leaf bytes of
-        a search that ran to the end.
+        ``stop`` is the component's oriented canonical bytes when this
+        engine is its mirror.  The search then stops at its first leaf
+        that serializes like them: the two orientations are isomorphic,
+        so their canonical bytes are the same.
         """
         self.automorphisms = []
         self._first = self._best = None
         self._stop = stop
         if self._search(self.initial, []):
-            return stop[1]
+            return stop
         return self._best[0]
-
-    @property
-    def leaves(self) -> tuple:
-        """``(first, least)`` leaf bytes of the last full search."""
-        return self._first[0], self._best[0]
 
     def _search(self, col: list, fixed: list) -> bool:
         """Visit the subtree below ``col``; True once a leaf hits ``_stop``.
@@ -734,7 +729,7 @@ class _CanonicalEngine:
 
     def _leaf(self, col: list) -> bool:
         blob = self.serialize(col)
-        if blob in self._stop:
+        if blob == self._stop:
             return True
         if self._first is None:
             self._first = self._best = (blob, col)
@@ -771,35 +766,17 @@ def _framed(blobs) -> bytes:
     return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
-def _oriented_leaves(engines) -> tuple:
-    """Per component engine, the ``(first, least)`` leaf bytes of its
-    search; None stands for a periodic torus."""
-    leaves = []
-    for engine in engines:
-        if engine is not None:
-            engine.canonical()
-        leaves.append(engine and engine.leaves)
-    return tuple(leaves)
+def _component_blobs(engines, stops=None) -> tuple:
+    """Per component engine, the canonical bytes of its search; a periodic
+    torus (None) is ``b"T"``.
 
-
-def _mirrored_blobs(engines, oriented) -> tuple:
-    """Per component engine, the canonical bytes of its orientation
-    reversal: the mirror search stops on the component's oriented leaves."""
-    return tuple(b"T" if engine is None else engine.mirrored().canonical(leaves)
-                 for engine, leaves in zip(engines, oriented))
-
-
-def _framed_canonical(oriented, mirrored=None) -> bytes:
-    """The framed canonical bytes of a model from its components' search
-    results.
-
-    A periodic torus frames as ``b"T"``.  Given ``mirrored`` (REVERSIBLE
-    mode) the model's bytes are the lesser of its framed bytes and those
-    of its mirror: reversal acts on the whole model at once, so the
-    lesser is taken over whole models, not per component.
+    Given ``stops``, the components' oriented bytes, each engine's mirror
+    is searched instead, and it stops on its component's oriented bytes.
     """
-    blob = _framed(b"T" if leaves is None else leaves[1] for leaves in oriented)
-    return blob if mirrored is None else min(blob, _framed(mirrored))
+    if stops is None:
+        return tuple(b"T" if e is None else e.canonical() for e in engines)
+    return tuple(b"T" if e is None else e.mirrored().canonical(stop)
+                 for e, stop in zip(engines, stops))
 
 
 def _component_engines(p: InvariantPair):
@@ -816,25 +793,28 @@ def _component_engines(p: InvariantPair):
 def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
     """Canonical bytes of an already-validated pair.
 
-    The search results stay on the pair, as bytes only:
-    ``p.oriented_leaves`` holds each component's ``(first, least)`` leaf
-    bytes and ``p.mirrored_blobs`` the canonical bytes of each
-    component's reversal.  So each component's oriented search runs once
-    per pair object, and its mirror search at most once, the first time
-    REVERSIBLE mode asks; a repeat call in either mode runs no search.
+    Each component's canonical bytes stay in the pair's instance dict, the
+    way a ``cached_property`` keeps its value: ``oriented_blobs``, and
+    ``mirrored_blobs`` for its reversal.  So each component's oriented
+    search runs once per pair object, and its mirror search at most once,
+    the first time REVERSIBLE mode asks; a repeat call in either mode runs
+    no search.  REVERSIBLE takes the lesser of the framed oriented and the
+    framed mirror bytes: reversal acts on the whole model at once, so the
+    lesser is taken over whole models, not per component.
     """
+    kept = p.__dict__
     engines = None
-    if p.oriented_leaves is None:
+    if "oriented_blobs" not in kept:
         engines = list(_component_engines(p))
-        object.__setattr__(p, "oriented_leaves", _oriented_leaves(engines))
+        kept["oriented_blobs"] = _component_blobs(engines)
+    oriented = kept["oriented_blobs"]
+    blob = _framed(oriented)
     if not mode.allow_reversal:
-        return _framed_canonical(p.oriented_leaves)
-    if p.mirrored_blobs is None:
-        if engines is None:
-            engines = list(_component_engines(p))
-        object.__setattr__(p, "mirrored_blobs",
-                           _mirrored_blobs(engines, p.oriented_leaves))
-    return _framed_canonical(p.oriented_leaves, p.mirrored_blobs)
+        return blob
+    if "mirrored_blobs" not in kept:
+        kept["mirrored_blobs"] = _component_blobs(
+            engines or _component_engines(p), oriented)
+    return min(blob, _framed(kept["mirrored_blobs"]))
 
 
 def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
@@ -847,7 +827,8 @@ def canonical_diagram(d: SaddleDiagram, mode: IsoMode = ORIENTED) -> bytes:
     """Canonical bytes for a bare diagram (per-polycycle, sorted)."""
     check_diagram(d)
     engines = [_CanonicalEngine(d, {comp_id}) for comp_id, _, _ in d.components]
-    oriented = _oriented_leaves(engines)
-    return _framed_canonical(
-        oriented,
-        _mirrored_blobs(engines, oriented) if mode.allow_reversal else None)
+    oriented = _component_blobs(engines)
+    blob = _framed(oriented)
+    if not mode.allow_reversal:
+        return blob
+    return min(blob, _framed(_component_blobs(engines, oriented)))

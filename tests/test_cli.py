@@ -51,18 +51,29 @@ class TestValidate:
         assert code == 2 and out == ""
         assert err.startswith(f"parse error: {f}: byte 14: not valid UTF-8")
 
-    @pytest.mark.parametrize("name, prefix", [
-        ("bad_truncated.json", "parse error: "),
-        ("bad_unknown_field.json", "schema error: "),
-        ("bad_degree.json", ""),
-    ])
-    def test_diagnostics_name_the_file(self, name, prefix, capsys):
+    @pytest.mark.parametrize("name, prefix, command", [
+        ("bad_truncated.json", "parse error: ", ("validate",)),
+        ("bad_unknown_field.json", "schema error: ", ("validate",)),
+        ("bad_degree.json", "", ("validate",)),
+        ("bad_degree.json", "invalid model: ", ("canon",)),
+        ("bad_degree.json", "invalid model: ", ("reconstruct",)),
+        ("bad_degree.json", "invalid model: ",
+         ("iso", str(fixture_path("three_centers_eight.json")))),
+    ], ids=["bad_truncated.json-parse error: ",
+            "bad_unknown_field.json-schema error: ", "bad_degree.json-",
+            "canon", "reconstruct", "iso"])
+    def test_diagnostics_name_the_file(self, name, prefix, command, capsys):
+        """A semantic error exits 1 and prints one line per violated rule,
+        prefixed with ``invalid model: `` outside ``validate``; the bad
+        file is the last argument."""
         path = str(fixture_path(name))
-        code, _, err = run(capsys, "validate", path)
-        assert code in (1, 2)
+        code, _, err = run(capsys, *command, path)
+        assert code == (1 if name == "bad_degree.json" else 2)
         lines = err.splitlines()
         assert lines and all(line.startswith(f"{prefix}{path}:")
                              for line in lines)
+        if name == "bad_degree.json":
+            assert len(lines) == 3
 
 
 class TestIso:

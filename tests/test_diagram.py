@@ -104,7 +104,9 @@ class TestFaces:
     def test_faces_partition_darts(self):
         diagram = eight_diagram()
         darts = [dart for face in trace_faces(diagram) for dart in face.sides]
-        assert sorted(darts) == sorted(diagram.darts)
+        assert sorted(darts) == sorted(
+            dart for e in diagram.separatrices
+            for dart in (e.out_dart, e.in_dart))
 
     def test_face_flow_flags(self):
         by_len = {}

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from flowinv import isomorphism
 from flowinv.enumeration import EnumBounds, enumerate_diagrams, enumerate_pairs
-from flowinv.graph import AnnulusEdge, Attachment, InvariantPair
-from flowinv.diagram import Saddle, SaddleDiagram, ValidationError
+from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, VertexNode
+from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
+    ValidationError
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
@@ -513,12 +514,35 @@ SMALL_CLASSES = EnumBounds(max_saddles=2, max_k_sum=2, max_centers=2,
                            max_n=1, max_b=1, max_annuli=2, max_tori=1)
 
 
+def _genus_two_closures():
+    """A 4-face polycycle on two 1-saddles closed by two face-face annuli,
+    and its twin with both sides swapped (each is the other's reversal).
+
+    The oriented search of each meets its first leaf again, records the
+    automorphism against it, and only then finds the least leaf.
+    """
+    diagram = SaddleDiagram(
+        (Saddle("s0", 1, (("e0", OUT), ("e2", IN), ("e1", OUT), ("e3", IN))),
+         Saddle("s1", 1, (("e2", OUT), ("e0", IN), ("e3", OUT), ("e1", IN)))),
+        (Separatrix("e0", "s0", "s1"), Separatrix("e1", "s0", "s1"),
+         Separatrix("e2", "s1", "s0"), Separatrix("e3", "s1", "s0")),
+    )
+    return [
+        InvariantPair(diagram, (VertexNode("p", "d", "s0"),), (
+            AnnulusEdge("a0", Attachment("p", f0), Attachment("p", f1)),
+            AnnulusEdge("a1", Attachment("p", f2), Attachment("p", f3)),
+        ))
+        for f0, f1, f2, f3 in ((0, 1, 2, 3), (1, 0, 3, 2))
+    ]
+
+
 def _shortcut_models():
-    """Every valid fixture, the classes at SMALL_CLASSES and the symmetric
-    shapes."""
+    """Every valid fixture, the classes at SMALL_CLASSES, the symmetric
+    shapes and the genus-two closures."""
     models = [_fixture_model(name) for name in sorted(GOLDEN_DIGESTS)]
     models += enumerate_pairs(SMALL_CLASSES)
     models += [realize_multigraph(build()) for build in SYMMETRIC.values()]
+    models += _genus_two_closures()
     return models
 
 
@@ -615,6 +639,14 @@ class TestEngineShortcuts:
                 assert engine.mirrored().canonical() == \
                     reversed_engine.canonical()
 
+    def test_first_leaf_is_not_the_least(self):
+        for p in _genus_two_closures():
+            (engine,) = _engines(p)
+            least = engine.canonical()
+            first = engine._first[0]
+            assert first != least and engine.automorphisms
+            assert least == canonical_form(_rebuilt(p)).blob[1:]
+
     def test_recorded_automorphisms_are_automorphisms(self):
         found = 0
         for p in _shortcut_models():
@@ -652,12 +684,13 @@ def _rebuilt(p):
 
 
 def _kept_models():
-    """The classes at SMALL_CLASSES in both modes and realized symmetric
-    shapes."""
+    """The classes at SMALL_CLASSES in both modes, realized symmetric
+    shapes and the genus-two closures."""
     models = list(enumerate_pairs(SMALL_CLASSES))
     models += enumerate_pairs(replace(SMALL_CLASSES, mode=REVERSIBLE))
     models += [realize_multigraph(SYMMETRIC[name]())
                for name in ("star-12", "dipole-8", "cycle-10")]
+    models += _genus_two_closures()
     return models
 
 

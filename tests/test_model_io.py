@@ -2,6 +2,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -115,15 +116,17 @@ class TestParse:
 
 
 SPHERE = fixture_text("sphere_rotation.json")
+EIGHT = fixture_text("three_centers_eight.json")
+LOOP_A = '{"id": "a", "source": "s", "target": "s"'
 
 
 def _cut(marker: str) -> str:
     return SPHERE[:SPHERE.index(marker) + len(marker)]
 
 
-def _sub(old: str, new: str) -> str:
-    assert old in SPHERE
-    return SPHERE.replace(old, new, 1)
+def _sub(old: str, new: str, text: str = SPHERE) -> str:
+    assert old in text
+    return text.replace(old, new, 1)
 
 
 # (document, reader, error class, str(error)) per malformed input; str() of
@@ -244,6 +247,30 @@ PINNED = {
     "graph-truncated": ('{"vertices": ["u"],\n "edges": [{"id": "e",'
                         ' "ends": ["u"', parse_graph, ParseError,
                         "2:36: unexpected end of input"),
+    "graph-three-ends": ('{"vertices": ["u", "v", "w"],\n "edges": [{"id":'
+                         ' "e", "ends": ["u", "v", "w"]}]}', parse_graph,
+                         SchemaError,
+                         "2:32 $.edges[0].ends: an edge has one or two ends"
+                         " [range]"),
+    "twisted": (_sub(LOOP_A, LOOP_A + ', "twisted": true', EIGHT),
+                parse_model, SemanticError,
+                "14:7 $.diagram.separatrices[0]: separatrix 'a' is twisted;"
+                " twisted ribbons are not supported [twist-unsupported]"),
+    "twisted-not-boolean": (_sub(LOOP_A, LOOP_A + ', "twisted": 1', EIGHT),
+                            parse_model, SchemaError,
+                            "14:60 $.diagram.separatrices[0].twisted:"
+                            " expected a boolean [type]"),
+    "id-not-string": (_sub('"id": "north"', '"id": 1'), parse_model,
+                      SchemaError,
+                      "9:14 $.graph.vertices[0].id: expected a string [type]"),
+    "polycycle-without-component": (
+        _sub(', "component": "s"}', "}", EIGHT), parse_model, SchemaError,
+        "20:7 $.graph.vertices[0]: polycycle vertices must name their"
+        " component [missing-field]"),
+    "component-on-leaf": (_sub('"label": "c"}', '"label": "c", "component":'
+                               ' "s"}'), parse_model, SchemaError,
+                          "9:50 $.graph.vertices[0].component: only polycycle"
+                          " vertices carry a component [unknown-field]"),
 }
 
 # Errors inside a string token: the class and a line within the string
@@ -269,6 +296,10 @@ class TestPinnedDiagnostics:
         with pytest.raises(ParseError) as err:
             parse_model(STRING_TOKEN[name])
         assert err.value.line == 3
+
+    def test_untwisted_field_is_the_default(self):
+        text = _sub(LOOP_A, LOOP_A + ', "twisted": false', EIGHT)
+        assert parse_model(text) == parse_model(EIGHT)
 
     def test_escaped_surrogate_pair_is_one_character(self):
         text = SPHERE.replace('"north"', '"\\ud83d\\ude00"')
@@ -413,6 +444,10 @@ class TestSerialize:
             (VertexNode("n\u00f6rd", "c"), VertexNode("\U0001F600", "c")),
             (AnnulusEdge("g\u00fcrtel\t\"", Attachment("n\u00f6rd"),
                          Attachment("\U0001F600")),)))
+        p = three_centers_eight()
+        d = p.diagram
+        twisted = tuple(replace(e, twisted=True) for e in d.separatrices)
+        pairs.append(replace(p, diagram=replace(d, separatrices=twisted)))
         for p in pairs:
             assert serialize_model(p) == \
                 json.dumps(_document_of(p), indent=2) + "\n"

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -10,7 +11,7 @@ import flowinv
 from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
     ValidationError, faces_by_component, trace_faces
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
-    classify_separation, reduced_label, to_extended_poset
+    VertexNode, classify_separation, reduced_label, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, canonical_form, pair_isomorphic, \
     reverse_pair
 from flowinv.model_io import parse_model
@@ -60,6 +61,90 @@ def test_entry_point_raises_validation_error(name, make):
     with pytest.raises(ValidationError) as err:
         ENTRY_POINTS[name](p)
     assert err.value.violations and err.value.violations == list(p.violations)
+
+
+def _saddle(p, **fields):
+    """The model with its one saddle's fields changed."""
+    (s,) = p.diagram.saddles
+    return replace(p, diagram=replace(p.diagram,
+                                      saddles=(replace(s, **fields),)))
+
+
+def _diagram(p, **fields):
+    return replace(p, diagram=replace(p.diagram, **fields))
+
+
+def _vertex(p, vertex: VertexNode):
+    """The model with the vertex of ``vertex.id`` replaced by it."""
+    return replace(p, vertices=tuple(vertex if v.id == vertex.id else v
+                                     for v in p.vertices))
+
+
+def _annulus(p, annulus: AnnulusEdge):
+    """The model with the annulus of ``annulus.id`` replaced by it."""
+    return replace(p, annuli=tuple(annulus if a.id == annulus.id else a
+                                   for a in p.annuli))
+
+
+# One change to the three-centers model per rule branch: the change, the
+# (kind, subject, rule) it breaks, and a phrase of the message.
+BROKEN_RULES = {
+    "duplicate-saddle-id": (
+        lambda p: _diagram(p, saddles=p.diagram.saddles * 2),
+        ("saddle", "s", "unique-id"), "duplicate saddle id"),
+    "separatrix-id-collides": (
+        lambda p: _diagram(p, separatrices=p.diagram.separatrices
+                           + (Separatrix("s", "s", "s"),)),
+        ("separatrix", "s", "unique-id"), "collides with another id"),
+    "negative-k": (
+        lambda p: _saddle(p, k=-1),
+        ("saddle", "s", "degree"), "has negative k"),
+    "slot-not-a-dart": (
+        lambda p: _saddle(p, rotation=("a",) + p.diagram.saddles[0].rotation[1:]),
+        ("saddle", "s", "unknown-dart"), "rotation slot 0 is not a dart"),
+    "duplicate-vertex-id": (
+        lambda p: replace(p, vertices=p.vertices + (VertexNode("y", "c"),)),
+        ("vertex", "y", "unique-id"), "duplicate vertex id"),
+    "annulus-id-collides": (
+        lambda p: replace(p, annuli=p.annuli + (
+            AnnulusEdge("y", Attachment("y"), Attachment("z")),)),
+        ("annulus", "y", "unique-id"), "collides with another id"),
+    "negative-tori": (
+        lambda p: replace(p, tori=-1),
+        ("model", "", "tori"), "must be a non-negative integer"),
+    "unknown-label": (
+        lambda p: _vertex(p, VertexNode("y", "q")),
+        ("vertex", "y", "label"), "unknown label 'q'"),
+    "polycycle-without-component": (
+        lambda p: _vertex(p, VertexNode("p", "d")),
+        ("vertex", "p", "component-ref"), "names no diagram component"),
+    "unknown-component": (
+        lambda p: _vertex(p, VertexNode("p", "d", "t")),
+        ("vertex", "p", "component-ref"), "unknown component 't'"),
+    "leaf-names-component": (
+        lambda p: _vertex(p, VertexNode("y", "c", "s")),
+        ("vertex", "y", "component-ref"), "but names a component"),
+    "attachment-unknown-vertex": (
+        lambda p: _annulus(p, AnnulusEdge("uy", Attachment("w"),
+                                          Attachment("p", 0))),
+        ("annulus", "uy", "attachment"), "references unknown vertex 'w'"),
+    "polycycle-attachment-without-face": (
+        lambda p: _annulus(p, AnnulusEdge("uy", Attachment("y"),
+                                          Attachment("p"))),
+        ("annulus", "uy", "attachment"), "without naming a face"),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN_RULES)
+def test_broken_rule_is_reported_and_raised(name):
+    edit, rule, phrase = BROKEN_RULES[name]
+    p = edit(three_centers_eight())
+    assert [v for v in p.violations
+            if (v.kind, v.subject, v.rule) == rule and phrase in v.message]
+    with pytest.raises(ValidationError) as err:
+        canonical_form(p)
+    assert [v for v in err.value.violations
+            if (v.kind, v.subject, v.rule) == rule and phrase in v.message]
 
 
 def test_trace_faces_raises_validation_error():
