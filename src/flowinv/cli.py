@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 1 negative result (validation violations,
 non-isomorphic inputs, unrealizable graph), 2 parse/schema errors,
-64 usage errors.
+64 usage errors.  A reader that closes stdout early (``flowinv enumerate
+... | head -1``) ends the command quietly: exit 0, nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .enumeration import EnumBounds, enumerate_pairs
@@ -218,7 +220,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; the null device
+        # takes what is still buffered, so that flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParseError as exc:
         print(f"parse error: {exc.path}:{exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -25,10 +25,9 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .diagram import SaddleDiagram, Saddle, Separatrix, diagram_components, \
-    faces_by_component
+from .diagram import SaddleDiagram, Saddle, Separatrix
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
-    assembly_components, check_pair
+    check_pair
 from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram, \
     canonical_form
 from .reconstruction import reconstruct
@@ -169,9 +168,9 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     """All connected model classes within the bounds, exactly once per class.
 
     Emitted in increasing cell count and by canonical bytes within a
-    bucket; every emitted pair validates and keeps the canonical bytes of
-    its components that placed it (of both orientations in REVERSIBLE
-    mode), so ``canonical_form(pair, bounds.mode)`` on it runs no search.
+    bucket; every emitted pair validates and keeps the framed canonical
+    bytes that placed it (of both orientations in REVERSIBLE mode), so
+    ``canonical_form(pair, bounds.mode)`` on it runs no search.
     ``rng`` shuffles candidate order: the classes and their order stay
     the same, but the emitted representative of a class may change with
     it.
@@ -180,7 +179,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
     def offer(pair: InvariantPair):
         check_pair(pair)
-        if len(assembly_components(pair)) != 1:
+        if len(pair.assembly) != 1:
             return
         key = _canonical_blob(pair, bounds.mode)
         if key not in found:
@@ -196,8 +195,8 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     for diagram in enumerate_diagrams(bounds, rng):
         if not diagram.saddles:
             continue
-        comps = diagram_components(diagram)
-        faces = faces_by_component(diagram)
+        comps = diagram.components
+        faces = diagram.faces_by_component
         face_points = [
             (comp_id, idx)
             for comp_id, _, _ in comps

@@ -103,7 +103,7 @@ class InvariantPair:
             return tuple(violations)  # cross-references below assume a sane diagram
 
         comp_ids = {c[0] for c in self.diagram.components}
-        faces = faces_by_component(self.diagram)
+        faces = self.diagram.faces_by_component
 
         comp_vertex = {}
         for v in self.vertices:

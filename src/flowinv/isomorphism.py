@@ -17,17 +17,20 @@ refinement-plus-individualization canonical labeling; the two are
 cross-checked against each other in the test suite rather than sharing
 code.
 
+Reversal is implemented once, by ``reverse_pair`` and
+``reverse_diagram``.  REVERSIBLE canonical bytes are the lesser of the
+ORIENTED bytes of the model and of its reversal: the canonical form of
+an orbit under an extra involution is the least canonical form of its
+members (McKay and Piperno, "Practical graph isomorphism, II", 2014).
 The canonical search of each assembly component runs at most once per
-pair object in each orientation.  Its one result, the component's
-canonical bytes, stays in the pair's instance dict: ORIENTED frames them,
-and REVERSIBLE reuses them and runs only the mirrored searches, each of
-which stops on its component's oriented bytes.  Only bytes are kept,
-never engines, and they go away with the pair; no cache outlives it.
+pair object in each orientation.  Its result, the framed bytes of each
+orientation, stays in the pair's instance dict.  Only bytes are kept,
+never engines or the reversed pair, and they go away with the pair; no
+cache outlives it.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
@@ -36,6 +39,7 @@ from typing import NamedTuple
 from .diagram import (
     IN,
     OUT,
+    FaceCycle,
     Saddle,
     SaddleDiagram,
     Separatrix,
@@ -176,8 +180,14 @@ def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
 
 
 def reverse_diagram(d: SaddleDiagram) -> SaddleDiagram:
-    """Reverse every separatrix and reflect every rotation word."""
-    return SaddleDiagram(
+    """Reverse every separatrix and reflect every rotation word.
+
+    A diagram already found valid hands its reversal what reversal keeps,
+    stored the way ``cached_property`` stores it: its components, and its
+    faces once traced (each runs through the same darts backwards from
+    the same least dart, with the same flow sign).
+    """
+    r = SaddleDiagram(
         tuple(
             Saddle(s.id, s.k,
                    tuple(flip(dart) for dart in reversed(s.rotation)),
@@ -189,6 +199,15 @@ def reverse_diagram(d: SaddleDiagram) -> SaddleDiagram:
             for e in d.separatrices
         ),
     )
+    kept = d.__dict__
+    if kept.get("violations") == ():
+        r.__dict__["components"] = d.components
+        if "faces" in kept:
+            r.__dict__["faces"] = tuple(
+                FaceCycle(f.component, f.sides[:1] + f.sides[:0:-1],
+                          f.flow_positive)
+                for f in d.faces)
+    return r
 
 
 def reverse_pair(p: InvariantPair) -> InvariantPair:
@@ -199,10 +218,14 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     face carries exactly the dart names of its original (each dart's end
     flag flips, but so does the naming of the separatrix ends, and the
     two cancel), so it keeps its least dart and with it its face index.
+    The assembly does not change either; once computed, it is handed on.
     """
     new_annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) for a in p.annuli)
-    return InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
-                         p.tori)
+    r = InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
+                      p.tori)
+    if "assembly" in p.__dict__:
+        r.__dict__["assembly"] = p.assembly
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +479,13 @@ class _CanonicalEngine:
     An object's canonical index is its color minus its block base;
     ``serialize`` reads only colors and compiled arrays, never object ids.
 
-    Three shortcuts skip work whose result is known; none changes a byte.
+    Two shortcuts skip work whose result is known, and one pruning rule
+    skips subtrees whose least leaf is known; none changes a byte.
     Refinement stops at a discrete coloring: the round after it would
     return the same coloring (see ``refine``).  ``_least_rotation``
     builds only the rotations that start at the least letter, and the
     least rotation starts there.  The search records an automorphism
-    whenever a leaf serializes like its first leaf or its least one so
-    far (the first leaf lives only inside one search), and skips a
+    whenever a leaf serializes like the least one so far, and skips a
     target-cell member that lies in the orbit of an explored one under
     the recorded automorphisms fixing every individualized object of
     the node: such an automorphism carries the explored subtree onto the
@@ -553,33 +576,6 @@ class _CanonicalEngine:
                 + [(4,)] * len(annuli))
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         self.initial = [rank[k] for k in keys]
-
-    def mirrored(self) -> "_CanonicalEngine":
-        """The engine of the orientation reversal, from these arrays.
-
-        Separatrices swap source and target, rotation words reflect with
-        every dart end flipped, and annuli swap sides.  A reversed face
-        runs through the same dart names backwards, since the reversed
-        face successor is the inverse of the original one.  So every
-        object keeps its number, faces keep length and flow sign, and the
-        initial coloring stays.
-        """
-        m = copy.copy(self)
-        m.sad_words = [[(IN if end == OUT else OUT, e)
-                        for end, e in reversed(word)]
-                       for word in self.sad_words]
-        m.face_words = [word[::-1] for word in self.face_words]
-        m.sep_links = [
-            (target, source, next_in, prev_in, next_out, prev_out,
-             face_out, face_in)
-            for (source, target, prev_out, next_out, prev_in, next_in,
-                 face_out, face_in) in self.sep_links
-        ]
-        m.face_att = [att and (att[0], 1 - att[1]) for att in self.face_att]
-        m.vertex_atts = [[(a, 1 - side) for a, side in atts]
-                         for atts in self.vertex_atts]
-        m.ann_ends = [ends[::-1] for ends in self.ann_ends]
-        return m
 
     def refine(self, col: list) -> list:
         """Re-rank signatures until the color count stops growing or every
@@ -680,23 +676,15 @@ class _CanonicalEngine:
         ]
         return "|".join(parts).encode("ascii")
 
-    def canonical(self, stop: bytes | None = None) -> bytes:
-        """The least leaf serialization of the search tree.
-
-        ``stop`` is the component's oriented canonical bytes when this
-        engine is its mirror.  The search then stops at its first leaf
-        that serializes like them: the two orientations are isomorphic,
-        so their canonical bytes are the same.
-        """
+    def canonical(self) -> bytes:
+        """The least leaf serialization of the search tree."""
         self.automorphisms = []
-        self._first = self._best = None
-        self._stop = stop
-        if self._search(self.initial, []):
-            return stop
+        self._best = None
+        self._search(self.initial, [])
         return self._best[0]
 
-    def _search(self, col: list, fixed: list) -> bool:
-        """Visit the subtree below ``col``; True once a leaf hits ``_stop``.
+    def _search(self, col: list, fixed: list) -> None:
+        """Visit the subtree below ``col``.
 
         ``fixed`` lists the objects individualized on the way here.
         """
@@ -705,7 +693,8 @@ class _CanonicalEngine:
         for i, c in enumerate(col):
             cells.setdefault(c, []).append(i)
         if len(cells) == self.n:
-            return self._leaf(col)
+            self._leaf(col)
+            return
         target = min((c, members) for c, members in cells.items()
                      if len(members) > 1)[1]
         explored = []
@@ -720,26 +709,16 @@ class _CanonicalEngine:
             col2 = list(col)
             col2[i] = self.n
             fixed.append(i)
-            stop = self._search(col2, fixed)
+            self._search(col2, fixed)
             fixed.pop()
-            if stop:
-                return True
             explored.append(i)
-        return False
 
-    def _leaf(self, col: list) -> bool:
+    def _leaf(self, col: list) -> None:
         blob = self.serialize(col)
-        if blob == self._stop:
-            return True
-        if self._first is None:
-            self._first = self._best = (blob, col)
-        elif blob == self._first[0]:
-            self._record(col, self._first[1])
+        if self._best is None or blob < self._best[0]:
+            self._best = (blob, col)
         elif blob == self._best[0]:
             self._record(col, self._best[1])
-        elif blob < self._best[0]:
-            self._best = (blob, col)
-        return False
 
     def _record(self, col: list, earlier: list) -> None:
         """Record the automorphism that sends each object to the object of
@@ -766,19 +745,6 @@ def _framed(blobs) -> bytes:
     return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
-def _component_blobs(engines, stops=None) -> tuple:
-    """Per component engine, the canonical bytes of its search; a periodic
-    torus (None) is ``b"T"``.
-
-    Given ``stops``, the components' oriented bytes, each engine's mirror
-    is searched instead, and it stops on its component's oriented bytes.
-    """
-    if stops is None:
-        return tuple(b"T" if e is None else e.canonical() for e in engines)
-    return tuple(b"T" if e is None else e.mirrored().canonical(stop)
-                 for e, stop in zip(engines, stops))
-
-
 def _component_engines(p: InvariantPair):
     for vertex_ids, annulus_ids in p.assembly:
         if not vertex_ids:
@@ -790,31 +756,31 @@ def _component_engines(p: InvariantPair):
         yield _CanonicalEngine(p.diagram, comps, vertices, annuli)
 
 
+def _oriented_blob(p: InvariantPair) -> bytes:
+    """The framed ORIENTED bytes: one search per component, ``b"T"`` for a
+    periodic torus."""
+    return _framed(b"T" if e is None else e.canonical()
+                   for e in _component_engines(p))
+
+
 def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
     """Canonical bytes of an already-validated pair.
 
-    Each component's canonical bytes stay in the pair's instance dict, the
-    way a ``cached_property`` keeps its value: ``oriented_blobs``, and
-    ``mirrored_blobs`` for its reversal.  So each component's oriented
-    search runs once per pair object, and its mirror search at most once,
-    the first time REVERSIBLE mode asks; a repeat call in either mode runs
-    no search.  REVERSIBLE takes the lesser of the framed oriented and the
-    framed mirror bytes: reversal acts on the whole model at once, so the
-    lesser is taken over whole models, not per component.
+    The framed bytes of each orientation stay in the pair's instance dict,
+    the way a ``cached_property`` keeps its value: ``oriented_blob``, and
+    ``reversed_blob``, the oriented bytes of ``reverse_pair(p)``, the first
+    time REVERSIBLE mode asks.  So a repeat call in either mode runs no
+    search.  Reversal acts on the whole model at once, so REVERSIBLE takes
+    the lesser over whole models, not per component.
     """
     kept = p.__dict__
-    engines = None
-    if "oriented_blobs" not in kept:
-        engines = list(_component_engines(p))
-        kept["oriented_blobs"] = _component_blobs(engines)
-    oriented = kept["oriented_blobs"]
-    blob = _framed(oriented)
+    if "oriented_blob" not in kept:
+        kept["oriented_blob"] = _oriented_blob(p)
     if not mode.allow_reversal:
-        return blob
-    if "mirrored_blobs" not in kept:
-        kept["mirrored_blobs"] = _component_blobs(
-            engines or _component_engines(p), oriented)
-    return min(blob, _framed(kept["mirrored_blobs"]))
+        return kept["oriented_blob"]
+    if "reversed_blob" not in kept:
+        kept["reversed_blob"] = _oriented_blob(reverse_pair(p))
+    return min(kept["oriented_blob"], kept["reversed_blob"])
 
 
 def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
@@ -823,12 +789,16 @@ def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
     return CanonicalForm(_canonical_blob(p, mode))
 
 
+def _diagram_blob(d: SaddleDiagram) -> bytes:
+    return _framed(_CanonicalEngine(d, {comp_id}).canonical()
+                   for comp_id, _, _ in d.components)
+
+
 def canonical_diagram(d: SaddleDiagram, mode: IsoMode = ORIENTED) -> bytes:
-    """Canonical bytes for a bare diagram (per-polycycle, sorted)."""
+    """Canonical bytes for a bare diagram (per-polycycle, sorted); in
+    REVERSIBLE mode the lesser of those of ``d`` and ``reverse_diagram(d)``."""
     check_diagram(d)
-    engines = [_CanonicalEngine(d, {comp_id}) for comp_id, _, _ in d.components]
-    oriented = _component_blobs(engines)
-    blob = _framed(oriented)
+    blob = _diagram_blob(d)
     if not mode.allow_reversal:
         return blob
-    return min(blob, _framed(_component_blobs(engines, oriented)))
+    return min(blob, _diagram_blob(reverse_diagram(d)))

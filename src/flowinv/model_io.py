@@ -64,20 +64,20 @@ class ParseError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
 
 
-class SchemaError(ValueError):
+class _DiagnosticsError(ValueError):
+    """An error carrying ``diagnostics``; its message joins their texts."""
+
+    def __init__(self, diagnostics):
+        self.diagnostics = list(diagnostics)
+        super().__init__("; ".join(d.render() for d in self.diagnostics))
+
+
+class SchemaError(_DiagnosticsError):
     """Well-formed JSON that does not match the document schema."""
 
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(d.render() for d in self.diagnostics))
 
-
-class SemanticError(ValueError):
+class SemanticError(_DiagnosticsError):
     """Schema-valid document whose model fails validation."""
-
-    def __init__(self, diagnostics):
-        self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(d.render() for d in self.diagnostics))
 
 
 class _Node:

@@ -20,15 +20,12 @@ from .diagram import (
     Saddle,
     SaddleDiagram,
     Separatrix,
-    diagram_components,
-    faces_by_component,
 )
 from .graph import (
     AnnulusEdge,
     Attachment,
     InvariantPair,
     VertexNode,
-    assembly_components,
     check_pair,
 )
 from .multigraph import Multigraph
@@ -123,10 +120,10 @@ def chi_cells(p: InvariantPair) -> list:
     check_pair(p)
     comp_sizes = {
         comp_id: len(saddle_ids) - len(sep_ids)
-        for comp_id, saddle_ids, sep_ids in diagram_components(p.diagram)
+        for comp_id, saddle_ids, sep_ids in p.diagram.components
     }
     out = []
-    for vertex_ids, _ in assembly_components(p):
+    for vertex_ids, _ in p.assembly:
         if not vertex_ids:
             out.append(0)  # periodic torus
             continue
@@ -164,8 +161,8 @@ def build_cell_model(p: InvariantPair) -> CellModel:
             circles = (f"{cid}:rim",) + circles
         cells.append(Cell(cid, kind, circles))
     prefix, kind = _CELLS["d"]
-    faces = faces_by_component(p.diagram)
-    for comp_id, _, _ in diagram_components(p.diagram):
+    faces = p.diagram.faces_by_component
+    for comp_id, _, _ in p.diagram.components:
         cid = f"{prefix}:{comp_id}"
         circles = tuple(f"{cid}:{i}" for i in range(len(faces[comp_id])))
         cells.append(Cell(cid, kind, circles))
@@ -254,7 +251,7 @@ def reconstruct(p: InvariantPair) -> tuple:
     cm = build_cell_model(p)
     chis = chi_cells(p)
     sigs = []
-    for (vertex_ids, _), chi in zip(assembly_components(p), chis):
+    for (vertex_ids, _), chi in zip(p.assembly, chis):
         sigs.append(_component_signature(p, vertex_ids, chi))
     return cm, SurfaceSignature(tuple(sigs))
 

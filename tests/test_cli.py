@@ -234,3 +234,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "sv_t1=true" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops early (``| head -1``) leaves exit 0 and an
+    empty stderr, with no complaint from the interpreter at exit."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flowinv", "enumerate", "--max-saddles", "2",
+         "--max-k-sum", "2", "--max-centers", "3", "--max-annuli", "3",
+         "--max-tori", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # about 0.9 MB more would follow: far beyond a pipe
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert first.count(b" ") >= 1 and err == b""

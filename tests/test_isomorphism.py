@@ -18,7 +18,6 @@ from flowinv.isomorphism import (
     canonical_form,
     cyclic_equivalent,
     pair_isomorphic,
-    reverse_diagram,
     reverse_pair,
     verify_witness,
 )
@@ -361,8 +360,8 @@ SYMMETRIC = {
 
 
 class TestSymmetricSearch:
-    # Automorphism pruning leaves a constant number of leaves; the mirror
-    # search of REVERSIBLE mode at most doubles it.
+    # Automorphism pruning leaves a constant number of leaves; the search
+    # of the reversed pair in REVERSIBLE mode adds at most twice as many.
     @pytest.mark.parametrize("name", sorted(SYMMETRIC))
     def test_leaves_linear_in_separatrices(self, name, monkeypatch):
         p = realize_multigraph(SYMMETRIC[name]())
@@ -613,48 +612,40 @@ class TestEngineShortcuts:
                     default=word)
         assert isomorphism._least_rotation(word) == brute
 
-    def test_mirror_matches_reversed_pair(self):
+    def test_reversal_carries_what_a_fresh_trace_gives(self):
         for p in _shortcut_models():
-            mirrored = [e.mirrored() for e in _engines(p)]
-            compiled = _engines(reverse_pair(p))
-            assert [e.canonical() for e in mirrored] == \
-                [e.canonical() for e in compiled]
-            # a reversed face keeps its darts, so objects keep their numbers
-            for m, r in zip(mirrored, compiled):
-                for words, others in ((m.sad_words, r.sad_words),
-                                      (m.face_words, r.face_words)):
-                    assert all(map(_rotation_of, words, others))
-                assert [sorted(atts) for atts in m.vertex_atts] == \
-                    [sorted(atts) for atts in r.vertex_atts]
-                assert (m.sep_links, m.face_att, m.ann_ends, m.initial) == \
-                    (r.sep_links, r.face_att, r.ann_ends, r.initial)
+            assert not p.violations
+            p.diagram.faces, p.assembly  # traced before the reversal
+            r = reverse_pair(p)
+            fresh = _rebuilt(r)
+            assert r.diagram.__dict__["components"] == fresh.diagram.components
+            assert r.diagram.__dict__["faces"] == fresh.diagram.faces
+            assert r.__dict__["assembly"] == fresh.assembly
 
-    def test_mirror_matches_reversed_diagram(self):
-        for p in _shortcut_models():
-            d = p.diagram
-            for comp_id, _, _ in d.components:
-                engine = isomorphism._CanonicalEngine(d, {comp_id})
-                reversed_engine = isomorphism._CanonicalEngine(
-                    reverse_diagram(d), {comp_id})
-                assert engine.mirrored().canonical() == \
-                    reversed_engine.canonical()
+    def test_first_leaf_is_not_the_least(self, monkeypatch):
+        serialize = isomorphism._CanonicalEngine.serialize
+        leaves = []
 
-    def test_first_leaf_is_not_the_least(self):
+        def recording(engine, col):
+            leaves.append(serialize(engine, col))
+            return leaves[-1]
+
+        monkeypatch.setattr(isomorphism._CanonicalEngine, "serialize",
+                            recording)
         for p in _genus_two_closures():
             (engine,) = _engines(p)
+            leaves.clear()
             least = engine.canonical()
-            first = engine._first[0]
-            assert first != least and engine.automorphisms
+            assert leaves[0] != least and engine.automorphisms
             assert least == canonical_form(_rebuilt(p)).blob[1:]
 
     def test_recorded_automorphisms_are_automorphisms(self):
         found = 0
         for p in _shortcut_models():
-            for engine in _engines(p):
-                for e in (engine, engine.mirrored()):
-                    e.canonical()
-                    found += len(e.automorphisms)
-                    assert all(_is_automorphism(e, g) for g in e.automorphisms)
+            for e in _engines(p) + _engines(reverse_pair(p)):
+                e.canonical()
+                found += len(e.automorphisms)
+                assert all(_is_automorphism(e, g) for g in e.automorphisms)
         assert found
 
 
@@ -704,7 +695,7 @@ class TestKeptSearch:
         canonical_form(p, ORIENTED)
         assert len(roots) == 3
         canonical_form(p, REVERSIBLE)
-        assert len(roots) == 6  # only the mirrors, one per component
+        assert len(roots) == 6  # only the reversed pair's, one per component
         for mode in (ORIENTED, REVERSIBLE, ORIENTED):
             canonical_form(p, mode)
         assert len(roots) == 6
@@ -726,6 +717,14 @@ class TestKeptSearch:
         for p in pairs:
             canonical_form(p, mode)
         assert pairs and not roots
+
+    def test_reversible_bytes_are_the_lesser_orientation(self):
+        for model in _kept_models():
+            fresh = [_rebuilt(q) for q in (model, reverse_pair(model))]
+            assert canonical_form(model, REVERSIBLE).blob == min(
+                canonical_form(q).blob for q in fresh)
+            assert canonical_diagram(model.diagram, REVERSIBLE) == min(
+                canonical_diagram(q.diagram) for q in fresh)
 
     @pytest.mark.parametrize("order", [(ORIENTED, REVERSIBLE),
                                        (REVERSIBLE, ORIENTED)],

@@ -1,9 +1,11 @@
 """The validation boundary: one error type, each model validated once."""
 
+import ast
 import importlib
 import pkgutil
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,41 @@ def test_no_unbounded_cache():
             for fn in (value, *members):
                 assert not hasattr(fn, "cache_info"), \
                     f"{info.name}.{name} has a function cache"
+
+
+def test_no_function_cache_in_the_source():
+    """No ``functools.lru_cache`` or ``functools.cache`` anywhere in the
+    package source, however imported: no cache keyed on every model ever
+    seen."""
+    banned = {"lru_cache", "cache"}
+    for path in sorted(Path(flowinv.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {alias.asname or alias.name
+                   for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                used = banned & {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):
+                used = banned & {node.attr}
+            else:
+                continue
+            assert not used, f"{path.name}:{node.lineno} uses functools.{used}"
+
+
+def test_reversing_an_invalid_pair_traces_no_faces():
+    dangling = _diagram(three_centers_eight(), separatrices=(
+        Separatrix("a", "x", "s"), Separatrix("b", "s", "s")))
+    for p in (non_alternating_pair(), dangling):
+        assert p.violations and p.diagram.components
+        r = reverse_pair(p)
+        assert "faces" not in p.diagram.__dict__
+        assert "faces" not in r.diagram.__dict__
+        assert r.diagram.components == replace(r.diagram).components
+        with pytest.raises(ValidationError):
+            canonical_form(r)
 
 
 def test_derived_data_is_kept_on_the_object():
