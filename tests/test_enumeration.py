@@ -1,4 +1,7 @@
 import random
+from dataclasses import replace
+
+import pytest
 
 from flowinv.enumeration import (
     EnumBounds,
@@ -198,3 +201,46 @@ class TestCountClasses:
         for key, digests in table.entries:
             assert len(digests) >= 1
             assert all(len(d) == 64 for d in digests)
+
+
+# Three saddles, one leaf of each kind: the class tables frozen from the
+# enumeration that offered every closure and kept the first of each class.
+PIN = EnumBounds(max_saddles=3, max_k_sum=3, max_centers=1, max_n=1,
+                 max_b=1, max_annuli=2, max_tori=1)
+PIN_TABLES = {
+    ORIENTED: (3718, {
+        (False, 1, 0, 0): 2, (False, 1, 0, 1): 8, (False, 1, 0, 2): 8,
+        (False, 1, 0, 3): 8, (False, 1, 1, 0): 2, (False, 1, 1, 1): 8,
+        (False, 1, 1, 2): 8, (False, 1, 1, 3): 8, (False, 3, 0, 1): 20,
+        (False, 3, 0, 2): 40, (False, 3, 0, 3): 60, (False, 3, 1, 1): 8,
+        (False, 3, 1, 2): 16, (False, 3, 1, 3): 24, (False, 5, 0, 1): 36,
+        (False, 5, 0, 2): 192, (False, 5, 0, 3): 732, (True, 0, 1, 0): 2,
+        (True, 0, 1, 1): 8, (True, 0, 1, 2): 8, (True, 0, 1, 3): 8,
+        (True, 1, 0, 0): 1, (True, 1, 0, 1): 14, (True, 1, 0, 2): 31,
+        (True, 1, 0, 3): 46, (True, 1, 1, 1): 20, (True, 1, 1, 2): 40,
+        (True, 1, 1, 3): 60, (True, 2, 0, 1): 58, (True, 2, 0, 2): 292,
+        (True, 2, 0, 3): 990, (True, 2, 1, 1): 36, (True, 2, 1, 2): 192,
+        (True, 2, 1, 3): 732}),
+    REVERSIBLE: (1862, {
+        (False, 1, 0, 0): 1, (False, 1, 0, 1): 4, (False, 1, 0, 2): 4,
+        (False, 1, 0, 3): 4, (False, 1, 1, 0): 1, (False, 1, 1, 1): 4,
+        (False, 1, 1, 2): 4, (False, 1, 1, 3): 4, (False, 3, 0, 1): 10,
+        (False, 3, 0, 2): 20, (False, 3, 0, 3): 30, (False, 3, 1, 1): 4,
+        (False, 3, 1, 2): 8, (False, 3, 1, 3): 12, (False, 5, 0, 1): 18,
+        (False, 5, 0, 2): 96, (False, 5, 0, 3): 366, (True, 0, 1, 0): 1,
+        (True, 0, 1, 1): 4, (True, 0, 1, 2): 4, (True, 0, 1, 3): 4,
+        (True, 1, 0, 0): 1, (True, 1, 0, 1): 7, (True, 1, 0, 2): 17,
+        (True, 1, 0, 3): 23, (True, 1, 1, 1): 10, (True, 1, 1, 2): 20,
+        (True, 1, 1, 3): 30, (True, 2, 0, 1): 29, (True, 2, 0, 2): 147,
+        (True, 2, 0, 3): 495, (True, 2, 1, 1): 18, (True, 2, 1, 2): 96,
+        (True, 2, 1, 3): 366}),
+}
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+def test_three_saddle_class_tables_pinned(mode):
+    classes, counts = PIN_TABLES[mode]
+    table = count_classes(replace(PIN, mode=mode))
+    assert sum(len(digests) for _, digests in table.entries) == classes
+    assert table.counts() == counts
