@@ -10,13 +10,21 @@ pairs are still valid data; they are just not enumerated.)
 Diagrams are generated by choosing a saddle degree multiset, fixing the
 alternating out/in slot pattern around each saddle, and running over all
 bijections from out-slots to in-slots; every valid diagram is a
-relabeling of one of these.  Duplicates are removed by canonical form.
+relabeling of one of these.  Duplicate diagrams are removed by canonical
+form.
+
+Closures are generated orderly.  Two closures of one diagram
+representative are isomorphic exactly when a symmetry of the diagram
+carries one onto the other, so only the closure least in its orbit under
+those symmetries is built, and every model built is a class of its own
+(McKay, "Isomorph-free exhaustive generation", 1998).
 
 Generation order is deterministic; the optional ``rng`` argument
-scrambles intermediate candidate order.  The set of classes, their
+scrambles the order of diagram candidates.  The set of classes, their
 canonical digests and the output order do not depend on it (the
 determinism tests rely on exactly that), but the representative emitted
-for a class is the first candidate of that class to arrive, so it can.
+for a class is a closure of the first diagram candidate of its class to
+arrive, so it can.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from .diagram import SaddleDiagram, Saddle, Separatrix
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     check_pair
 from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram, \
-    canonical_form
+    canonical_form, diagram_automorphisms
 from .reconstruction import reconstruct
 from .topology import connected_groups
 
@@ -50,12 +58,6 @@ class EnumBounds:
                      "max_b", "max_annuli", "max_tori"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-
-def _maybe_shuffle(items: list, rng: random.Random | None) -> list:
-    if rng is not None:
-        rng.shuffle(items)
-    return items
 
 
 def _degree_multisets(max_saddles: int, max_k_sum: int):
@@ -103,7 +105,9 @@ def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
     found = {}
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
         candidates = list(_diagram_candidates(ks))
-        for d in _maybe_shuffle(candidates, rng):
+        if rng is not None:
+            rng.shuffle(candidates)
+        for d in candidates:
             key = canonical_diagram(d, bounds.mode)
             if key not in found:
                 found[key] = (((len(ks), sum(ks)), key), d)
@@ -111,7 +115,7 @@ def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
         yield d
 
 
-def _face_closures(points: list, max_annuli: int, rng: random.Random | None):
+def _face_closures(points: list, max_annuli: int):
     """Partition boundary circles into circle-circle pairs and leaf singles."""
     results = []
 
@@ -127,7 +131,7 @@ def _face_closures(points: list, max_annuli: int, rng: random.Random | None):
         recurse(rest, pairs, singles + [first])
 
     recurse(points, [], [])
-    return _maybe_shuffle(results, rng)
+    return results
 
 
 def _allowed_leaf_kinds(bounds: EnumBounds):
@@ -149,7 +153,10 @@ def _annulus_only_models(bounds: EnumBounds):
     if bounds.max_annuli < 1:
         return
     kinds = _allowed_leaf_kinds(bounds)
-    for a, b in product(kinds, kinds):
+    # reversal swaps the annulus's sides, so (a, b) and (b, a) are one class
+    ends = (combinations_with_replacement(kinds, 2)
+            if bounds.mode.allow_reversal else product(kinds, kinds))
+    for a, b in ends:
         counts = {}
         for k in (a, b):
             counts[k] = counts.get(k, 0) + 1
@@ -171,20 +178,23 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     bucket; every emitted pair validates and keeps the framed canonical
     bytes that placed it (of both orientations in REVERSIBLE mode), so
     ``canonical_form(pair, bounds.mode)`` on it runs no search.
-    ``rng`` shuffles candidate order: the classes and their order stay
-    the same, but the emitted representative of a class may change with
-    it.
+
+    Each class is offered once: a diagram-based class as the closure of
+    its diagram representative that is least in its orbit under the
+    diagram's symmetries (see ``_orbit_least``).  ``rng`` shuffles the
+    diagram candidates only: the classes and their order stay the same,
+    but the emitted representative of a class may change with the
+    diagram that represents its class.
     """
-    found = {}
+    found = []
 
     def offer(pair: InvariantPair):
         check_pair(pair)
         if len(pair.assembly) != 1:
             return
         key = _canonical_blob(pair, bounds.mode)
-        if key not in found:
-            ncells = len(pair.vertices) + len(pair.annuli) + pair.tori
-            found[key] = ((ncells, key), pair)
+        ncells = len(pair.vertices) + len(pair.annuli) + pair.tori
+        found.append(((ncells, key), pair))
 
     if bounds.max_tori >= 1:
         offer(InvariantPair(SaddleDiagram.empty(), (), (), 1))
@@ -207,8 +217,12 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
             for i, (comp_id, _, _) in enumerate(comps)
         )
         vertex_of_comp = {comp_id: f"p{i}" for i, (comp_id, _, _) in enumerate(comps)}
+        moves = [(face_map, reverses)
+                 for face_map, reverses in diagram_automorphisms(diagram,
+                                                                 bounds.mode)
+                 if reverses or any(face_map[p] != p for p in face_map)]
 
-        for pairs, singles in _face_closures(face_points, bounds.max_annuli, rng):
+        for pairs, singles in _face_closures(face_points, bounds.max_annuli):
             # every component must reach another through face-face annuli
             if len(comps) > 1 and not _joins_components(comps, pairs):
                 continue
@@ -220,10 +234,14 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
                     continue
                 for orient in product((False, True),
                                       repeat=len(pairs) + len(singles)):
+                    closure = _directed_closure(pairs, singles, kinds, orient)
+                    if moves and not _orbit_least(closure, moves):
+                        continue
                     offer(_assemble(diagram, d_vertices, vertex_of_comp,
-                                    pairs, singles, kinds, orient))
+                                    closure))
 
-    for _, pair in sorted(found.values(), key=lambda item: item[0]):
+    # every offer is a class of its own, so no key repeats
+    for _, pair in sorted(found, key=lambda item: item[0]):
         yield pair
 
 
@@ -236,9 +254,41 @@ def _joins_components(comps, pairs) -> bool:
     return len(groups) == 1
 
 
-def _assemble(diagram, d_vertices, vertex_of_comp, pairs, singles, kinds,
-              orient) -> InvariantPair:
-    """Build one concrete diagram-based candidate."""
+def _directed_closure(pairs, singles, kinds, orient) -> tuple:
+    """A closure as its sorted directed annuli: ``(neg face, pos face)``
+    for each pair, ``(face, leaf kind, leaf on the negative side)`` for
+    each single.  ``orient`` flips pairs first, then singles."""
+    directed = tuple(sorted((b, a) if flipped else (a, b)
+                            for (a, b), flipped in zip(pairs, orient)))
+    leaves = tuple(sorted(zip(singles, kinds, orient[len(pairs):])))
+    return directed, leaves
+
+
+def _orbit_least(closure: tuple, moves: list) -> bool:
+    """True when no diagram symmetry carries the closure to a lesser one.
+
+    Two closures of one diagram representative are isomorphic exactly
+    when a symmetry of the diagram carries one onto the other: the
+    symmetry moves faces by its face map, and a reversed one also swaps
+    every annulus's sides (McKay, "Isomorph-free exhaustive generation",
+    1998).  So each class has exactly one orbit-least closure.
+    """
+    directed, leaves = closure
+    for face_map, reverses in moves:
+        image = (
+            tuple(sorted((face_map[b], face_map[a]) if reverses
+                         else (face_map[a], face_map[b])
+                         for a, b in directed)),
+            tuple(sorted((face_map[p], kind, leaf_neg != reverses)
+                         for p, kind, leaf_neg in leaves)),
+        )
+        if image < closure:
+            return False
+    return True
+
+
+def _assemble(diagram, d_vertices, vertex_of_comp, closure) -> InvariantPair:
+    """Build the pair of one directed closure of the diagram."""
     vertices = list(d_vertices)
     annuli = []
     counters = {"c": 0, "n": 0, "b": 0}
@@ -253,15 +303,13 @@ def _assemble(diagram, d_vertices, vertex_of_comp, pairs, singles, kinds,
         comp_id, idx = point
         return Attachment(vertex_of_comp[comp_id], idx)
 
-    flip_iter = iter(orient)
-    for fp1, fp2 in pairs:
-        a, b = face_att(fp1), face_att(fp2)
-        if next(flip_iter):
-            a, b = b, a
-        annuli.append(AnnulusEdge(f"a{len(annuli)}", a, b))
-    for point, kind in zip(singles, kinds):
+    directed, leaves = closure
+    for neg, pos in directed:
+        annuli.append(AnnulusEdge(f"a{len(annuli)}", face_att(neg),
+                                  face_att(pos)))
+    for point, kind, leaf_neg in leaves:
         a, b = face_att(point), fresh_leaf(kind)
-        if next(flip_iter):
+        if leaf_neg:
             a, b = b, a
         annuli.append(AnnulusEdge(f"a{len(annuli)}", a, b))
     return InvariantPair(diagram, tuple(vertices), tuple(annuli), 0)

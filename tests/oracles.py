@@ -160,6 +160,87 @@ def face_count_oracle(d: SaddleDiagram) -> int:
     return orbits
 
 
+def face_points_oracle(d: SaddleDiagram) -> dict:
+    """Dart -> its face point ``(component, face index)``, traced from
+    scratch: faces are the orbits of the rotation successor after the
+    end swap, a component is keyed by its least saddle id, and its faces
+    are indexed in the order of their least darts."""
+    succ, home = {}, {}
+    for s in d.saddles:
+        n = len(s.rotation)
+        for i, dart in enumerate(s.rotation):
+            succ[dart] = s.rotation[(i + 1) % n]
+            home[dart] = s.id
+    comp = {s.id: s.id for s in d.saddles}
+    changed = True
+    while changed:  # every saddle takes the least id it is joined to
+        changed = False
+        for e in d.separatrices:
+            least = min(comp[e.source], comp[e.target])
+            for sid in (e.source, e.target):
+                if comp[sid] != least:
+                    comp[sid], changed = least, True
+    orbits = {}
+    for start in succ:
+        orbit, dart = [], start
+        while dart not in orbit:
+            orbit.append(dart)
+            sep, end = dart
+            dart = succ[(sep, "in" if end == "out" else "out")]
+        orbits[min(orbit)] = orbit
+    point_of = {}
+    for c in set(comp.values()):
+        leasts = sorted(x for x in orbits if comp[home[x]] == c)
+        for idx, least in enumerate(leasts):
+            for dart in orbits[least]:
+                point_of[dart] = (c, idx)
+    return point_of
+
+
+def diagram_automorphisms_oracle(d: SaddleDiagram, reversal: bool) -> set:
+    """Every symmetry of ``d`` as ``(sorted face map items, reversed)``.
+
+    Tries every k-preserving bijection of saddles and every shift of
+    every rotation word, keeps the dart maps that carry each separatrix's
+    out- and in-dart onto the out- and in-dart of one separatrix, and
+    reads off where each face point goes.  With ``reversal`` it also
+    maps ``reverse_diagram(d)`` onto ``d`` this way; a face point of the
+    reversal is the one ``face_points_oracle`` gives it.
+    """
+    from flowinv.isomorphism import reverse_diagram
+
+    target = face_points_oracle(d)
+    out = set()
+    for reversed_ in ((False, True) if reversal else (False,)):
+        source = reverse_diagram(d) if reversed_ else d
+        points = face_points_oracle(source)
+        for image in permutations(d.saddles):
+            if any(s.k != t.k for s, t in zip(source.saddles, image)):
+                continue
+            for shifts in product(*(range(len(s.rotation))
+                                    for s in source.saddles)):
+                dart_map = {}
+                for s, t, shift in zip(source.saddles, image, shifts):
+                    n = len(s.rotation)
+                    for i, dart in enumerate(s.rotation):
+                        dart_map[dart] = t.rotation[(i + shift) % n]
+                if not all(dart_map[(e.id, "out")][1] == "out"
+                           and dart_map[(e.id, "in")][1] == "in"
+                           and dart_map[(e.id, "out")][0]
+                           == dart_map[(e.id, "in")][0]
+                           for e in source.separatrices):
+                    continue
+                face_map = {}
+                for dart, point in points.items():
+                    face_map.setdefault(point, set()).add(
+                        target[dart_map[dart]])
+                assert all(len(images) == 1 for images in face_map.values())
+                out.add((tuple(sorted((p, images.pop())
+                                      for p, images in face_map.items())),
+                         reversed_))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # multigraphs
 

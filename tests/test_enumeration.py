@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from flowinv import enumeration
 from flowinv.enumeration import (
     EnumBounds,
     count_classes,
@@ -10,10 +11,16 @@ from flowinv.enumeration import (
     enumerate_pairs,
 )
 from flowinv.graph import assembly_components, validate_pair
-from flowinv.isomorphism import ORIENTED, REVERSIBLE, canonical_form
+from flowinv.isomorphism import (
+    ORIENTED,
+    REVERSIBLE,
+    canonical_form,
+    diagram_automorphisms,
+)
 from flowinv.reconstruction import reconstruct
 
-from oracles import brute_force_pairs
+from oracles import brute_force_pairs, diagram_automorphisms_oracle
+from test_acceptance import SMALL_CONFIGS
 
 SMALL = EnumBounds(max_saddles=1, max_k_sum=1, max_centers=2, max_n=1,
                    max_b=1, max_annuli=2, max_tori=1)
@@ -244,3 +251,60 @@ def test_three_saddle_class_tables_pinned(mode):
     table = count_classes(replace(PIN, mode=mode))
     assert sum(len(digests) for _, digests in table.entries) == classes
     assert table.counts() == counts
+
+
+def _group_set(d, mode):
+    return {(tuple(sorted(face_map.items())), reverses)
+            for face_map, reverses in diagram_automorphisms(d, mode)}
+
+
+@pytest.mark.parametrize("mode, classes", [(ORIENTED, 440), (REVERSIBLE, 389)],
+                         ids=["oriented", "reversible"])
+def test_diagram_automorphisms_match_brute_force(mode, classes):
+    """The group is exact: every saddle bijection and rotation shift that
+    keeps the diagram gives the same face-point actions, in both
+    orientations, and the actions compose within the group."""
+    bounds = EnumBounds(max_saddles=3, max_k_sum=3, mode=mode)
+    checked = 0
+    for d in enumerate_diagrams(bounds):
+        if not d.saddles:
+            continue
+        group = _group_set(d, mode)
+        assert group == diagram_automorphisms_oracle(d, mode.allow_reversal)
+        maps = [(dict(items), reverses) for items, reverses in group]
+        for f, r in maps:
+            for g, s in maps:
+                composed = tuple(sorted((p, f[g[p]]) for p in g))
+                assert (composed, r != s) in group
+        checked += 1
+    assert checked == classes
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize(
+    "bounds",
+    list(dict.fromkeys(replace(b, mode=ORIENTED)
+                       for b in [SMALL, *(b for b, _, _ in SMALL_CONFIGS),
+                                 PIN])),
+    ids=["small", "two-saddle", "pin"])
+def test_offers_one_candidate_per_class(monkeypatch, bounds, mode):
+    """No duplicate closure is ever built: each candidate offered is
+    checked once and its canonical key is new."""
+    offered, keys = [], set()
+    check, blob = enumeration.check_pair, enumeration._canonical_blob
+
+    def counting_check(pair):
+        offered.append(pair)
+        return check(pair)
+
+    def fresh_blob(pair, blob_mode):
+        key = blob(pair, blob_mode)
+        assert key not in keys
+        keys.add(key)
+        return key
+
+    monkeypatch.setattr(enumeration, "check_pair", counting_check)
+    monkeypatch.setattr(enumeration, "_canonical_blob", fresh_blob)
+    emitted = list(enumerate_pairs(replace(bounds, mode=mode)))
+    assert emitted and len(offered) == len(emitted) == len(keys)
