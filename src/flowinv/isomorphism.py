@@ -12,7 +12,9 @@ annulus at once.
 ``pair_isomorphic`` extends a map from one root dart per assembly
 component: a connected combinatorial map is fixed by the image of one
 dart, so the only choices are the roots and where a face reached through
-an annulus starts.  ``canonical_form`` is an independent
+an annulus starts.  ``diagram_automorphisms`` runs the same propagation
+from a bare diagram (and its reversal) onto itself, for the orderly
+closures of ``enumerate_pairs``.  ``canonical_form`` is an independent
 refinement-plus-individualization canonical labeling; the two are
 cross-checked against each other in the test suite rather than sharing
 code.
