@@ -22,7 +22,7 @@ from flowinv.graph import (
     assembly_components,
     validate_pair,
 )
-from flowinv.isomorphism import pair_isomorphic, relabel_pair
+from flowinv.isomorphism import pair_isomorphic, relabel_pair, reverse_diagram
 from flowinv.multigraph import Multigraph
 from flowinv.topology import FinPoset
 
@@ -207,8 +207,6 @@ def diagram_automorphisms_oracle(d: SaddleDiagram, reversal: bool) -> set:
     maps ``reverse_diagram(d)`` onto ``d`` this way; a face point of the
     reversal is the one ``face_points_oracle`` gives it.
     """
-    from flowinv.isomorphism import reverse_diagram
-
     target = face_points_oracle(d)
     out = set()
     for reversed_ in ((False, True) if reversal else (False,)):
