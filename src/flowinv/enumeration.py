@@ -36,8 +36,8 @@ from itertools import combinations_with_replacement, permutations, product
 from .diagram import SaddleDiagram, Saddle, Separatrix
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     check_pair
-from .isomorphism import ORIENTED, IsoMode, _canonical_blob, canonical_diagram, \
-    canonical_form, diagram_automorphisms
+from .isomorphism import ORIENTED, IsoMode, _canonical_blob, _shared_blocks, \
+    canonical_diagram, canonical_form, diagram_automorphisms
 from .reconstruction import reconstruct
 from .topology import connected_groups
 
@@ -181,7 +181,11 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
     Each class is offered once: a diagram-based class as the closure of
     its diagram representative that is least in its orbit under the
-    diagram's symmetries (see ``_orbit_least``).  ``rng`` shuffles the
+    diagram's symmetries (see ``_orbit_least``).  The closures of one
+    diagram are labeled from one compiled diagram block, and in
+    REVERSIBLE mode their reversals from one reversed diagram and its
+    block (``isomorphism._shared_blocks``); the diagram drops both before
+    the next one, so no emitted pair carries them.  ``rng`` shuffles the
     diagram candidates only: the classes and their order stay the same,
     but the emitted representative of a class may change with the
     diagram that represents its class.
@@ -190,8 +194,6 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
     def offer(pair: InvariantPair):
         check_pair(pair)
-        if len(pair.assembly) != 1:
-            return
         key = _canonical_blob(pair, bounds.mode)
         ncells = len(pair.vertices) + len(pair.annuli) + pair.tori
         found.append(((ncells, key), pair))
@@ -201,7 +203,6 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     for pair in _annulus_only_models(bounds):
         offer(pair)
 
-    single_kinds = _allowed_leaf_kinds(bounds)
     for diagram in enumerate_diagrams(bounds, rng):
         if not diagram.saddles:
             continue
@@ -222,27 +223,35 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
                                                                  bounds.mode)
                  if reverses or any(face_map[p] != p for p in face_map)]
 
-        for pairs, singles in _face_closures(face_points, bounds.max_annuli):
-            # every component must reach another through face-face annuli
-            if len(comps) > 1 and not _joins_components(comps, pairs):
-                continue
-            for kinds in product(single_kinds, repeat=len(singles)):
-                counts = {}
-                for k in kinds:
-                    counts[k] = counts.get(k, 0) + 1
-                if not _leaf_budget_ok(counts, bounds):
-                    continue
-                for orient in product((False, True),
-                                      repeat=len(pairs) + len(singles)):
-                    closure = _directed_closure(pairs, singles, kinds, orient)
-                    if moves and not _orbit_least(closure, moves):
-                        continue
-                    offer(_assemble(diagram, d_vertices, vertex_of_comp,
-                                    closure))
+        with _shared_blocks(diagram, bounds.mode):
+            for closure in _closures(comps, face_points, moves, bounds):
+                offer(_assemble(diagram, d_vertices, vertex_of_comp, closure))
 
     # every offer is a class of its own, so no key repeats
     for _, pair in sorted(found, key=lambda item: item[0]):
         yield pair
+
+
+def _closures(comps, face_points, moves, bounds: EnumBounds):
+    """The orbit-least directed closures of one diagram that join its
+    components into one piece and keep the leaf budgets."""
+    single_kinds = _allowed_leaf_kinds(bounds)
+    for pairs, singles in _face_closures(face_points, bounds.max_annuli):
+        # every component must reach another through face-face annuli
+        if len(comps) > 1 and not _joins_components(comps, pairs):
+            continue
+        for kinds in product(single_kinds, repeat=len(singles)):
+            counts = {}
+            for k in kinds:
+                counts[k] = counts.get(k, 0) + 1
+            if not _leaf_budget_ok(counts, bounds):
+                continue
+            for orient in product((False, True),
+                                  repeat=len(pairs) + len(singles)):
+                closure = _directed_closure(pairs, singles, kinds, orient)
+                if moves and not _orbit_least(closure, moves):
+                    continue
+                yield closure
 
 
 def _joins_components(comps, pairs) -> bool:

@@ -29,10 +29,18 @@ pair object in each orientation.  Its result, the framed bytes of each
 orientation, stays in the pair's instance dict.  Only bytes are kept,
 never engines or the reversed pair, and they go away with the pair; no
 cache outlives it.
+
+An engine starts from a ``_DiagramBlock``: the compiled diagram part of
+its component, with that part's first refinement round.  A pair labeled
+on its own compiles its blocks for its searches and keeps none.  Only
+``enumerate_pairs`` shares them: within ``_shared_blocks`` a diagram
+holds one block table, and in REVERSIBLE mode one reversed diagram with
+a table of its own, for exactly as long as its closures are labeled.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
@@ -221,10 +229,11 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     flag flips, but so does the naming of the separatrix ends, and the
     two cancel), so it keeps its least dart and with it its face index.
     The assembly does not change either; once computed, it is handed on.
+    Within ``_shared_blocks`` the reversed diagram is the shared one.
     """
     new_annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) for a in p.annuli)
-    r = InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
-                      p.tori)
+    rd = p.diagram.__dict__.get("reversal") or reverse_diagram(p.diagram)
+    r = InvariantPair(rd, p.vertices, new_annuli, p.tori)
     if "assembly" in p.__dict__:
         r.__dict__["assembly"] = p.assembly
     return r
@@ -515,46 +524,22 @@ def _least_rotation(word: tuple) -> tuple:
                for i, letter in enumerate(word) if letter == least)
 
 
-class _CanonicalEngine:
-    """Refinement plus individualization over one assembly component.
+class _DiagramBlock:
+    """What the canonical engine derives from the diagram alone, for the
+    polycycles ``comps``.
 
-    The constructor compiles the component once into index arrays.
     Objects are numbered in type blocks: saddles from 0, then
-    separatrices, faces (by component, then face index), vertices and
-    annuli, each block from its base on; a coloring is a flat list over
-    these numbers.  Refinement re-ranks structured signatures until the
-    partition stabilizes (it can only split, so stability is just the
-    color count not growing); the lexicographically least serialization
-    over all discrete branch colorings is canonical.
-
-    A separatrix's signature sees, at both ends, the dart's neighbours in
-    the rotation word and the face the dart lies on.  Position thus
-    travels along rotation words and from faces and annuli back into the
-    diagram, so one individualized dart discretizes its polycycle and
-    the annuli carry that into the rest of the component: symmetric
-    models need a few branches per dart, not factorially many.
-
-    Every signature starts with its object's type tag, so a refined
-    coloring keeps the type blocks in order: at a discrete leaf the
-    colors are 0..n-1 and each block holds the colors from its base on.
-    An object's canonical index is its color minus its block base;
-    ``serialize`` reads only colors and compiled arrays, never object ids.
-
-    Two shortcuts skip work whose result is known, and one pruning rule
-    skips subtrees whose least leaf is known; none changes a byte.
-    Refinement stops at a discrete coloring: the round after it would
-    return the same coloring (see ``refine``).  ``_least_rotation``
-    builds only the rotations that start at the least letter, and the
-    least rotation starts there.  The search records an automorphism
-    whenever a leaf serializes like the least one so far, and skips a
-    target-cell member that lies in the orbit of an explored one under
-    the recorded automorphisms fixing every individualized object of
-    the node: such an automorphism carries the explored subtree onto the
-    skipped one, leaf for leaf with equal bytes (McKay 1981), so the
-    least leaf stays.
+    separatrices, then faces (by component, then face index); the engine
+    numbers its vertices and annuli after them.  Besides the index arrays
+    the block keeps the initial ranks of its objects and the first
+    refinement round of their signatures at the root, which read only
+    those ranks: the saddle and separatrix signatures whole, and each
+    face's signature without its annulus end.  Initial keys of the
+    diagram's objects carry the type tags 0-2 and so sort before every
+    vertex and annulus key: their ranks are the same in every engine.
     """
 
-    def __init__(self, diagram: SaddleDiagram, comps, vertices=(), annuli=()):
+    def __init__(self, diagram: SaddleDiagram, comps):
         comp_of = diagram.component_of
         saddles = [s for s in diagram.saddles if comp_of[s.id] in comps]
         seps = [e for e in diagram.separatrices if comp_of[e.id] in comps]
@@ -564,15 +549,11 @@ class _CanonicalEngine:
         self.sep_base = len(saddles)
         e_of = {e.id: self.sep_base + i for i, e in enumerate(seps)}
         self.face_base = self.sep_base + len(seps)
-        f_of = {(comp, idx): self.face_base + i
-                for i, (comp, idx, _) in enumerate(faces)}
+        self.face_index = {(comp, idx): self.face_base + i
+                           for i, (comp, idx, _) in enumerate(faces)}
         self.vertex_base = self.face_base + len(faces)
-        v_of = {v.id: self.vertex_base + i for i, v in enumerate(vertices)}
-        self.annulus_base = self.vertex_base + len(vertices)
-        self.n = self.annulus_base + len(annuli)
 
         self.k = [s.k for s in saddles]
-        self.labels = [v.label for v in vertices]
         self.sad_words = [
             [(end, e_of[sep]) for sep, end in s.rotation] for s in saddles
         ]
@@ -605,7 +586,84 @@ class _CanonicalEngine:
                 s_of[e.source], s_of[e.target],
                 prev_out, next_out, prev_in, next_in, face_out, face_in,
             ))
-        self.face_att = [None] * len(faces)
+        self.members = {}
+        for i, s in enumerate(saddles):
+            self.members.setdefault(comp_of[s.id], []).append(i)
+
+        keys = ([(0, s.k) for s in saddles]
+                + [(1, e.source == e.target) for e in seps]
+                + [(2, len(face.sides), face.flow_positive)
+                   for _, _, face in faces])
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        self.ranks = len(rank)
+        col = self.initial = [rank[k] for k in keys]
+        self.first_sigs = [
+            (0, col[i], _least_rotation(tuple((end, col[e]) for end, e in word)))
+            for i, word in enumerate(self.sad_words)
+        ] + [(1, col[i], *[col[x] for x in links])
+             for i, links in enumerate(self.sep_links, self.sep_base)]
+        self.face_prefixes = [
+            (2, col[i], _least_rotation(tuple((end, col[e]) for end, e in word)))
+            for i, word in enumerate(self.face_words, self.face_base)
+        ]
+
+
+class _CanonicalEngine:
+    """Refinement plus individualization over one assembly component.
+
+    The constructor takes the component's diagram part compiled once into
+    a ``_DiagramBlock``, which several engines over one diagram may share,
+    and adds the index arrays of the vertices and annuli.  Objects are
+    numbered in type blocks: saddles from 0, then separatrices, faces (by
+    component, then face index), vertices and annuli, each block from its
+    base on; a coloring is a flat list over these numbers.  Refinement
+    re-ranks structured signatures until the partition stabilizes (it can
+    only split, so stability is just the color count not growing); the
+    lexicographically least serialization over all discrete branch
+    colorings is canonical.  The root's first round takes the diagram's
+    signatures from the block and builds only the annulus end of each
+    face and the signatures of vertices and annuli.
+
+    A separatrix's signature sees, at both ends, the dart's neighbours in
+    the rotation word and the face the dart lies on.  Position thus
+    travels along rotation words and from faces and annuli back into the
+    diagram, so one individualized dart discretizes its polycycle and
+    the annuli carry that into the rest of the component: symmetric
+    models need a few branches per dart, not factorially many.
+
+    Every signature starts with its object's type tag, so a refined
+    coloring keeps the type blocks in order: at a discrete leaf the
+    colors are 0..n-1 and each block holds the colors from its base on.
+    An object's canonical index is its color minus its block base;
+    ``serialize`` reads only colors and compiled arrays, never object ids.
+
+    Two shortcuts skip work whose result is known, and one pruning rule
+    skips subtrees whose least leaf is known; none changes a byte.
+    Refinement stops at a discrete coloring: the round after it would
+    return the same coloring (see ``refine``).  ``_least_rotation``
+    builds only the rotations that start at the least letter, and the
+    least rotation starts there.  The search records an automorphism
+    whenever a leaf serializes like the least one so far, and skips a
+    target-cell member that lies in the orbit of an explored one under
+    the recorded automorphisms fixing every individualized object of
+    the node: such an automorphism carries the explored subtree onto the
+    skipped one, leaf for leaf with equal bytes (McKay 1981), so the
+    least leaf stays.
+    """
+
+    def __init__(self, block: _DiagramBlock, vertices=(), annuli=()):
+        self.block = block
+        self.sep_base, self.face_base = block.sep_base, block.face_base
+        self.vertex_base = vertex_base = block.vertex_base
+        self.k, self.sad_words, self.sep_links = \
+            block.k, block.sad_words, block.sep_links
+        self.face_words, self.face_groups = block.face_words, block.face_groups
+        v_of = {v.id: vertex_base + i for i, v in enumerate(vertices)}
+        self.annulus_base = vertex_base + len(vertices)
+        self.n = self.annulus_base + len(annuli)
+
+        self.labels = [v.label for v in vertices]
+        self.face_att = [None] * (vertex_base - block.face_base)
         self.vertex_atts = [[] for _ in vertices]
         self.ann_ends = []
         component = {v.id: v.component for v in vertices}
@@ -613,58 +671,62 @@ class _CanonicalEngine:
             ends = []
             for side, att in ((0, a.neg), (1, a.pos)):
                 v = v_of[att.vertex]
-                self.vertex_atts[v - self.vertex_base].append(
+                self.vertex_atts[v - vertex_base].append(
                     (self.annulus_base + j, side))
                 f = -1
                 if att.face is not None:
-                    f = f_of[(component[att.vertex], att.face)]
-                    self.face_att[f - self.face_base] = \
+                    f = block.face_index[(component[att.vertex], att.face)]
+                    self.face_att[f - block.face_base] = \
                         (self.annulus_base + j, side)
                 ends.append((v, f))
             self.ann_ends.append(tuple(ends))
-        members = {}
-        for i, s in enumerate(saddles):
-            members.setdefault(comp_of[s.id], []).append(i)
         self.vertex_members = [
-            members[v.component] if v.label == "d" else [] for v in vertices
+            block.members[v.component] if v.label == "d" else []
+            for v in vertices
         ]
+        # vertex keys (3, label) and the annulus key (4,) rank after the
+        # diagram's keys, in label order
+        ranks = {label: block.ranks + r
+                 for r, label in enumerate(sorted(set(self.labels)))}
+        self.initial = (block.initial + [ranks[label] for label in self.labels]
+                        + [block.ranks + len(ranks)] * len(annuli))
 
-        keys = ([(0, s.k) for s in saddles]
-                + [(1, e.source == e.target) for e in seps]
-                + [(2, len(face.sides), face.flow_positive)
-                   for _, _, face in faces]
-                + [(3, v.label) for v in vertices]
-                + [(4,)] * len(annuli))
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        self.initial = [rank[k] for k in keys]
-
-    def refine(self, col: list) -> list:
+    def refine(self, col: list, root: bool = False) -> list:
         """Re-rank signatures until the color count stops growing or every
         object has its own color.
 
-        The discrete exit returns what one more round would: every
-        signature starts with its type tag and then its current color, so
-        the ranks of a discrete coloring's signatures follow its colors,
-        which are block-ordered (their ranks came from signatures led by
-        the tag); the next round would rank them to the same list.
+        At the ``root`` the coloring is ``initial``, and the first round
+        reads the diagram's signatures off the block.  The discrete exit
+        returns what one more round would: every signature starts with
+        its type tag and then its current color, so the ranks of a
+        discrete coloring's signatures follow its colors, which are
+        block-ordered (their ranks came from signatures led by the tag);
+        the next round would rank them to the same list.
         """
         ncolors = len(set(col))
         while True:
-            sigs = []
-            i = 0
-            for word in self.sad_words:
-                w = tuple((end, col[e]) for end, e in word)
-                sigs.append((0, col[i], _least_rotation(w)))
-                i += 1
-            for links in self.sep_links:
-                sigs.append((1, col[i], *[col[x] for x in links]))
-                i += 1
-            for j, word in enumerate(self.face_words):
-                w = tuple((end, col[e]) for end, e in word)
-                att = self.face_att[j]
-                att_sig = (col[att[0]], att[1]) if att else ()
-                sigs.append((2, col[i], _least_rotation(w), att_sig))
-                i += 1
+            if root:
+                sigs = list(self.block.first_sigs)
+                for prefix, att in zip(self.block.face_prefixes, self.face_att):
+                    sigs.append((*prefix, (col[att[0]], att[1]) if att else ()))
+                root = False
+            else:
+                sigs = []
+                i = 0
+                for word in self.sad_words:
+                    w = tuple((end, col[e]) for end, e in word)
+                    sigs.append((0, col[i], _least_rotation(w)))
+                    i += 1
+                for links in self.sep_links:
+                    sigs.append((1, col[i], *[col[x] for x in links]))
+                    i += 1
+                for j, word in enumerate(self.face_words):
+                    w = tuple((end, col[e]) for end, e in word)
+                    att = self.face_att[j]
+                    att_sig = (col[att[0]], att[1]) if att else ()
+                    sigs.append((2, col[i], _least_rotation(w), att_sig))
+                    i += 1
+            i = self.vertex_base
             for j in range(len(self.vertex_atts)):
                 atts = tuple(sorted(
                     (col[a], side) for a, side in self.vertex_atts[j]
@@ -747,9 +809,10 @@ class _CanonicalEngine:
     def _search(self, col: list, fixed: list) -> None:
         """Visit the subtree below ``col``.
 
-        ``fixed`` lists the objects individualized on the way here.
+        ``fixed`` lists the objects individualized on the way here; only
+        the root has none.
         """
-        col = self.refine(col)
+        col = self.refine(col, root=not fixed)
         cells = {}
         for i, c in enumerate(col):
             cells.setdefault(c, []).append(i)
@@ -806,15 +869,43 @@ def _framed(blobs) -> bytes:
     return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
+@contextmanager
+def _shared_blocks(d: SaddleDiagram, mode: IsoMode):
+    """Within the block, the canonical searches of pairs on ``d`` share
+    one ``_DiagramBlock`` per set of polycycles; in REVERSIBLE mode
+    ``reverse_pair`` builds their reversals on one reversed diagram,
+    whose searches share their blocks too.
+
+    ``d`` holds the block table, and the reversal, only until the block
+    exits: a diagram labeled once would only carry them.
+    """
+    kept = d.__dict__
+    kept["blocks"] = {}
+    if mode.allow_reversal:
+        kept["reversal"] = reverse_diagram(d)
+        kept["reversal"].__dict__["blocks"] = {}
+    try:
+        yield
+    finally:
+        kept.pop("blocks", None)
+        kept.pop("reversal", None)
+
+
 def _component_engines(p: InvariantPair):
+    blocks = p.diagram.__dict__.get("blocks")
     for vertex_ids, annulus_ids in p.assembly:
         if not vertex_ids:
             yield None
             continue
         vertices = [v for v in p.vertices if v.id in vertex_ids]
         annuli = [a for a in p.annuli if a.id in annulus_ids]
-        comps = {v.component for v in vertices if v.label == "d"}
-        yield _CanonicalEngine(p.diagram, comps, vertices, annuli)
+        comps = frozenset(v.component for v in vertices if v.label == "d")
+        block = None if blocks is None else blocks.get(comps)
+        if block is None:
+            block = _DiagramBlock(p.diagram, comps)
+            if blocks is not None:
+                blocks[comps] = block
+        yield _CanonicalEngine(block, vertices, annuli)
 
 
 def _oriented_blob(p: InvariantPair) -> bytes:
@@ -851,7 +942,7 @@ def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:
 
 
 def _diagram_blob(d: SaddleDiagram) -> bytes:
-    return _framed(_CanonicalEngine(d, {comp_id}).canonical()
+    return _framed(_CanonicalEngine(_DiagramBlock(d, {comp_id})).canonical()
                    for comp_id, _, _ in d.components)
 
 

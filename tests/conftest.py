@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import signal
 import sys
+from dataclasses import fields
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,14 @@ def fixture_path(name: str) -> Path:
 
 def fixture_text(name: str) -> str:
     return fixture_path(name).read_text(encoding="utf-8")
+
+
+def own_state(cls) -> set:
+    """The instance-dict keys of a model dataclass of its own: its fields
+    and its cached properties."""
+    return ({f.name for f in fields(cls)}
+            | {name for name, value in vars(cls).items()
+               if isinstance(value, cached_property)})
 
 
 def within_budget(fn, *args, seconds: float = 10.0, **kwargs):

@@ -10,7 +10,8 @@ from flowinv.enumeration import (
     enumerate_diagrams,
     enumerate_pairs,
 )
-from flowinv.graph import assembly_components, validate_pair
+from flowinv.diagram import SaddleDiagram
+from flowinv.graph import InvariantPair, assembly_components, validate_pair
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
@@ -19,6 +20,7 @@ from flowinv.isomorphism import (
 )
 from flowinv.reconstruction import reconstruct
 
+from conftest import own_state
 from oracles import brute_force_pairs, diagram_automorphisms_oracle
 from test_acceptance import SMALL_CONFIGS
 
@@ -244,6 +246,10 @@ PIN_TABLES = {
 }
 
 
+SMALL_BOUNDS = list(dict.fromkeys(
+    replace(b, mode=ORIENTED) for b in [SMALL, *(b for b, _, _ in SMALL_CONFIGS)]))
+
+
 def _watch_offers(monkeypatch) -> list:
     """From now on, list every candidate ``enumerate_pairs`` offers, and
     fail on any canonical key it computes twice."""
@@ -275,6 +281,7 @@ def test_three_saddle_class_tables_pinned(monkeypatch, mode):
     assert sum(len(digests) for _, digests in table.entries) == classes
     assert table.counts() == counts
     assert len(offered) == classes
+    assert all(len(pair.assembly) == 1 for pair in offered)
 
 
 def _group_set(d, mode):
@@ -306,11 +313,7 @@ def test_diagram_automorphisms_match_brute_force(mode, classes):
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
                          ids=["oriented", "reversible"])
-@pytest.mark.parametrize(
-    "bounds",
-    list(dict.fromkeys(replace(b, mode=ORIENTED)
-                       for b in [SMALL, *(b for b, _, _ in SMALL_CONFIGS)])),
-    ids=["small", "two-saddle"])
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=["small", "two-saddle"])
 def test_offers_one_candidate_per_class(monkeypatch, bounds, mode):
     """No duplicate closure is ever built: each candidate offered is
     checked once and its canonical key is new (the pinned three-saddle
@@ -318,3 +321,29 @@ def test_offers_one_candidate_per_class(monkeypatch, bounds, mode):
     offered = _watch_offers(monkeypatch)
     emitted = list(enumerate_pairs(replace(bounds, mode=mode)))
     assert emitted and len(offered) == len(emitted)
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=["small", "two-saddle"])
+def test_shared_blocks_give_fresh_bytes(bounds, mode):
+    """The closures of one diagram share its compiled block, and in
+    REVERSIBLE mode one reversed diagram: the same pair on a diagram
+    object of its own labels to the same bytes in each orientation."""
+    for p in enumerate_pairs(replace(bounds, mode=mode)):
+        fresh = InvariantPair(
+            SaddleDiagram(p.diagram.saddles, p.diagram.separatrices),
+            p.vertices, p.annuli, p.tori)
+        canonical_form(fresh, mode)
+        assert fresh.oriented_blob == p.oriented_blob
+        if mode.allow_reversal:
+            assert fresh.reversed_blob == p.reversed_blob
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+def test_emitted_diagrams_keep_no_blocks(mode):
+    """A diagram holds its block table and its reversal only while its
+    closures are labeled."""
+    for p in enumerate_pairs(replace(SMALL_BOUNDS[-1], mode=mode)):
+        assert set(p.diagram.__dict__) <= own_state(SaddleDiagram)

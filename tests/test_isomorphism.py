@@ -32,6 +32,7 @@ from conftest import (
     eight_torus_pair,
     fixture_text,
     leaf_pair,
+    own_state,
     sphere_rotation,
     three_centers_eight,
     torus_pair,
@@ -251,6 +252,21 @@ class TestCanonicalForm:
                         pair_isomorphic(p, q, mode) is not None
                     )
 
+
+    @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                             ids=["oriented", "reversible"])
+    def test_labeling_keeps_only_framed_bytes(self, mode):
+        """A pair read from outside compiles its diagram block for the
+        search alone: the pair keeps its framed bytes and nothing else,
+        and its diagram keeps no more than its cached properties."""
+        kept = {"oriented_blob", "reversed_blob"} if mode.allow_reversal \
+            else {"oriented_blob"}
+        for name in GOLDEN_DIGESTS:
+            p = _fixture_model(name)
+            pair_before = set(p.__dict__) | own_state(InvariantPair)
+            canonical_form(p, mode)
+            assert set(p.__dict__) - pair_before == kept
+            assert set(p.diagram.__dict__) <= own_state(SaddleDiagram)
 
 # Canonical digests (ORIENTED, REVERSIBLE) of every valid fixture under
 # format 2; the graph file is pinned through its realized model.  A change
