@@ -871,13 +871,13 @@ def _framed(blobs) -> bytes:
 
 @contextmanager
 def _shared_blocks(d: SaddleDiagram, mode: IsoMode):
-    """Within the block, the canonical searches of pairs on ``d`` share
-    one ``_DiagramBlock`` per set of polycycles; in REVERSIBLE mode
-    ``reverse_pair`` builds their reversals on one reversed diagram,
-    whose searches share their blocks too.
+    """Inside the ``with`` statement, the canonical searches of pairs on
+    ``d`` share one ``_DiagramBlock`` per set of polycycles; in
+    REVERSIBLE mode ``reverse_pair`` builds their reversals on one
+    reversed diagram, whose searches share their blocks too.
 
-    ``d`` holds the block table, and the reversal, only until the block
-    exits: a diagram labeled once would only carry them.
+    ``d`` holds the block table, and the reversal, only until the
+    statement ends: on a diagram labeled once they would be dead weight.
     """
     kept = d.__dict__
     kept["blocks"] = {}
@@ -892,7 +892,8 @@ def _shared_blocks(d: SaddleDiagram, mode: IsoMode):
 
 
 def _component_engines(p: InvariantPair):
-    blocks = p.diagram.__dict__.get("blocks")
+    # the table _shared_blocks lends the diagram, or one for this pair alone
+    blocks = p.diagram.__dict__.get("blocks", {})
     for vertex_ids, annulus_ids in p.assembly:
         if not vertex_ids:
             yield None
@@ -900,12 +901,9 @@ def _component_engines(p: InvariantPair):
         vertices = [v for v in p.vertices if v.id in vertex_ids]
         annuli = [a for a in p.annuli if a.id in annulus_ids]
         comps = frozenset(v.component for v in vertices if v.label == "d")
-        block = None if blocks is None else blocks.get(comps)
-        if block is None:
-            block = _DiagramBlock(p.diagram, comps)
-            if blocks is not None:
-                blocks[comps] = block
-        yield _CanonicalEngine(block, vertices, annuli)
+        if comps not in blocks:
+            blocks[comps] = _DiagramBlock(p.diagram, comps)
+        yield _CanonicalEngine(blocks[comps], vertices, annuli)
 
 
 def _oriented_blob(p: InvariantPair) -> bytes:
