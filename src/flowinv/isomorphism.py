@@ -596,16 +596,28 @@ class _DiagramBlock:
                    for _, _, face in faces])
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         self.ranks = len(rank)
-        col = self.initial = [rank[k] for k in keys]
-        self.first_sigs = [
-            (0, col[i], _least_rotation(tuple((end, col[e]) for end, e in word)))
-            for i, word in enumerate(self.sad_words)
-        ] + [(1, col[i], *[col[x] for x in links])
-             for i, links in enumerate(self.sep_links, self.sep_base)]
-        self.face_prefixes = [
-            (2, col[i], _least_rotation(tuple((end, col[e]) for end, e in word)))
-            for i, word in enumerate(self.face_words, self.face_base)
-        ]
+        self.initial = [rank[k] for k in keys]
+        self.root_round = self.signatures(self.initial)
+
+    def signatures(self, col: list) -> tuple:
+        """One refinement round over the diagram's objects under ``col``:
+        the saddle and separatrix signatures, and each face's signature
+        up to its annulus end, which the engine appends."""
+        sigs = []
+        i = 0
+        for word in self.sad_words:
+            w = tuple((end, col[e]) for end, e in word)
+            sigs.append((0, col[i], _least_rotation(w)))
+            i += 1
+        for links in self.sep_links:
+            sigs.append((1, col[i], *[col[x] for x in links]))
+            i += 1
+        faces = []
+        for word in self.face_words:
+            w = tuple((end, col[e]) for end, e in word)
+            faces.append((2, col[i], _least_rotation(w)))
+            i += 1
+        return sigs, faces
 
 
 class _CanonicalEngine:
@@ -653,6 +665,7 @@ class _CanonicalEngine:
 
     def __init__(self, block: _DiagramBlock, vertices=(), annuli=()):
         self.block = block
+        # the block's arrays, shared, under the engine's own names
         self.sep_base, self.face_base = block.sep_base, block.face_base
         self.vertex_base = vertex_base = block.vertex_base
         self.k, self.sad_words, self.sep_links = \
@@ -663,7 +676,7 @@ class _CanonicalEngine:
         self.n = self.annulus_base + len(annuli)
 
         self.labels = [v.label for v in vertices]
-        self.face_att = [None] * (vertex_base - block.face_base)
+        self.face_att = [None] * len(block.face_words)
         self.vertex_atts = [[] for _ in vertices]
         self.ann_ends = []
         component = {v.id: v.component for v in vertices}
@@ -706,26 +719,13 @@ class _CanonicalEngine:
         ncolors = len(set(col))
         while True:
             if root:
-                sigs = list(self.block.first_sigs)
-                for prefix, att in zip(self.block.face_prefixes, self.face_att):
-                    sigs.append((*prefix, (col[att[0]], att[1]) if att else ()))
+                sigs, faces = self.block.root_round
+                sigs = list(sigs)
                 root = False
             else:
-                sigs = []
-                i = 0
-                for word in self.sad_words:
-                    w = tuple((end, col[e]) for end, e in word)
-                    sigs.append((0, col[i], _least_rotation(w)))
-                    i += 1
-                for links in self.sep_links:
-                    sigs.append((1, col[i], *[col[x] for x in links]))
-                    i += 1
-                for j, word in enumerate(self.face_words):
-                    w = tuple((end, col[e]) for end, e in word)
-                    att = self.face_att[j]
-                    att_sig = (col[att[0]], att[1]) if att else ()
-                    sigs.append((2, col[i], _least_rotation(w), att_sig))
-                    i += 1
+                sigs, faces = self.block.signatures(col)
+            for face, att in zip(faces, self.face_att):
+                sigs.append((*face, (col[att[0]], att[1]) if att else ()))
             i = self.vertex_base
             for j in range(len(self.vertex_atts)):
                 atts = tuple(sorted(
@@ -900,7 +900,7 @@ def _component_engines(p: InvariantPair):
             continue
         vertices = [v for v in p.vertices if v.id in vertex_ids]
         annuli = [a for a in p.annuli if a.id in annulus_ids]
-        comps = frozenset(v.component for v in vertices if v.label == "d")
+        comps = frozenset({v.component for v in vertices if v.label == "d"})
         if comps not in blocks:
             blocks[comps] = _DiagramBlock(p.diagram, comps)
         yield _CanonicalEngine(blocks[comps], vertices, annuli)

@@ -252,7 +252,6 @@ class TestCanonicalForm:
                         pair_isomorphic(p, q, mode) is not None
                     )
 
-
     @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
                              ids=["oriented", "reversible"])
     def test_labeling_keeps_only_framed_bytes(self, mode):
@@ -267,6 +266,7 @@ class TestCanonicalForm:
             canonical_form(p, mode)
             assert set(p.__dict__) - pair_before == kept
             assert set(p.diagram.__dict__) <= own_state(SaddleDiagram)
+
 
 # Canonical digests (ORIENTED, REVERSIBLE) of every valid fixture under
 # format 2; the graph file is pinned through its realized model.  A change
