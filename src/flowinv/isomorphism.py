@@ -531,10 +531,10 @@ class _DiagramBlock:
     Objects are numbered in type blocks: saddles from 0, then
     separatrices, then faces (by component, then face index); the engine
     numbers its vertices and annuli after them.  Besides the index arrays
-    the block keeps the initial ranks of its objects and the first
-    refinement round of their signatures at the root, which read only
-    those ranks: the saddle and separatrix signatures whole, and each
-    face's signature without its annulus end.  Initial keys of the
+    the block keeps the initial ranks of its objects and their signatures
+    in the first refinement round at the root, which read only those
+    ranks, except for the annulus end of a glued face: ``root_round``
+    holds them as if no face were glued.  Initial keys of the
     diagram's objects carry the type tags 0-2 and so sort before every
     vertex and annulus key: their ranks are the same in every engine.
     """
@@ -597,12 +597,12 @@ class _DiagramBlock:
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         self.ranks = len(rank)
         self.initial = [rank[k] for k in keys]
-        self.root_round = self.signatures(self.initial)
+        self.root_round = self.signatures(self.initial, [None] * len(faces))
 
-    def signatures(self, col: list) -> tuple:
-        """One refinement round over the diagram's objects under ``col``:
-        the saddle and separatrix signatures, and each face's signature
-        up to its annulus end, which the engine appends."""
+    def signatures(self, col: list, face_att: list) -> list:
+        """One refinement round's signatures of the diagram's objects under
+        ``col``; ``face_att[j]`` is the ``(annulus, side)`` end glued to
+        face ``j``, or None."""
         sigs = []
         i = 0
         for word in self.sad_words:
@@ -612,12 +612,13 @@ class _DiagramBlock:
         for links in self.sep_links:
             sigs.append((1, col[i], *[col[x] for x in links]))
             i += 1
-        faces = []
-        for word in self.face_words:
+        for j, word in enumerate(self.face_words):
             w = tuple((end, col[e]) for end, e in word)
-            faces.append((2, col[i], _least_rotation(w)))
+            att = face_att[j]
+            att_sig = (col[att[0]], att[1]) if att else ()
+            sigs.append((2, col[i], _least_rotation(w), att_sig))
             i += 1
-        return sigs, faces
+        return sigs
 
 
 class _CanonicalEngine:
@@ -719,13 +720,15 @@ class _CanonicalEngine:
         ncolors = len(set(col))
         while True:
             if root:
-                sigs, faces = self.block.root_round
-                sigs = list(sigs)
+                # the block's root round, given each glued face its end
+                sigs = list(self.block.root_round)
+                for j, att in enumerate(self.face_att):
+                    if att:
+                        i = self.face_base + j
+                        sigs[i] = sigs[i][:3] + ((col[att[0]], att[1]),)
                 root = False
             else:
-                sigs, faces = self.block.signatures(col)
-            for face, att in zip(faces, self.face_att):
-                sigs.append((*face, (col[att[0]], att[1]) if att else ()))
+                sigs = self.block.signatures(col, self.face_att)
             i = self.vertex_base
             for j in range(len(self.vertex_atts)):
                 atts = tuple(sorted(
