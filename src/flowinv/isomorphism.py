@@ -31,8 +31,10 @@ never engines or the reversed pair, and they go away with the pair; no
 cache outlives it.
 
 An engine starts from a ``_DiagramBlock``: the compiled diagram part of
-its component, with that part's first refinement round.  A pair labeled
-on its own compiles its blocks for its searches and keeps none.  Only
+its component, with that part's first refinement round, and the
+diagram's part of the leaf text for each saddle and separatrix coloring
+a leaf has had.  A pair labeled on its own compiles its blocks for its
+searches and keeps none, so the texts live for one search.  Only
 ``enumerate_pairs`` shares them: within ``_shared_blocks`` a diagram
 holds one block table, and in REVERSIBLE mode one reversed diagram with
 a table of its own, for exactly as long as its closures are labeled.
@@ -537,6 +539,11 @@ class _DiagramBlock:
     holds them as if no face were glued.  Initial keys of the
     diagram's objects carry the type tags 0-2 and so sort before every
     vertex and annulus key: their ranks are the same in every engine.
+
+    ``texts`` keeps the diagram's part of the leaf text (``text``) by the
+    saddle and separatrix colors of the leaf.  It lives exactly as long
+    as the block: one search of a pair from outside, or one diagram's
+    closure loop in ``enumerate_pairs``.
     """
 
     def __init__(self, diagram: SaddleDiagram, comps):
@@ -597,28 +604,92 @@ class _DiagramBlock:
         rank = {k: i for i, k in enumerate(sorted(set(keys)))}
         self.ranks = len(rank)
         self.initial = [rank[k] for k in keys]
-        self.root_round = self.signatures(self.initial, [None] * len(faces))
+        self.root_round = self.signatures(self.initial, [None] * len(faces),
+                                          range(self.ranks))
+        self.texts = {}
 
-    def signatures(self, col: list, face_att: list) -> list:
+    def signatures(self, col: list, face_att: list, resign) -> list:
         """One refinement round's signatures of the diagram's objects under
         ``col``; ``face_att[j]`` is the ``(annulus, side)`` end glued to
-        face ``j``, or None."""
+        face ``j``, or None.  Only an object whose color is in ``resign``
+        gets its full signature; any other signs ``(tag, color)``."""
         sigs = []
         i = 0
         for word in self.sad_words:
-            w = tuple((end, col[e]) for end, e in word)
-            sigs.append((0, col[i], _least_rotation(w)))
+            c = col[i]
+            if c in resign:
+                w = tuple((end, col[e]) for end, e in word)
+                sigs.append((0, c, _least_rotation(w)))
+            else:
+                sigs.append((0, c))
             i += 1
         for links in self.sep_links:
-            sigs.append((1, col[i], *[col[x] for x in links]))
+            c = col[i]
+            sigs.append((1, c, *[col[x] for x in links]) if c in resign
+                        else (1, c))
             i += 1
         for j, word in enumerate(self.face_words):
-            w = tuple((end, col[e]) for end, e in word)
-            att = face_att[j]
-            att_sig = (col[att[0]], att[1]) if att else ()
-            sigs.append((2, col[i], _least_rotation(w), att_sig))
+            c = col[i]
+            if c in resign:
+                w = tuple((end, col[e]) for end, e in word)
+                att = face_att[j]
+                att_sig = (col[att[0]], att[1]) if att else ()
+                sigs.append((2, c, _least_rotation(w), att_sig))
+            else:
+                sigs.append((2, c))
             i += 1
         return sigs
+
+    def text(self, col: list) -> tuple:
+        """The ``k:``, ``r:`` and ``e:`` parts of a leaf's text under the
+        discrete coloring ``col``, and each face's rank within its
+        polycycle (by its least dart).  Both read only the saddle and
+        separatrix colors, so ``texts`` keeps them under those colors."""
+        key = tuple(col[:self.face_base])
+        kept = self.texts.get(key)
+        if kept is not None:
+            return kept
+        sep_base = self.sep_base
+        s_ord = _block_order(col, 0, sep_base)
+        rot = []
+        for i in s_ord:
+            word = tuple(f"{col[e] - sep_base}{'o' if end == OUT else 'i'}"
+                         for end, e in self.sad_words[i])
+            rot.append(",".join(_least_rotation(word)))
+        seps = []
+        for j in _block_order(col, sep_base, self.face_base):
+            source, target = self.sep_links[j][:2]
+            seps.append(f"{col[source]}>{col[target]}")
+        face_rank = [0] * (self.vertex_base - self.face_base)
+        for group in self.face_groups:
+            group = sorted(group, key=lambda j: min(
+                (col[e], end) for end, e in self.face_words[j]))
+            for r, j in enumerate(group):
+                face_rank[j] = r
+        head = "|".join(("k:" + ",".join(str(self.k[i]) for i in s_ord),
+                         "r:" + ";".join(rot), "e:" + ";".join(seps)))
+        kept = self.texts[key] = (head, face_rank)
+        return kept
+
+
+def _shared_colors(col: list) -> set:
+    """The colors that more than one object has under ``col``."""
+    seen, shared = set(), set()
+    for c in col:
+        if c in seen:
+            shared.add(c)
+        else:
+            seen.add(c)
+    return shared
+
+
+def _block_order(col: list, lo: int, hi: int) -> list:
+    """The objects ``lo..hi-1`` of a discrete coloring whose block holds the
+    colors from ``lo`` on, as offsets from ``lo``, in color order."""
+    out = [0] * (hi - lo)
+    for i in range(lo, hi):
+        out[col[i] - lo] = i - lo
+    return out
 
 
 class _CanonicalEngine:
@@ -650,12 +721,18 @@ class _CanonicalEngine:
     An object's canonical index is its color minus its block base;
     ``serialize`` reads only colors and compiled arrays, never object ids.
 
-    Two shortcuts skip work whose result is known, and one pruning rule
+    Four shortcuts skip work whose result is known, and one pruning rule
     skips subtrees whose least leaf is known; none changes a byte.
     Refinement stops at a discrete coloring: the round after it would
-    return the same coloring (see ``refine``).  ``_least_rotation``
-    builds only the rotations that start at the least letter, and the
-    least rotation starts there.  The search records an automorphism
+    return the same coloring, and the search then goes straight to its
+    leaf (see ``refine``).  After the block's root round, an object
+    alone in its cell is not re-signed: its color alone ranks it, and
+    such a cell can never split.  ``_least_rotation`` builds only the
+    rotations that start at the least letter, and the least rotation
+    starts there.  A leaf's saddle, rotation and separatrix text, and its
+    face ranks, read only the saddle and separatrix colors, so the block
+    keeps them by those colors: the closures of one diagram meet the
+    same few texts again and again.  The search records an automorphism
     whenever a leaf serializes like the least one so far, and skips a
     target-cell member that lies in the orbit of an explored one under
     the recorded automorphisms fixing every individualized object of
@@ -671,7 +748,7 @@ class _CanonicalEngine:
         self.vertex_base = vertex_base = block.vertex_base
         self.k, self.sad_words, self.sep_links = \
             block.k, block.sad_words, block.sep_links
-        self.face_words, self.face_groups = block.face_words, block.face_groups
+        self.face_words = block.face_words
         v_of = {v.id: vertex_base + i for i, v in enumerate(vertices)}
         self.annulus_base = vertex_base + len(vertices)
         self.n = self.annulus_base + len(annuli)
@@ -710,15 +787,20 @@ class _CanonicalEngine:
         object has its own color.
 
         At the ``root`` the coloring is ``initial``, and the first round
-        reads the diagram's signatures off the block.  The discrete exit
-        returns what one more round would: every signature starts with
-        its type tag and then its current color, so the ranks of a
-        discrete coloring's signatures follow its colors, which are
-        block-ordered (their ranks came from signatures led by the tag);
-        the next round would rank them to the same list.
+        reads the diagram's signatures off the block.  After that, only
+        objects that share their color are re-signed; an object alone in
+        its cell signs ``(tag, color)``.  That ranks it as its full
+        signature would: colors are global ranks, so no other object has
+        its color, and every signature starts with the tag and the color.
+        The discrete exit returns what one more round would: every
+        signature starts with its type tag and then its current color, so
+        the ranks of a discrete coloring's signatures follow its colors,
+        which are block-ordered (their ranks came from signatures led by
+        the tag); the next round would rank them to the same list.
         """
         ncolors = len(set(col))
         while True:
+            resign = _shared_colors(col)
             if root:
                 # the block's root round, given each glued face its end
                 sigs = list(self.block.root_round)
@@ -728,19 +810,23 @@ class _CanonicalEngine:
                         sigs[i] = sigs[i][:3] + ((col[att[0]], att[1]),)
                 root = False
             else:
-                sigs = self.block.signatures(col, self.face_att)
+                sigs = self.block.signatures(col, self.face_att, resign)
             i = self.vertex_base
-            for j in range(len(self.vertex_atts)):
-                atts = tuple(sorted(
-                    (col[a], side) for a, side in self.vertex_atts[j]
-                ))
-                members = tuple(sorted(col[s] for s in self.vertex_members[j]))
-                sigs.append((3, col[i], atts, members))
+            for atts, members in zip(self.vertex_atts, self.vertex_members):
+                c = col[i]
+                if c in resign:
+                    sigs.append((3, c,
+                                 tuple(sorted((col[a], side)
+                                              for a, side in atts)),
+                                 tuple(sorted(col[s] for s in members))))
+                else:
+                    sigs.append((3, c))
                 i += 1
             for ends in self.ann_ends:
-                sigs.append((4, col[i],
-                             tuple((col[v], col[f] if f >= 0 else -1)
-                                   for v, f in ends)))
+                c = col[i]
+                sigs.append((4, c, tuple((col[v], col[f] if f >= 0 else -1)
+                                         for v, f in ends))
+                            if c in resign else (4, c))
                 i += 1
             rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
             new = [rank[s] for s in sigs]
@@ -750,57 +836,26 @@ class _CanonicalEngine:
             col = new
 
     def serialize(self, col: list) -> bytes:
-        """The text of a discrete coloring, in canonical indices."""
-        sep_base, face_base = self.sep_base, self.face_base
-        vertex_base, annulus_base = self.vertex_base, self.annulus_base
+        """The text of a discrete coloring, in canonical indices.  The
+        diagram's part comes from the block (``_DiagramBlock.text``)."""
+        face_base, vertex_base = self.face_base, self.vertex_base
+        head, face_rank = self.block.text(col)
 
-        def block_order(lo: int, hi: int) -> list:
-            """The block's objects, as offsets from ``lo``, in color order."""
-            out = [0] * (hi - lo)
-            for i in range(lo, hi):
-                out[col[i] - lo] = i - lo
-            return out
-
-        s_ord = block_order(0, sep_base)
-        rot = []
-        for i in s_ord:
-            word = tuple(f"{col[e] - sep_base}{'o' if end == OUT else 'i'}"
-                         for end, e in self.sad_words[i])
-            rot.append(",".join(_least_rotation(word)))
-        seps = []
-        for j in block_order(sep_base, face_base):
-            source, target = self.sep_links[j][:2]
-            seps.append(f"{col[source]}>{col[target]}")
-
-        # a polycycle ranks by its least saddle, a face within its
-        # polycycle by its least dart
+        # a polycycle ranks by its least saddle
         least = {j: min(col[s] for s in members)
                  for j, members in enumerate(self.vertex_members) if members}
         comp_rank = {j: r for r, j in enumerate(sorted(least, key=least.get))}
-        face_rank = [0] * (vertex_base - face_base)
-        if self.ann_ends:  # face ranks show only in annulus ends
-            for group in self.face_groups:
-                group = sorted(group, key=lambda j: min(
-                    (col[e], end) for end, e in self.face_words[j]))
-                for r, j in enumerate(group):
-                    face_rank[j] = r
         verts = [f"d{comp_rank[j]}" if j in comp_rank else self.labels[j]
-                 for j in block_order(vertex_base, annulus_base)]
+                 for j in _block_order(col, vertex_base, self.annulus_base)]
 
         def att_text(v: int, f: int) -> str:
             text = str(col[v] - vertex_base)
             return text if f < 0 else f"{text}#{face_rank[f - face_base]}"
 
         anns = [">".join(att_text(v, f) for v, f in self.ann_ends[j])
-                for j in block_order(annulus_base, self.n)]
-        parts = [
-            "k:" + ",".join(str(self.k[i]) for i in s_ord),
-            "r:" + ";".join(rot),
-            "e:" + ";".join(seps),
-            "v:" + ",".join(verts),
-            "a:" + ";".join(anns),
-        ]
-        return "|".join(parts).encode("ascii")
+                for j in _block_order(col, self.annulus_base, self.n)]
+        return "|".join((head, "v:" + ",".join(verts),
+                         "a:" + ";".join(anns))).encode("ascii")
 
     def canonical(self) -> bytes:
         """The least leaf serialization of the search tree."""
@@ -816,12 +871,12 @@ class _CanonicalEngine:
         the root has none.
         """
         col = self.refine(col, root=not fixed)
+        if max(col) == self.n - 1:  # colors are dense ranks: discrete
+            self._leaf(col)
+            return
         cells = {}
         for i, c in enumerate(col):
             cells.setdefault(c, []).append(i)
-        if len(cells) == self.n:
-            self._leaf(col)
-            return
         target = min((c, members) for c, members in cells.items()
                      if len(members) > 1)[1]
         explored = []

@@ -240,6 +240,47 @@ def diagram_automorphisms_oracle(d: SaddleDiagram, reversal: bool) -> set:
 
 
 # ---------------------------------------------------------------------------
+# canonical refinement
+
+
+def full_refine(engine, col: list) -> list:
+    """The canonical engine's refinement with no shortcut: every object is
+    re-signed from ``engine``'s compiled arrays in every round, rotation
+    words are compared over all their rotations, and the rounds go on
+    until the color count stops growing, a discrete coloring included."""
+    e = engine
+
+    def least(word):
+        return min((word[i:] + word[:i] for i in range(len(word))),
+                   default=word)
+
+    def word_sig(word):
+        return least(tuple((end, col[x]) for end, x in word))
+
+    while True:
+        sigs = [(0, col[i], word_sig(word))
+                for i, word in enumerate(e.sad_words)]
+        sigs += [(1, col[e.sep_base + j], *[col[x] for x in links])
+                 for j, links in enumerate(e.sep_links)]
+        sigs += [(2, col[e.face_base + j], word_sig(word),
+                  (col[att[0]], att[1]) if att else ())
+                 for j, (word, att) in enumerate(zip(e.face_words, e.face_att))]
+        sigs += [(3, col[e.vertex_base + j],
+                  tuple(sorted((col[a], side) for a, side in atts)),
+                  tuple(sorted(col[s] for s in members)))
+                 for j, (atts, members)
+                 in enumerate(zip(e.vertex_atts, e.vertex_members))]
+        sigs += [(4, col[e.annulus_base + j],
+                  tuple((col[v], col[f] if f >= 0 else -1) for v, f in ends))
+                 for j, ends in enumerate(e.ann_ends)]
+        rank = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if len(rank) == len(set(col)):
+            return new
+        col = new
+
+
+# ---------------------------------------------------------------------------
 # multigraphs
 
 

@@ -38,7 +38,7 @@ from conftest import (
     torus_pair,
     within_budget,
 )
-from oracles import cycle_graph, random_graph, random_relabel
+from oracles import cycle_graph, full_refine, random_graph, random_relabel
 
 MODELS = [
     sphere_rotation,
@@ -654,6 +654,48 @@ class TestEngineShortcuts:
             least = engine.canonical()
             assert leaves[0] != least and engine.automorphisms
             assert least == canonical_form(_rebuilt(p)).blob[1:]
+
+    def test_refine_matches_full_refinement(self):
+        """Skipping singleton cells changes no coloring: at the root and at
+        every first-level individualization, in both orientations."""
+        models = _shortcut_models()
+        models += enumerate_pairs(replace(SMALL_CLASSES, mode=REVERSIBLE))
+        for p in models:
+            for engine in _engines(p) + _engines(reverse_pair(p)):
+                root = engine.refine(engine.initial, root=True)
+                assert root == full_refine(engine, engine.initial)
+                cells = {}
+                for i, c in enumerate(root):
+                    cells.setdefault(c, []).append(i)
+                split = [members for members in cells.values()
+                         if len(members) > 1]
+                if not split:
+                    continue
+                for i in min(split, key=lambda m: root[m[0]]):
+                    col = list(root)
+                    col[i] = engine.n
+                    assert engine.refine(col) == full_refine(engine, col)
+
+    def test_kept_diagram_text_equals_fresh(self, monkeypatch):
+        """A leaf serialized on a block that has kept its text gives the
+        bytes of the same leaf on a fresh block."""
+        serialize = isomorphism._CanonicalEngine.serialize
+        leaves = []
+
+        def recording(engine, col):
+            leaves.append(col)
+            return serialize(engine, col)
+
+        monkeypatch.setattr(isomorphism._CanonicalEngine, "serialize",
+                            recording)
+        for p in _shortcut_models():
+            for engine, fresh in zip(_engines(p), _engines(_rebuilt(p))):
+                leaves.clear()
+                engine.canonical()
+                for col in list(leaves):
+                    assert tuple(col[:engine.face_base]) in engine.block.texts
+                    assert serialize(engine, col) == serialize(fresh, col)
+                    fresh.block.texts.clear()
 
     def test_recorded_automorphisms_are_automorphisms(self):
         found = 0
