@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement, permutations, product
 from .diagram import SaddleDiagram, Saddle, Separatrix
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     check_pair
-from .isomorphism import ORIENTED, IsoMode, _canonical_blob, _shared_blocks, \
+from .isomorphism import ORIENTED, IsoMode, _canonical_blob, \
     canonical_diagram, canonical_form, diagram_automorphisms
 from .reconstruction import reconstruct
 from .topology import connected_groups
@@ -104,8 +104,9 @@ def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
     """
     found = {}
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
-        candidates = list(_diagram_candidates(ks))
+        candidates = _diagram_candidates(ks)
         if rng is not None:
+            candidates = list(candidates)
             rng.shuffle(candidates)
         for d in candidates:
             key = canonical_diagram(d, bounds.mode)
@@ -182,19 +183,19 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     Each class is offered once: a diagram-based class as the closure of
     its diagram representative that is least in its orbit under the
     diagram's symmetries (see ``_orbit_least``).  The closures of one
-    diagram are labeled from one compiled diagram block, and in
-    REVERSIBLE mode their reversals from one reversed diagram and its
-    block (``isomorphism._shared_blocks``); the diagram drops both before
-    the next one, so no emitted pair carries them.  ``rng`` shuffles the
-    diagram candidates only: the classes and their order stay the same,
-    but the emitted representative of a class may change with the
-    diagram that represents its class.
+    diagram are labeled from one table of compiled diagram blocks, which
+    in REVERSIBLE mode also holds the blocks of the reversed diagram
+    (``isomorphism._canonical_blob``).  Only the loop over the diagram's
+    closures holds the table, so no emitted pair or diagram carries it.
+    ``rng`` shuffles the diagram candidates only: the classes and their
+    order stay the same, but the emitted representative of a class may
+    change with the diagram that represents its class.
     """
     found = []
 
-    def offer(pair: InvariantPair):
+    def offer(pair: InvariantPair, blocks: dict | None = None):
         check_pair(pair)
-        key = _canonical_blob(pair, bounds.mode)
+        key = _canonical_blob(pair, bounds.mode, blocks)
         ncells = len(pair.vertices) + len(pair.annuli) + pair.tori
         found.append(((ncells, key), pair))
 
@@ -223,9 +224,10 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
                                                                  bounds.mode)
                  if reverses or any(face_map[p] != p for p in face_map)]
 
-        with _shared_blocks(diagram, bounds.mode):
-            for closure in _closures(comps, face_points, moves, bounds):
-                offer(_assemble(diagram, d_vertices, vertex_of_comp, closure))
+        blocks = {}
+        for closure in _closures(comps, face_points, moves, bounds):
+            offer(_assemble(diagram, d_vertices, vertex_of_comp, closure),
+                  blocks)
 
     # every offer is a class of its own, so no key repeats
     for _, pair in sorted(found, key=lambda item: item[0]):

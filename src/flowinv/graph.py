@@ -235,12 +235,6 @@ class InvariantPair:
         comps.extend((frozenset(), frozenset()) for _ in range(self.tori))
         return tuple(comps)
 
-    def saddle_count(self) -> int:
-        return len(self.diagram.saddles)
-
-    def center_count(self) -> int:
-        return sum(1 for v in self.vertices if v.label == C)
-
 
 def validate_pair(p: InvariantPair) -> list:
     """Check the whole model; empty list means valid."""
@@ -295,7 +289,8 @@ def classify_separation(p: InvariantPair) -> SeparationReport:
     """
     check_pair(p)
     sv_t1 = not p.diagram.saddles
-    singular = p.center_count() + p.saddle_count()
+    singular = (sum(1 for v in p.vertices if v.label == C)
+                + len(p.diagram.saddles))
     return SeparationReport(
         sv_t0=True,
         sv_t1=sv_t1,

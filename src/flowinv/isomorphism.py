@@ -19,30 +19,27 @@ refinement-plus-individualization canonical labeling; the two are
 cross-checked against each other in the test suite rather than sharing
 code.
 
-Reversal is implemented once, by ``reverse_pair`` and
-``reverse_diagram``.  REVERSIBLE canonical bytes are the lesser of the
-ORIENTED bytes of the model and of its reversal: the canonical form of
-an orbit under an extra involution is the least canonical form of its
-members (McKay and Piperno, "Practical graph isomorphism, II", 2014).
-The canonical search of each assembly component runs at most once per
-pair object in each orientation.  Its result, the framed bytes of each
-orientation, stays in the pair's instance dict.  Only bytes are kept,
-never engines or the reversed pair, and they go away with the pair; no
-cache outlives it.
+Reversal is written out by ``reverse_pair`` and ``reverse_diagram``.
+REVERSIBLE canonical bytes are the lesser of the ORIENTED bytes of the
+model and of its reversal: the canonical form of an orbit under an extra
+involution is the least canonical form of its members (McKay and
+Piperno, "Practical graph isomorphism, II", 2014).  The canonical search
+labels the reversal in place and never builds the reversed pair: it
+compiles ``reverse_diagram(p.diagram)`` and reads every annulus's sides
+swapped.  It runs at most once per assembly component, pair object and
+orientation; the pair keeps the framed bytes of each orientation in its
+instance dict, and nothing else, so no cache outlives it.
 
 An engine starts from a ``_DiagramBlock``: the compiled diagram part of
 its component, with that part's first refinement round, and the
 diagram's part of the leaf text for each saddle and separatrix coloring
-a leaf has had.  A pair labeled on its own compiles its blocks for its
-searches and keeps none, so the texts live for one search.  Only
-``enumerate_pairs`` shares them: within ``_shared_blocks`` a diagram
-holds one block table, and in REVERSIBLE mode one reversed diagram with
-a table of its own, for exactly as long as its closures are labeled.
+a leaf has had.  The caller of ``_canonical_blob`` owns the table of
+blocks: a pair labeled on its own gets a table for that call alone,
+and ``enumerate_pairs`` keeps one per diagram for its closure loop.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
@@ -231,11 +228,12 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     flag flips, but so does the naming of the separatrix ends, and the
     two cancel), so it keeps its least dart and with it its face index.
     The assembly does not change either; once computed, it is handed on.
-    Within ``_shared_blocks`` the reversed diagram is the shared one.
+    The canonical search does not call this: it labels the reversal in
+    place (see ``_CanonicalEngine``).
     """
     new_annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) for a in p.annuli)
-    rd = p.diagram.__dict__.get("reversal") or reverse_diagram(p.diagram)
-    r = InvariantPair(rd, p.vertices, new_annuli, p.tori)
+    r = InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
+                      p.tori)
     if "assembly" in p.__dict__:
         r.__dict__["assembly"] = p.assembly
     return r
@@ -542,8 +540,8 @@ class _DiagramBlock:
 
     ``texts`` keeps the diagram's part of the leaf text (``text``) by the
     saddle and separatrix colors of the leaf.  It lives exactly as long
-    as the block: one search of a pair from outside, or one diagram's
-    closure loop in ``enumerate_pairs``.
+    as the block: one ``_canonical_blob`` call on a pair from outside, or
+    one diagram's closure loop in ``enumerate_pairs``.
     """
 
     def __init__(self, diagram: SaddleDiagram, comps):
@@ -697,7 +695,10 @@ class _CanonicalEngine:
 
     The constructor takes the component's diagram part compiled once into
     a ``_DiagramBlock``, which several engines over one diagram may share,
-    and adds the index arrays of the vertices and annuli.  Objects are
+    and adds the index arrays of the vertices and annuli.  With
+    ``reversal`` it labels the reversal of the component: the block is
+    compiled from the reversed diagram, and each annulus's sides are read
+    swapped, as ``reverse_pair`` swaps them.  Objects are
     numbered in type blocks: saddles from 0, then separatrices, faces (by
     component, then face index), vertices and annuli, each block from its
     base on; a coloring is a flat list over these numbers.  Refinement
@@ -741,14 +742,11 @@ class _CanonicalEngine:
     least leaf stays.
     """
 
-    def __init__(self, block: _DiagramBlock, vertices=(), annuli=()):
+    def __init__(self, block: _DiagramBlock, vertices=(), annuli=(),
+                 reversal: bool = False):
         self.block = block
-        # the block's arrays, shared, under the engine's own names
-        self.sep_base, self.face_base = block.sep_base, block.face_base
+        self.face_base = block.face_base
         self.vertex_base = vertex_base = block.vertex_base
-        self.k, self.sad_words, self.sep_links = \
-            block.k, block.sad_words, block.sep_links
-        self.face_words = block.face_words
         v_of = {v.id: vertex_base + i for i, v in enumerate(vertices)}
         self.annulus_base = vertex_base + len(vertices)
         self.n = self.annulus_base + len(annuli)
@@ -760,7 +758,8 @@ class _CanonicalEngine:
         component = {v.id: v.component for v in vertices}
         for j, a in enumerate(annuli):
             ends = []
-            for side, att in ((0, a.neg), (1, a.pos)):
+            for side, att in enumerate((a.pos, a.neg) if reversal
+                                       else (a.neg, a.pos)):
                 v = v_of[att.vertex]
                 self.vertex_atts[v - vertex_base].append(
                     (self.annulus_base + j, side))
@@ -927,31 +926,10 @@ def _framed(blobs) -> bytes:
     return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
 
 
-@contextmanager
-def _shared_blocks(d: SaddleDiagram, mode: IsoMode):
-    """Inside the ``with`` statement, the canonical searches of pairs on
-    ``d`` share one ``_DiagramBlock`` per set of polycycles; in
-    REVERSIBLE mode ``reverse_pair`` builds their reversals on one
-    reversed diagram, whose searches share their blocks too.
-
-    ``d`` holds the block table, and the reversal, only until the
-    statement ends: on a diagram labeled once they would be dead weight.
-    """
-    kept = d.__dict__
-    kept["blocks"] = {}
-    if mode.allow_reversal:
-        kept["reversal"] = reverse_diagram(d)
-        kept["reversal"].__dict__["blocks"] = {}
-    try:
-        yield
-    finally:
-        kept.pop("blocks", None)
-        kept.pop("reversal", None)
-
-
-def _component_engines(p: InvariantPair):
-    # the table _shared_blocks lends the diagram, or one for this pair alone
-    blocks = p.diagram.__dict__.get("blocks", {})
+def _component_engines(p: InvariantPair, blocks: dict, reversal: bool):
+    """One engine per assembly component of ``p``, or of its reversal, on
+    the blocks of ``blocks`` keyed by ``(reversal, polycycles)``; None for
+    a periodic torus.  A missing block is compiled into ``blocks``."""
     for vertex_ids, annulus_ids in p.assembly:
         if not vertex_ids:
             yield None
@@ -959,19 +937,22 @@ def _component_engines(p: InvariantPair):
         vertices = [v for v in p.vertices if v.id in vertex_ids]
         annuli = [a for a in p.annuli if a.id in annulus_ids]
         comps = frozenset({v.component for v in vertices if v.label == "d"})
-        if comps not in blocks:
-            blocks[comps] = _DiagramBlock(p.diagram, comps)
-        yield _CanonicalEngine(blocks[comps], vertices, annuli)
+        if (reversal, comps) not in blocks:
+            d = reverse_diagram(p.diagram) if reversal else p.diagram
+            blocks[reversal, comps] = _DiagramBlock(d, comps)
+        yield _CanonicalEngine(blocks[reversal, comps], vertices, annuli,
+                               reversal)
 
 
-def _oriented_blob(p: InvariantPair) -> bytes:
-    """The framed ORIENTED bytes: one search per component, ``b"T"`` for a
-    periodic torus."""
+def _oriented_blob(p: InvariantPair, blocks: dict, reversal: bool) -> bytes:
+    """The framed ORIENTED bytes of ``p``, or with ``reversal`` of its
+    reversal: one search per component, ``b"T"`` for a periodic torus."""
     return _framed(b"T" if e is None else e.canonical()
-                   for e in _component_engines(p))
+                   for e in _component_engines(p, blocks, reversal))
 
 
-def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
+def _canonical_blob(p: InvariantPair, mode: IsoMode,
+                    blocks: dict | None = None) -> bytes:
     """Canonical bytes of an already-validated pair.
 
     The framed bytes of each orientation stay in the pair's instance dict,
@@ -980,14 +961,19 @@ def _canonical_blob(p: InvariantPair, mode: IsoMode) -> bytes:
     time REVERSIBLE mode asks.  So a repeat call in either mode runs no
     search.  Reversal acts on the whole model at once, so REVERSIBLE takes
     the lesser over whole models, not per component.
+
+    ``blocks`` is the caller's table of compiled diagram blocks for pairs
+    on one diagram (see ``_component_engines``); without it the blocks
+    are compiled for this call alone.
     """
     kept = p.__dict__
+    blocks = {} if blocks is None else blocks
     if "oriented_blob" not in kept:
-        kept["oriented_blob"] = _oriented_blob(p)
+        kept["oriented_blob"] = _oriented_blob(p, blocks, False)
     if not mode.allow_reversal:
         return kept["oriented_blob"]
     if "reversed_blob" not in kept:
-        kept["reversed_blob"] = _oriented_blob(reverse_pair(p))
+        kept["reversed_blob"] = _oriented_blob(p, blocks, True)
     return min(kept["oriented_blob"], kept["reversed_blob"])
 
 

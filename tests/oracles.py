@@ -248,7 +248,7 @@ def full_refine(engine, col: list) -> list:
     re-signed from ``engine``'s compiled arrays in every round, rotation
     words are compared over all their rotations, and the rounds go on
     until the color count stops growing, a discrete coloring included."""
-    e = engine
+    e, b = engine, engine.block
 
     def least(word):
         return min((word[i:] + word[:i] for i in range(len(word))),
@@ -259,12 +259,12 @@ def full_refine(engine, col: list) -> list:
 
     while True:
         sigs = [(0, col[i], word_sig(word))
-                for i, word in enumerate(e.sad_words)]
-        sigs += [(1, col[e.sep_base + j], *[col[x] for x in links])
-                 for j, links in enumerate(e.sep_links)]
+                for i, word in enumerate(b.sad_words)]
+        sigs += [(1, col[b.sep_base + j], *[col[x] for x in links])
+                 for j, links in enumerate(b.sep_links)]
         sigs += [(2, col[e.face_base + j], word_sig(word),
                   (col[att[0]], att[1]) if att else ())
-                 for j, (word, att) in enumerate(zip(e.face_words, e.face_att))]
+                 for j, (word, att) in enumerate(zip(b.face_words, e.face_att))]
         sigs += [(3, col[e.vertex_base + j],
                   tuple(sorted((col[a], side) for a, side in atts)),
                   tuple(sorted(col[s] for s in members)))

@@ -1,9 +1,10 @@
 import random
 from dataclasses import replace
+from hashlib import sha256
 
 import pytest
 
-from flowinv import enumeration
+from flowinv import enumeration, isomorphism
 from flowinv.enumeration import (
     EnumBounds,
     count_classes,
@@ -17,12 +18,15 @@ from flowinv.isomorphism import (
     REVERSIBLE,
     canonical_form,
     diagram_automorphisms,
+    reverse_pair,
 )
+from flowinv.model_io import serialize_model
 from flowinv.reconstruction import reconstruct
 
 from conftest import own_state
 from oracles import brute_force_pairs, diagram_automorphisms_oracle
 from test_acceptance import SMALL_CONFIGS
+from test_isomorphism import GOLDEN_DIGESTS, _fixture_model
 
 SMALL = EnumBounds(max_saddles=1, max_k_sum=1, max_centers=2, max_n=1,
                    max_b=1, max_annuli=2, max_tori=1)
@@ -260,8 +264,8 @@ def _watch_offers(monkeypatch) -> list:
         offered.append(pair)
         return check(pair)
 
-    def fresh_blob(pair, mode):
-        key = blob(pair, mode)
+    def fresh_blob(pair, mode, *args):
+        key = blob(pair, mode, *args)
         assert key not in keys
         keys.add(key)
         return key
@@ -327,9 +331,10 @@ def test_offers_one_candidate_per_class(monkeypatch, bounds, mode):
                          ids=["oriented", "reversible"])
 @pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=["small", "two-saddle"])
 def test_shared_blocks_give_fresh_bytes(bounds, mode):
-    """The closures of one diagram share its compiled block, and in
-    REVERSIBLE mode one reversed diagram: the same pair on a diagram
-    object of its own labels to the same bytes in each orientation."""
+    """The closures of one diagram share one table of compiled blocks,
+    reversed blocks included: the same pair on a diagram object of its
+    own labels to the same bytes in each orientation, and the reversal
+    labeled in place gives the bytes of the reversed pair."""
     for p in enumerate_pairs(replace(bounds, mode=mode)):
         fresh = InvariantPair(
             SaddleDiagram(p.diagram.saddles, p.diagram.separatrices),
@@ -338,12 +343,54 @@ def test_shared_blocks_give_fresh_bytes(bounds, mode):
         assert fresh.oriented_blob == p.oriented_blob
         if mode.allow_reversal:
             assert fresh.reversed_blob == p.reversed_blob
+            assert canonical_form(reverse_pair(fresh)).blob == p.reversed_blob
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
                          ids=["oriented", "reversible"])
 def test_emitted_diagrams_keep_no_blocks(mode):
-    """A diagram holds its block table and its reversal only while its
-    closures are labeled."""
+    """No block table or reversed diagram is left on an emitted diagram."""
     for p in enumerate_pairs(replace(SMALL_BOUNDS[-1], mode=mode)):
         assert set(p.diagram.__dict__) <= own_state(SaddleDiagram)
+
+
+def test_reversal_is_labeled_in_place(monkeypatch):
+    """REVERSIBLE labeling never builds the reversed pair: it labels the
+    reversed diagram's blocks with every annulus's sides swapped."""
+    def refuse(p):
+        raise AssertionError("reverse_pair called")
+
+    monkeypatch.setattr(isomorphism, "reverse_pair", refuse)
+    for name, (_, reversible) in GOLDEN_DIGESTS.items():
+        assert canonical_form(_fixture_model(name),
+                              REVERSIBLE).digest() == reversible
+    for bounds in SMALL_BOUNDS:
+        assert list(enumerate_pairs(replace(bounds, mode=REVERSIBLE)))
+
+
+# SHA-256 of the lines ``flowinv enumerate`` prints at SMALL_BOUNDS,
+# ``digest document``, newline-joined: the digests and the representative
+# documents of every class, in order.
+PRINTED_SHA256 = {
+    ("small", "oriented"):
+        "efc3b3e09cf91986ba7d022166a91a79d7eac6289442d7be0eadc5a7a5af013d",
+    ("small", "reversible"):
+        "90b3aff492e3a5c7d8d2ebb6f2ca69f3ef77e60087381f9f0d1f7b843566b5a1",
+    ("two-saddle", "oriented"):
+        "a84869c7c2d5c3166727597de344a056359b6227c2020680a0c38106469898c4",
+    ("two-saddle", "reversible"):
+        "fd82c6a73be6fe34e8fd7ca229dfeb04a1d9c62d44043b7de2dbedcd46276e69",
+}
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize("bounds, name", zip(SMALL_BOUNDS,
+                                             ["small", "two-saddle"]),
+                         ids=["small", "two-saddle"])
+def test_printed_enumeration_pinned(bounds, name, mode):
+    lines = [f"{canonical_form(p, mode).digest()} "
+             f"{serialize_model(p, compact=True)}"
+             for p in enumerate_pairs(replace(bounds, mode=mode))]
+    key = name, "reversible" if mode.allow_reversal else "oriented"
+    assert sha256("\n".join(lines).encode()).hexdigest() == PRINTED_SHA256[key]

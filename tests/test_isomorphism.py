@@ -562,7 +562,8 @@ def _shortcut_models():
 
 
 def _engines(p):
-    return [e for e in isomorphism._component_engines(p) if e is not None]
+    return [e for e in isomorphism._component_engines(p, {}, False)
+            if e is not None]
 
 
 def _rotation_of(w1, w2) -> bool:
@@ -571,21 +572,21 @@ def _rotation_of(w1, w2) -> bool:
 
 def _is_automorphism(engine, g) -> bool:
     """Whether ``g`` maps every compiled array of ``engine`` onto itself."""
-    e = engine
+    e, b = engine, engine.block
 
     def image(word):
         return [(end, g[x]) for end, x in word]
 
     return (
-        all(e.k[g[s]] == e.k[s]
-            and _rotation_of(image(e.sad_words[s]), e.sad_words[g[s]])
-            for s in range(e.sep_base))
+        all(b.k[g[s]] == b.k[s]
+            and _rotation_of(image(b.sad_words[s]), b.sad_words[g[s]])
+            for s in range(b.sep_base))
         and all(tuple(g[x] for x in links)
-                == e.sep_links[g[e.sep_base + j] - e.sep_base]
-                for j, links in enumerate(e.sep_links))
+                == b.sep_links[g[b.sep_base + j] - b.sep_base]
+                for j, links in enumerate(b.sep_links))
         and all(_rotation_of(image(word),
-                             e.face_words[g[e.face_base + j] - e.face_base])
-                for j, word in enumerate(e.face_words))
+                             b.face_words[g[e.face_base + j] - e.face_base])
+                for j, word in enumerate(b.face_words))
         and all((att and (g[att[0]], att[1]))
                 == e.face_att[g[e.face_base + j] - e.face_base]
                 for j, att in enumerate(e.face_att))
