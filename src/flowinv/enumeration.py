@@ -10,8 +10,10 @@ pairs are still valid data; they are just not enumerated.)
 Diagrams are generated by choosing a saddle degree multiset, fixing the
 alternating out/in slot pattern around each saddle, and running over all
 bijections from out-slots to in-slots; every valid diagram is a
-relabeling of one of these.  Duplicate diagrams are removed by canonical
-form.
+relabeling of one of these.  Two candidates are isomorphic exactly when
+a slot symmetry (see ``_slot_symmetries``) carries one onto the other.
+Only the candidate least in its orbit is kept, and the symmetries that
+fix it are the diagram's.
 
 Closures are generated orderly.  Two closures of one diagram
 representative are isomorphic exactly when a symmetry of the diagram
@@ -19,12 +21,9 @@ carries one onto the other, so only the closure least in its orbit under
 those symmetries is built, and every model built is a class of its own
 (McKay, "Isomorph-free exhaustive generation", 1998).
 
-Generation order is deterministic; the optional ``rng`` argument
-scrambles the order of diagram candidates.  The set of classes, their
-canonical digests and the output order do not depend on it (the
-determinism tests rely on exactly that), but the representative emitted
-for a class is a closure of the first diagram candidate of its class to
-arrive, so it can.
+The optional ``rng`` argument scrambles the order in which diagram
+candidates are tried.  Nothing returned depends on it, representatives
+included: a class keeps the least candidate of its orbit in any order.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .diagram import SaddleDiagram, Saddle, Separatrix
 from .graph import AnnulusEdge, Attachment, InvariantPair, VertexNode, \
     check_pair
 from .isomorphism import ORIENTED, IsoMode, _canonical_blob, \
-    canonical_diagram, canonical_form, diagram_automorphisms
+    canonical_diagram, canonical_form
 from .reconstruction import reconstruct
 from .topology import connected_groups
 
@@ -69,50 +68,123 @@ def _degree_multisets(max_saddles: int, max_k_sum: int):
     return out
 
 
-def _diagram_candidates(ks: tuple):
-    """All diagrams over the given degree multiset.
+def _slots(ks: tuple) -> list:
+    """The slots ``(saddle, position)`` of the degree multiset, numbered by
+    their place here: out-slots (even positions) first, then in-slots."""
+    return sorted(((i, pos) for i, k in enumerate(ks)
+                   for pos in range(2 * k + 2)), key=lambda x: x[1] % 2)
 
-    Each saddle's rotation is pinned to the pattern out,in,out,in,...;
-    any valid rotation is a cyclic shift of that.  A diagram is then a
-    bijection from out-slots to in-slots, so every valid diagram with
-    these degrees is a relabeling of some candidate.
-    """
-    out_slots = []
-    in_slots = []
-    for i, k in enumerate(ks):
-        for pos in range(2 * k + 2):
-            (out_slots if pos % 2 == 0 else in_slots).append((i, pos))
-    for image in permutations(in_slots):
-        rotations = {i: [None] * (2 * k + 2) for i, k in enumerate(ks)}
-        seps = []
-        for j, (src, tgt) in enumerate(zip(out_slots, image)):
-            eid = f"e{j}"
-            seps.append(Separatrix(eid, f"s{src[0]}", f"s{tgt[0]}"))
-            rotations[src[0]][src[1]] = (eid, "out")
-            rotations[tgt[0]][tgt[1]] = (eid, "in")
-        saddles = tuple(
-            Saddle(f"s{i}", k, tuple(rotations[i])) for i, k in enumerate(ks)
-        )
-        yield SaddleDiagram(saddles, tuple(seps))
+
+def _diagram(ks: tuple, image: tuple) -> SaddleDiagram:
+    """The candidate whose separatrix ``e{j}`` joins out-slot ``j`` to
+    in-slot ``image[j]``.  Each rotation is pinned to out,in,out,in,...;
+    any valid rotation is a cyclic shift of that."""
+    slots, n = _slots(ks), len(image)
+    rotations = [[None] * (2 * k + 2) for k in ks]
+    seps = []
+    for j, t in enumerate(image):
+        (src, src_pos), (tgt, tgt_pos) = slots[j], slots[n + t]
+        eid = f"e{j}"
+        seps.append(Separatrix(eid, f"s{src}", f"s{tgt}"))
+        rotations[src][src_pos] = (eid, "out")
+        rotations[tgt][tgt_pos] = (eid, "in")
+    return SaddleDiagram(tuple(Saddle(f"s{i}", k, tuple(rotations[i]))
+                               for i, k in enumerate(ks)), tuple(seps))
+
+
+def _diagram_candidates(ks: tuple):
+    """Every candidate over the degree multiset, in lexicographic order."""
+    for image in permutations(range(sum(ks) + len(ks))):
+        yield _diagram(ks, image)
+
+
+def _slot_symmetries(ks: tuple, reversal: bool) -> list:
+    """The slot symmetries of the degree multiset, identity first, each as
+    the permutation of slot numbers it makes: saddles go to saddles of
+    equal k and each word turns by an even shift.  With ``reversal`` one
+    may first reflect every word (position ``p`` to ``2k+1-p``), which
+    swaps out- and in-slots as reversing every separatrix does."""
+    slots = _slots(ks)
+    index = {x: j for j, x in enumerate(slots)}
+    size = [2 * k + 2 for k in ks]
+    group = []
+    for reflect in ((False, True) if reversal else (False,)):
+        start = [size[i] - 1 - pos if reflect else pos for i, pos in slots]
+        for to in permutations(range(len(ks))):
+            if all(ks[to[i]] == k for i, k in enumerate(ks)):
+                for turns in product(*(range(k + 1) for k in ks)):
+                    group.append(tuple(
+                        index[to[i], (p + 2 * turns[i]) % size[i]]
+                        for (i, _), p in zip(slots, start)))
+    return group
+
+
+def _turned(image: tuple, sigma: tuple) -> tuple:
+    """The candidate ``sigma`` carries ``image`` onto: the ends of
+    separatrix ``j`` go to ``sigma[j]`` and ``sigma[n + image[j]]``, and
+    a reflecting ``sigma`` makes the second its new out-slot."""
+    n = len(image)
+    out = [0] * n
+    if sigma and sigma[0] >= n:
+        for a, t in zip(sigma, image):
+            out[sigma[n + t]] = a - n
+    else:
+        for a, t in zip(sigma, image):
+            out[a] = sigma[n + t] - n
+    return tuple(out)
+
+
+def _diagram_classes(bounds: EnumBounds, rng: random.Random | None = None):
+    """``(diagram, image, group)`` once per diagram class in the bounds: the
+    class's least candidate under its slot symmetries ``group``, whatever
+    order ``rng`` tries them in (McKay 1998).  Each is labeled once, for
+    the order: (saddle count, total k), then canonical bytes."""
+    found = []
+    for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
+        group = _slot_symmetries(ks, bounds.mode.allow_reversal)
+        images = permutations(range(sum(ks) + len(ks)))
+        if rng is not None:
+            images = list(images)
+            rng.shuffle(images)
+        others = group[1:]  # the identity keeps every candidate
+        for image in images:
+            for sigma in others:
+                if _turned(image, sigma) < image:
+                    break
+            else:
+                d = _diagram(ks, image)
+                key = (len(ks), sum(ks)), canonical_diagram(d, bounds.mode)
+                found.append((key, d, image, group))
+    found.sort(key=lambda item: item[0])
+    for _, d, image, group in found:
+        yield d, image, group
+
+
+def _symmetries(d: SaddleDiagram, image: tuple, group: list) -> list:
+    """The slot symmetries that fix ``image``, as ``(face_map, reverses)``
+    on the face points of ``d``: ``e{j}`` goes to the separatrix leaving
+    the out-slot its ends go to, each dart keeps its end, and a reversing
+    one maps ``reverse_diagram(d)`` (same faces, same indices) onto ``d``."""
+    n = len(image)
+    faces = d.faces_by_component
+    point_of = {dart: (comp, idx) for comp, fs in faces.items()
+                for idx, face in enumerate(fs) for dart in face.sides}
+    firsts = [face.sides[0] for fs in faces.values() for face in fs]
+    found = []
+    for sigma in group:
+        if _turned(image, sigma) == image:
+            moved = {f"e{j}": f"e{min(sigma[j], sigma[n + t])}"
+                     for j, t in enumerate(image)}
+            found.append(({point_of[sep, end]: point_of[moved[sep], end]
+                           for sep, end in firsts}, sigma[0] >= n))
+    return found
 
 
 def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
-    """All diagram classes within the bounds, exactly once per class.
-
-    Emitted in increasing (saddle count, total k) order and by canonical
-    bytes within a bucket.
-    """
-    found = {}
-    for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
-        candidates = _diagram_candidates(ks)
-        if rng is not None:
-            candidates = list(candidates)
-            rng.shuffle(candidates)
-        for d in candidates:
-            key = canonical_diagram(d, bounds.mode)
-            if key not in found:
-                found[key] = (((len(ks), sum(ks)), key), d)
-    for _, d in sorted(found.values(), key=lambda item: item[0]):
+    """All diagram classes within the bounds, exactly once per class, by
+    (saddle count, total k), then canonical bytes; each is represented by
+    its least candidate, whatever ``rng`` does (``_diagram_classes``)."""
+    for d, _, _ in _diagram_classes(bounds, rng):
         yield d
 
 
@@ -182,14 +254,12 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
     Each class is offered once: a diagram-based class as the closure of
     its diagram representative that is least in its orbit under the
-    diagram's symmetries (see ``_orbit_least``).  The closures of one
-    diagram are labeled from one table of compiled diagram blocks, which
-    in REVERSIBLE mode also holds the blocks of the reversed diagram
-    (``isomorphism._canonical_blob``).  Only the loop over the diagram's
-    closures holds the table, so no emitted pair or diagram carries it.
-    ``rng`` shuffles the diagram candidates only: the classes and their
-    order stay the same, but the emitted representative of a class may
-    change with the diagram that represents its class.
+    diagram's symmetries (``_symmetries``, ``_orbit_least``).  The
+    closures of one diagram are labeled from one table of compiled
+    diagram blocks, which in REVERSIBLE mode also holds the blocks of the
+    reversed diagram (``isomorphism._canonical_blob``).  Only the loop
+    over the diagram's closures holds the table, so no emitted pair or
+    diagram carries it.  Nothing emitted depends on ``rng``.
     """
     found = []
 
@@ -204,7 +274,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     for pair in _annulus_only_models(bounds):
         offer(pair)
 
-    for diagram in enumerate_diagrams(bounds, rng):
+    for diagram, image, group in _diagram_classes(bounds, rng):
         if not diagram.saddles:
             continue
         comps = diagram.components
@@ -220,8 +290,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
         )
         vertex_of_comp = {comp_id: f"p{i}" for i, (comp_id, _, _) in enumerate(comps)}
         moves = [(face_map, reverses)
-                 for face_map, reverses in diagram_automorphisms(diagram,
-                                                                 bounds.mode)
+                 for face_map, reverses in _symmetries(diagram, image, group)
                  if reverses or any(face_map[p] != p for p in face_map)]
 
         blocks = {}
@@ -276,14 +345,9 @@ def _directed_closure(pairs, singles, kinds, orient) -> tuple:
 
 
 def _orbit_least(closure: tuple, moves: list) -> bool:
-    """True when no diagram symmetry carries the closure to a lesser one.
-
-    Two closures of one diagram representative are isomorphic exactly
-    when a symmetry of the diagram carries one onto the other: the
-    symmetry moves faces by its face map, and a reversed one also swaps
-    every annulus's sides (McKay, "Isomorph-free exhaustive generation",
-    1998).  So each class has exactly one orbit-least closure.
-    """
+    """True when no diagram symmetry carries the closure to a lesser one:
+    a symmetry moves faces by its face map, and a reversing one also
+    swaps every annulus's sides.  Each class has one orbit-least closure."""
     directed, leaves = closure
     for face_map, reverses in moves:
         image = (
@@ -343,6 +407,8 @@ class ClassTable:
 
 
 def count_classes(bounds: EnumBounds, rng: random.Random | None = None) -> ClassTable:
+    """The classes of ``enumerate_pairs`` by coarse surface data; the
+    table is the same for every ``rng``."""
     table = {}
     for pair in enumerate_pairs(bounds, rng):
         _, sig = reconstruct(pair)

@@ -26,6 +26,7 @@ from .topology import FinPoset, connected_groups
 
 C, N, B, D = "c", "n", "b", "d"
 LABELS = (C, N, B, D)
+_TORUS = (frozenset(), frozenset())  # the assembly entry of a periodic torus
 
 
 @dataclass(frozen=True)
@@ -232,8 +233,7 @@ class InvariantPair:
         for a in self.annuli:
             annuli[group_of[a.neg.vertex]].append(a.id)
         comps = [(vids, frozenset(aids)) for vids, aids in zip(groups, annuli)]
-        comps.extend((frozenset(), frozenset()) for _ in range(self.tori))
-        return tuple(comps)
+        return tuple(comps + [_TORUS] * self.tori)
 
 
 def validate_pair(p: InvariantPair) -> list:

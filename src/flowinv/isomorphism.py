@@ -12,12 +12,9 @@ annulus at once.
 ``pair_isomorphic`` extends a map from one root dart per assembly
 component: a connected combinatorial map is fixed by the image of one
 dart, so the only choices are the roots and where a face reached through
-an annulus starts.  ``diagram_automorphisms`` runs the same propagation
-from a bare diagram (and its reversal) onto itself, for the orderly
-closures of ``enumerate_pairs``.  ``canonical_form`` is an independent
-refinement-plus-individualization canonical labeling; the two are
-cross-checked against each other in the test suite rather than sharing
-code.
+an annulus starts.  ``canonical_form``, an independent
+refinement-plus-individualization canonical labeling, is cross-checked
+against it in the test suite rather than sharing code.
 
 Reversal is written out by ``reverse_pair`` and ``reverse_diagram``.
 REVERSIBLE canonical bytes are the lesser of the ORIENTED bytes of the
@@ -227,16 +224,12 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     face carries exactly the dart names of its original (each dart's end
     flag flips, but so does the naming of the separatrix ends, and the
     two cancel), so it keeps its least dart and with it its face index.
-    The assembly does not change either; once computed, it is handed on.
     The canonical search does not call this: it labels the reversal in
     place (see ``_CanonicalEngine``).
     """
     new_annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) for a in p.annuli)
-    r = InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
-                      p.tori)
-    if "assembly" in p.__dict__:
-        r.__dict__["assembly"] = p.assembly
-    return r
+    return InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
+                         p.tori)
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +259,12 @@ class _PairTables:
                 ends.append((v.id, v.label, darts))
 
 
-_UNGLUED = (None, None)  # the glue of a dart whose face no annulus closes
-
-
 class _DartSearch:
     """Extends one map from the objects of ``p1`` (darts, vertex ids,
     annulus ids) to those of ``p2``, one assembly component at a time.
 
     Mapping a dart forces its rotation successor, its other end and the
-    annulus glued to its face, so one dart fixes its whole polycycle; a
-    dart whose face no annulus closes maps only to another such dart.  An
+    annulus glued to its face, so one dart fixes its whole polycycle.  An
     annulus fixes its ends; a polycycle end leaves a face entry, the first
     dart of the face with the darts of the image face as candidates.  The
     only choices are a component's root and one candidate per face entry;
@@ -316,10 +305,8 @@ class _DartSearch:
                     or not self._bind(x, y)):
                 return False
             queue += ((t1.succ[x], t2.succ[y]), (flip(x), flip(y)))
-            (a, side), (b, side2) = t1.glue.get(x, _UNGLUED), \
-                t2.glue.get(y, _UNGLUED)
-            if side != side2 or (a is not None
-                                 and not self._map_annulus(a, b)):
+            (a, side), (b, side2) = t1.glue[x], t2.glue[y]
+            if side != side2 or not self._map_annulus(a, b):
                 return False
         return True
 
@@ -421,59 +408,6 @@ def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,
         if witness is not None:
             return witness
     return None
-
-
-def diagram_automorphisms(d: SaddleDiagram, mode: IsoMode = ORIENTED) -> list:
-    """Every symmetry of a valid diagram, by its action on face points.
-
-    Each element is ``(face_map, reversed_orientation)``, where
-    ``face_map`` sends each face point ``(component, face index)`` to its
-    image.  A reversed element, found only with ``mode.allow_reversal``,
-    is an isomorphism ``reverse_diagram(d) -> d``: reversal keeps face
-    indices, so its map reads on ``d``'s own face points, and it swaps
-    the two sides of every annulus glued to them.  The identity is
-    included, and maps with the same action appear once.
-
-    One dart fixes the map of its polycycle, so the search tries one
-    root dart per polycycle against every dart of every polycycle not
-    yet used: that runs over the whole group, isomorphic polycycles
-    permuted, and depends on no canonical search.
-    """
-    check_diagram(d)
-    faces = d.faces_by_component
-    point_of = {dart: (comp, idx) for comp, fs in faces.items()
-                for idx, face in enumerate(fs) for dart in face.sides}
-    firsts = [face.sides[0] for comp, _, _ in d.components
-              for face in faces[comp]]
-    roots = [faces[comp][0].sides[0] for comp, _, _ in d.components]
-    target = _PairTables(InvariantPair(d, (), ()))
-    darts_of = {}
-    for dart in target.succ:
-        darts_of.setdefault(d.component_of[dart[0]], []).append(dart)
-    found = {}
-    for reversed_orientation in ((False, True) if mode.allow_reversal
-                                 else (False,)):
-        source = reverse_diagram(d) if reversed_orientation else d
-        search = _DartSearch(_PairTables(InvariantPair(source, (), ())),
-                             target)
-
-        def extend(i: int, free: list) -> None:
-            if i == len(roots):
-                images = tuple(point_of[search.fwd[x]] for x in firsts)
-                found[images, reversed_orientation] = None
-                return
-            for comp in free:
-                rest = [c for c in free if c != comp]
-                for y in darts_of[comp]:
-                    mark = len(search.trail)
-                    if search._map_darts(roots[i], y):
-                        extend(i + 1, rest)
-                    search._undo(mark, 0)
-
-        extend(0, list(darts_of))
-    points = [point_of[x] for x in firsts]
-    return [(dict(zip(points, images)), reversed_orientation)
-            for images, reversed_orientation in found]
 
 
 def verify_witness(p1: InvariantPair, p2: InvariantPair, w: PairWitness) -> bool:

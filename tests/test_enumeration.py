@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from hashlib import sha256
+from itertools import permutations
 
 import pytest
 
@@ -16,8 +17,8 @@ from flowinv.graph import InvariantPair, assembly_components, validate_pair
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
+    canonical_diagram,
     canonical_form,
-    diagram_automorphisms,
     reverse_pair,
 )
 from flowinv.model_io import serialize_model
@@ -288,9 +289,10 @@ def test_three_saddle_class_tables_pinned(monkeypatch, mode):
     assert all(len(pair.assembly) == 1 for pair in offered)
 
 
-def _group_set(d, mode):
+def _group_set(d, image, slot_group):
     return {(tuple(sorted(face_map.items())), reverses)
-            for face_map, reverses in diagram_automorphisms(d, mode)}
+            for face_map, reverses in enumeration._symmetries(d, image,
+                                                              slot_group)}
 
 
 @pytest.mark.parametrize("mode, classes", [(ORIENTED, 440), (REVERSIBLE, 389)],
@@ -301,10 +303,10 @@ def test_diagram_automorphisms_match_brute_force(mode, classes):
     orientations, and the actions compose within the group."""
     bounds = EnumBounds(max_saddles=3, max_k_sum=3, mode=mode)
     checked = 0
-    for d in enumerate_diagrams(bounds):
+    for d, image, slot_group in enumeration._diagram_classes(bounds):
         if not d.saddles:
             continue
-        group = _group_set(d, mode)
+        group = _group_set(d, image, slot_group)
         assert group == diagram_automorphisms_oracle(d, mode.allow_reversal)
         maps = [(dict(items), reverses) for items, reverses in group]
         for f, r in maps:
@@ -313,6 +315,27 @@ def test_diagram_automorphisms_match_brute_force(mode, classes):
                 assert (composed, r != s) in group
         checked += 1
     assert checked == classes
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+def test_slot_orbits_are_diagram_classes(mode):
+    """Two candidates turn to the same orbit-least image under the slot
+    symmetries exactly when they have equal canonical bytes, over every
+    candidate with at most three saddles and total k three."""
+    candidates = 0
+    for ks in enumeration._degree_multisets(3, 3):
+        group = enumeration._slot_symmetries(ks, mode.allow_reversal)
+        assert all(sorted(sigma) == list(range(len(sigma))) for sigma in group)
+        assert group[0] == tuple(range(len(group[0])))
+        least_of, bytes_of = {}, {}
+        for image in permutations(range(sum(ks) + len(ks))):
+            least = min(enumeration._turned(image, sigma) for sigma in group)
+            key = canonical_diagram(enumeration._diagram(ks, image), mode)
+            assert least_of.setdefault(key, least) == least
+            assert bytes_of.setdefault(least, key) == key
+            candidates += 1
+    assert candidates == 2760
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
@@ -385,12 +408,17 @@ PRINTED_SHA256 = {
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
                          ids=["oriented", "reversible"])
-@pytest.mark.parametrize("bounds, name", zip(SMALL_BOUNDS,
-                                             ["small", "two-saddle"]),
-                         ids=["small", "two-saddle"])
-def test_printed_enumeration_pinned(bounds, name, mode):
+@pytest.mark.parametrize(
+    "bounds, name, seed",
+    [(bounds, name, seed) for seed in (None, 3)
+     for bounds, name in zip(SMALL_BOUNDS, ["small", "two-saddle"])],
+    ids=["small", "two-saddle", "small-shuffled", "two-saddle-shuffled"])
+def test_printed_enumeration_pinned(bounds, name, seed, mode):
+    """The same lines whatever order ``rng`` tries the diagram candidates
+    in: each class is represented by the least candidate of its orbit."""
+    rng = None if seed is None else random.Random(seed)
     lines = [f"{canonical_form(p, mode).digest()} "
              f"{serialize_model(p, compact=True)}"
-             for p in enumerate_pairs(replace(bounds, mode=mode))]
+             for p in enumerate_pairs(replace(bounds, mode=mode), rng)]
     key = name, "reversible" if mode.allow_reversal else "oriented"
     assert sha256("\n".join(lines).encode()).hexdigest() == PRINTED_SHA256[key]
