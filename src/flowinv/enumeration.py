@@ -21,9 +21,9 @@ carries one onto the other, so only the closure least in its orbit under
 those symmetries is built, and every model built is a class of its own
 (McKay, "Isomorph-free exhaustive generation", 1998).
 
-The optional ``rng`` argument scrambles the order in which diagram
-candidates are tried.  Nothing returned depends on it, representatives
-included: a class keeps the least candidate of its orbit in any order.
+The optional ``rng`` argument is accepted and ignored.  Which candidate
+represents a class does not depend on the order candidates are tried in:
+a class keeps the least candidate of its orbit.
 """
 
 from __future__ import annotations
@@ -134,20 +134,16 @@ def _turned(image: tuple, sigma: tuple) -> tuple:
     return tuple(out)
 
 
-def _diagram_classes(bounds: EnumBounds, rng: random.Random | None = None):
+def _diagram_classes(bounds: EnumBounds):
     """``(diagram, image, group)`` once per diagram class in the bounds: the
-    class's least candidate under its slot symmetries ``group``, whatever
-    order ``rng`` tries them in (McKay 1998).  Each is labeled once, for
-    the order: (saddle count, total k), then canonical bytes."""
+    class's least candidate under its slot symmetries ``group`` (McKay
+    1998).  Each is labeled once, for the order: (saddle count, total k),
+    then canonical bytes."""
     found = []
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
         group = _slot_symmetries(ks, bounds.mode.allow_reversal)
-        images = permutations(range(sum(ks) + len(ks)))
-        if rng is not None:
-            images = list(images)
-            rng.shuffle(images)
         others = group[1:]  # the identity keeps every candidate
-        for image in images:
+        for image in permutations(range(sum(ks) + len(ks))):
             for sigma in others:
                 if _turned(image, sigma) < image:
                     break
@@ -164,27 +160,31 @@ def _symmetries(d: SaddleDiagram, image: tuple, group: list) -> list:
     """The slot symmetries that fix ``image``, as ``(face_map, reverses)``
     on the face points of ``d``: ``e{j}`` goes to the separatrix leaving
     the out-slot its ends go to, each dart keeps its end, and a reversing
-    one maps ``reverse_diagram(d)`` (same faces, same indices) onto ``d``."""
+    one maps ``reverse_diagram(d)`` (same faces, same indices) onto ``d``.
+    Symmetries with the same action appear once."""
     n = len(image)
     faces = d.faces_by_component
     point_of = {dart: (comp, idx) for comp, fs in faces.items()
                 for idx, face in enumerate(fs) for dart in face.sides}
     firsts = [face.sides[0] for fs in faces.values() for face in fs]
-    found = []
+    found = {}
     for sigma in group:
         if _turned(image, sigma) == image:
             moved = {f"e{j}": f"e{min(sigma[j], sigma[n + t])}"
                      for j, t in enumerate(image)}
-            found.append(({point_of[sep, end]: point_of[moved[sep], end]
-                           for sep, end in firsts}, sigma[0] >= n))
-    return found
+            face_map = {point_of[sep, end]: point_of[moved[sep], end]
+                        for sep, end in firsts}
+            reverses = sigma[0] >= n
+            found.setdefault((tuple(sorted(face_map.items())), reverses),
+                             (face_map, reverses))
+    return list(found.values())
 
 
 def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
     """All diagram classes within the bounds, exactly once per class, by
     (saddle count, total k), then canonical bytes; each is represented by
-    its least candidate, whatever ``rng`` does (``_diagram_classes``)."""
-    for d, _, _ in _diagram_classes(bounds, rng):
+    its least candidate (``_diagram_classes``).  ``rng`` is ignored."""
+    for d, _, _ in _diagram_classes(bounds):
         yield d
 
 
@@ -259,7 +259,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     diagram blocks, which in REVERSIBLE mode also holds the blocks of the
     reversed diagram (``isomorphism._canonical_blob``).  Only the loop
     over the diagram's closures holds the table, so no emitted pair or
-    diagram carries it.  Nothing emitted depends on ``rng``.
+    diagram carries it.  ``rng`` is accepted and ignored.
     """
     found = []
 
@@ -274,7 +274,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     for pair in _annulus_only_models(bounds):
         offer(pair)
 
-    for diagram, image, group in _diagram_classes(bounds, rng):
+    for diagram, image, group in _diagram_classes(bounds):
         if not diagram.saddles:
             continue
         comps = diagram.components
@@ -407,8 +407,8 @@ class ClassTable:
 
 
 def count_classes(bounds: EnumBounds, rng: random.Random | None = None) -> ClassTable:
-    """The classes of ``enumerate_pairs`` by coarse surface data; the
-    table is the same for every ``rng``."""
+    """The classes of ``enumerate_pairs`` by coarse surface data;
+    ``rng`` is ignored."""
     table = {}
     for pair in enumerate_pairs(bounds, rng):
         _, sig = reconstruct(pair)
