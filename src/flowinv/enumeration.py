@@ -21,6 +21,15 @@ carries one onto the other, so only the closure least in its orbit under
 those symmetries is built, and every model built is a class of its own
 (McKay, "Isomorph-free exhaustive generation", 1998).
 
+A closure's pair is built from parts made once and shared: the polycycle
+vertices and one ``Attachment`` per face point once per diagram, one
+leaf vertex and its ``Attachment`` per kind and index, and the annulus
+ids, once per call.
+Since a kept closure joins every component (``_joins_components``) and
+each leaf annulus ties its leaf to a face, the pair is one piece, and it
+is handed that one-component ``assembly`` as it is built.  Its
+``violations`` are still computed in full: every emitted pair is checked.
+
 The optional ``rng`` argument is accepted and ignored.  Which candidate
 represents a class does not depend on the order candidates are tried in:
 a class keeps the least candidate of its orbit.
@@ -90,12 +99,6 @@ def _diagram(ks: tuple, image: tuple) -> SaddleDiagram:
         rotations[tgt][tgt_pos] = (eid, "in")
     return SaddleDiagram(tuple(Saddle(f"s{i}", k, tuple(rotations[i]))
                                for i, k in enumerate(ks)), tuple(seps))
-
-
-def _diagram_candidates(ks: tuple):
-    """Every candidate over the degree multiset, in lexicographic order."""
-    for image in permutations(range(sum(ks) + len(ks))):
-        yield _diagram(ks, image)
 
 
 def _slot_symmetries(ks: tuple, reversal: bool) -> list:
@@ -260,8 +263,22 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     reversed diagram (``isomorphism._canonical_blob``).  Only the loop
     over the diagram's closures holds the table, so no emitted pair or
     diagram carries it.  ``rng`` is accepted and ignored.
+
+    The closures of one diagram share its polycycle vertices and one
+    ``Attachment`` per face point.  All closures share one leaf vertex
+    and its ``Attachment`` per kind and index up to the leaf budgets, the
+    annulus ids, and the set of the first ``n`` of them for each ``n``.
+    Each closure's pair is handed its one-component ``assembly``
+    (``_assemble``), and ``offer`` still runs ``check_pair`` on it.
     """
     found = []
+    leaves = {kind: [(VertexNode(f"{kind}{i}", kind), Attachment(f"{kind}{i}"))
+                     for i in range(budget)]
+              for kind, budget in (("c", bounds.max_centers),
+                                   ("n", bounds.max_n), ("b", bounds.max_b))}
+    annulus_ids = [f"a{i}" for i in range(bounds.max_annuli)]
+    annulus_sets = [frozenset(annulus_ids[:n])
+                    for n in range(bounds.max_annuli + 1)]
 
     def offer(pair: InvariantPair, blocks: dict | None = None):
         check_pair(pair)
@@ -279,24 +296,21 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
             continue
         comps = diagram.components
         faces = diagram.faces_by_component
-        face_points = [
-            (comp_id, idx)
-            for comp_id, _, _ in comps
-            for idx in range(len(faces.get(comp_id, [])))
-        ]
         d_vertices = tuple(
             VertexNode(f"p{i}", "d", comp_id)
             for i, (comp_id, _, _) in enumerate(comps)
         )
-        vertex_of_comp = {comp_id: f"p{i}" for i, (comp_id, _, _) in enumerate(comps)}
+        face_att = {(comp_id, idx): Attachment(f"p{i}", idx)
+                    for i, (comp_id, _, _) in enumerate(comps)
+                    for idx in range(len(faces.get(comp_id, [])))}
         moves = [(face_map, reverses)
                  for face_map, reverses in _symmetries(diagram, image, group)
                  if reverses or any(face_map[p] != p for p in face_map)]
 
         blocks = {}
-        for closure in _closures(comps, face_points, moves, bounds):
-            offer(_assemble(diagram, d_vertices, vertex_of_comp, closure),
-                  blocks)
+        for closure in _closures(comps, list(face_att), moves, bounds):
+            offer(_assemble(diagram, d_vertices, face_att, leaves,
+                            annulus_ids, annulus_sets, closure), blocks)
 
     # every offer is a class of its own, so no key repeats
     for _, pair in sorted(found, key=lambda item: item[0]):
@@ -362,32 +376,36 @@ def _orbit_least(closure: tuple, moves: list) -> bool:
     return True
 
 
-def _assemble(diagram, d_vertices, vertex_of_comp, closure) -> InvariantPair:
-    """Build the pair of one directed closure of the diagram."""
+def _assemble(diagram, d_vertices, face_att, leaves, annulus_ids,
+              annulus_sets, closure) -> InvariantPair:
+    """Build the pair of one directed closure of the diagram from shared
+    parts: ``face_att`` maps each face point to its ``Attachment``,
+    ``leaves[kind][i]`` is the ``i``-th leaf of that kind with its
+    ``Attachment``, and ``annulus_sets[n]`` is the set of the first ``n``
+    of ``annulus_ids``.  The closure joins every component and each leaf
+    annulus ties its leaf to a face, so the pair is handed its
+    one-component ``assembly``, stored the way ``cached_property`` stores
+    it.  Its ``violations`` are not handed: ``offer`` checks each pair in
+    full."""
     vertices = list(d_vertices)
     annuli = []
-    counters = {"c": 0, "n": 0, "b": 0}
-
-    def fresh_leaf(kind: str) -> Attachment:
-        vid = f"{kind}{counters[kind]}"
-        counters[kind] += 1
-        vertices.append(VertexNode(vid, kind))
-        return Attachment(vid)
-
-    def face_att(point) -> Attachment:
-        comp_id, idx = point
-        return Attachment(vertex_of_comp[comp_id], idx)
-
-    directed, leaves = closure
+    used = dict.fromkeys(leaves, 0)
+    directed, singles = closure
     for neg, pos in directed:
-        annuli.append(AnnulusEdge(f"a{len(annuli)}", face_att(neg),
-                                  face_att(pos)))
-    for point, kind, leaf_neg in leaves:
-        a, b = face_att(point), fresh_leaf(kind)
-        if leaf_neg:
+        annuli.append(AnnulusEdge(annulus_ids[len(annuli)], face_att[neg],
+                                  face_att[pos]))
+    for point, kind, leaf_neg in singles:
+        vertex, a = leaves[kind][used[kind]]
+        used[kind] += 1
+        vertices.append(vertex)
+        b = face_att[point]
+        if not leaf_neg:
             a, b = b, a
-        annuli.append(AnnulusEdge(f"a{len(annuli)}", a, b))
-    return InvariantPair(diagram, tuple(vertices), tuple(annuli), 0)
+        annuli.append(AnnulusEdge(annulus_ids[len(annuli)], a, b))
+    pair = InvariantPair(diagram, tuple(vertices), tuple(annuli), 0)
+    pair.__dict__["assembly"] = ((frozenset(v.id for v in vertices),
+                                  annulus_sets[len(annuli)]),)
+    return pair
 
 
 @dataclass(frozen=True)

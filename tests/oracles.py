@@ -13,7 +13,7 @@ import random
 from itertools import combinations, permutations, product
 
 from flowinv.diagram import SaddleDiagram
-from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram_candidates
+from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram
 from flowinv.graph import (
     AnnulusEdge,
     Attachment,
@@ -352,6 +352,13 @@ def random_relabel(p: InvariantPair, rng: random.Random) -> InvariantPair:
 # pruning-free enumeration twin
 
 
+def diagram_candidates(ks: tuple):
+    """Every diagram candidate over the degree multiset, in lexicographic
+    order: one per bijection of out-slots to in-slots."""
+    for image in permutations(range(sum(ks) + len(ks))):
+        yield _diagram(ks, image)
+
+
 def _all_matchings(points: list):
     if not points:
         yield []
@@ -389,7 +396,7 @@ def brute_force_pairs(bounds: EnumBounds) -> list:
                   + ["b"] * bounds.max_b)
 
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
-        for diagram in _diagram_candidates(ks):
+        for diagram in diagram_candidates(ks):
             from flowinv.diagram import diagram_components, faces_by_component
 
             comps = diagram_components(diagram)

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from functools import cached_property
 from hashlib import sha256
 from itertools import permutations
 
@@ -25,7 +26,8 @@ from flowinv.model_io import serialize_model
 from flowinv.reconstruction import reconstruct
 
 from conftest import own_state
-from oracles import brute_force_pairs, diagram_automorphisms_oracle
+from oracles import brute_force_pairs, diagram_automorphisms_oracle, \
+    diagram_candidates
 from test_acceptance import SMALL_CONFIGS
 from test_isomorphism import GOLDEN_DIGESTS, _fixture_model
 
@@ -78,7 +80,7 @@ class TestDiagrams:
         from itertools import combinations
 
         from flowinv.diagram import faces_by_component
-        from flowinv.enumeration import _degree_multisets, _diagram_candidates
+        from flowinv.enumeration import _degree_multisets
         from flowinv.graph import AnnulusEdge, Attachment, VertexNode, InvariantPair
         from flowinv.isomorphism import canonical_diagram, pair_isomorphic
 
@@ -106,7 +108,7 @@ class TestDiagrams:
         candidates = []
         for ks in _degree_multisets(2, 2):
             if ks:  # the empty diagram lifts to an empty (invalid) model
-                candidates.extend(_diagram_candidates(ks))
+                candidates.extend(diagram_candidates(ks))
         lifted = [lift(d) for d in candidates]
         keys = [canonical_diagram(d, ORIENTED) for d in candidates]
         for i, j in combinations(range(len(candidates)), 2):
@@ -255,6 +257,29 @@ SMALL_BOUNDS = list(dict.fromkeys(
     replace(b, mode=ORIENTED) for b in [SMALL, *(b for b, _, _ in SMALL_CONFIGS)]))
 
 
+def _rebuilt(p: InvariantPair) -> InvariantPair:
+    """``p`` as a fresh pair on a fresh diagram: nothing handed or cached."""
+    return InvariantPair(
+        SaddleDiagram(p.diagram.saddles, p.diagram.separatrices),
+        p.vertices, p.annuli, p.tori)
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """From now on, list every pair whose cached property ``name`` runs
+    its body."""
+    body = InvariantPair.__dict__[name].func
+    ran = []
+
+    def counting(self):
+        ran.append(self)  # keeps each object alive, so ids stay unique
+        return body(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(InvariantPair, name)
+    monkeypatch.setattr(InvariantPair, name, prop)
+    return ran
+
+
 def _watch_offers(monkeypatch) -> list:
     """From now on, list every candidate ``enumerate_pairs`` offers, and
     fail on any canonical key it computes twice."""
@@ -286,7 +311,10 @@ def test_three_saddle_class_tables_pinned(monkeypatch, mode):
     assert sum(len(digests) for _, digests in table.entries) == classes
     assert table.counts() == counts
     assert len(offered) == classes
-    assert all(len(pair.assembly) == 1 for pair in offered)
+    for pair in offered:
+        fresh = _rebuilt(pair)
+        assert fresh.violations == ()
+        assert fresh.assembly == pair.assembly
 
 
 def _group_set(d, image, slot_group):
@@ -350,6 +378,28 @@ def test_offers_one_candidate_per_class(monkeypatch, bounds, mode):
     offered = _watch_offers(monkeypatch)
     emitted = list(enumerate_pairs(replace(bounds, mode=mode)))
     assert emitted and len(offered) == len(emitted)
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=["small", "two-saddle"])
+def test_handed_assembly_matches_fresh_pair(monkeypatch, bounds, mode):
+    """A diagram-based pair is handed its assembly as it is built, yet
+    every emitted pair is still validated in full: its ``violations`` body
+    ran, and the same pair built afresh is valid and has that assembly."""
+    validated = _counting(monkeypatch, "violations")
+    assembled = _counting(monkeypatch, "assembly")
+    emitted = list(enumerate_pairs(replace(bounds, mode=mode)))
+    assert any(p.diagram.saddles for p in emitted)
+    checked = {id(q) for q in validated}
+    computed = {id(q) for q in assembled}
+    for p in emitted:
+        assert id(p) in checked and p.violations == ()
+        if p.diagram.saddles:
+            assert id(p) not in computed and "assembly" in p.__dict__
+        fresh = _rebuilt(p)
+        assert fresh.violations == ()
+        assert fresh.assembly == p.assembly
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
