@@ -26,7 +26,6 @@ from .topology import FinPoset, connected_groups
 
 C, N, B, D = "c", "n", "b", "d"
 LABELS = (C, N, B, D)
-_TORUS = (frozenset(), frozenset())  # the assembly entry of a periodic torus
 
 
 @dataclass(frozen=True)
@@ -134,10 +133,12 @@ class InvariantPair:
         if violations:
             return tuple(violations)
 
+        # a local map, so a checked pair does not keep ``vertex_by_id``
+        vertex_by_id = {v.id: v for v in self.vertices}
         use = {}  # attachment point key -> list of (annulus id, side)
         for a in self.annuli:
             for side, att in (("neg", a.neg), ("pos", a.pos)):
-                v = self.vertex_by_id.get(att.vertex)
+                v = vertex_by_id.get(att.vertex)
                 if v is None:
                     bad("annulus", a.id, "attachment",
                         f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
@@ -218,11 +219,11 @@ class InvariantPair:
 
     @cached_property
     def assembly(self) -> tuple:
-        """Connected pieces of the model, one per surface component.
-
-        ``(vertex_ids, annulus_ids)`` pairs sorted by least vertex id,
-        followed by one ``(frozenset(), frozenset())`` placeholder per
-        periodic torus.
+        """Connected pieces of the model's cells, one per surface component
+        other than a periodic torus: ``(vertex_ids, annulus_ids)`` pairs
+        sorted by least vertex id.  The tori are the other ``tori``
+        components; consumers read that count, so a model with many tori
+        costs no more than one with a few.
         """
         groups = connected_groups(
             (v.id for v in self.vertices),
@@ -232,8 +233,8 @@ class InvariantPair:
         annuli = [[] for _ in groups]
         for a in self.annuli:
             annuli[group_of[a.neg.vertex]].append(a.id)
-        comps = [(vids, frozenset(aids)) for vids, aids in zip(groups, annuli)]
-        return tuple(comps + [_TORUS] * self.tori)
+        return tuple((vids, frozenset(aids))
+                     for vids, aids in zip(groups, annuli))
 
 
 def validate_pair(p: InvariantPair) -> list:
@@ -306,5 +307,5 @@ def underlying_multigraph(p: InvariantPair) -> Multigraph:
 
 
 def assembly_components(p: InvariantPair) -> tuple:
-    """Connected pieces of the model: ``p.assembly``."""
+    """Connected pieces of the model's cells, tori left out: ``p.assembly``."""
     return p.assembly

@@ -20,7 +20,10 @@ Reversal is written out by ``reverse_pair`` and ``reverse_diagram``.
 REVERSIBLE canonical bytes are the lesser of the ORIENTED bytes of the
 model and of its reversal: the canonical form of an orbit under an extra
 involution is the least canonical form of its members (McKay and
-Piperno, "Practical graph isomorphism, II", 2014).  The canonical search
+Piperno, "Practical graph isomorphism, II", 2014).  ORIENTED bytes open
+with an orientation byte (``_orientation``), a class invariant that
+reversal flips, so when it reads ``<`` the model's own bytes are the
+lesser and the reversal is not searched.  Otherwise the canonical search
 labels the reversal in place and never builds the reversed pair: it
 compiles ``reverse_diagram(p.diagram)`` and reads every annulus's sides
 swapped.  It runs at most once per assembly component, pair object and
@@ -63,7 +66,7 @@ from .graph import (
 )
 from .topology import connected_groups
 
-CANONICAL_FORMAT_VERSION = 2
+CANONICAL_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -363,8 +366,8 @@ def _find_direct_iso(p1: InvariantPair, t2: _PairTables,
                      reversed_orientation: bool):
     """Match the assembly components of ``p1`` greedily: isomorphism is an
     equivalence, so any unused component of the second pair that one
-    matches is as good as any other.  The caller's profile gate has
-    counted the tori."""
+    matches is as good as any other.  The assembly leaves the tori out;
+    the caller's profile gate has counted them."""
     search = _DartSearch(_PairTables(p1), t2)
     t1 = search.t1
     faces = p1.diagram.faces_by_component
@@ -373,10 +376,8 @@ def _find_direct_iso(p1: InvariantPair, t2: _PairTables,
         comps = [c for c in comps if c is not None]
         if comps:
             seeds = zip(repeat(faces[min(comps)][0].sides[0]), t2.succ)
-        elif annulus_ids:  # one annulus between two leaves
+        else:  # one annulus between two leaves
             seeds = zip(repeat(min(annulus_ids)), t2.ends)
-        else:
-            continue
         if not search.extend(seeds):
             return None
     fwd = search.fwd
@@ -855,19 +856,43 @@ class _CanonicalEngine:
         return {x: k for k, group in enumerate(groups) for x in group}
 
 
-def _framed(blobs) -> bytes:
-    """The format byte, then the component blobs sorted and newline-joined."""
-    return bytes([CANONICAL_FORMAT_VERSION]) + b"\n".join(sorted(blobs))
+def _framed(blobs, orientation: bytes = b"") -> bytes:
+    """The format byte, a pair's orientation byte (a bare diagram has
+    none), then the component blobs sorted and newline-joined."""
+    return (bytes([CANONICAL_FORMAT_VERSION]) + orientation
+            + b"\n".join(sorted(blobs)))
+
+
+def _orientation(engines) -> bytes:
+    """``<``, ``=`` or ``>``: how the model's annulus ends compare with
+    the same ends swapped.
+
+    An annulus end reads as the initial ranks of its vertex and of its
+    face (-1 at a leaf); each component sorts its annuli's end pairs, and
+    the model sorts its components' lists.  Isomorphic models give equal
+    lists, so the byte is an ORIENTED class invariant.  Reversal keeps
+    every initial rank and swaps only the two ends of each annulus, so
+    the reversal's byte is this byte flipped, and ``=`` whenever the
+    model is isomorphic to its reversal.
+    """
+    model, swapped = [], []
+    for e in engines:
+        init = e.initial
+        ends = [((init[v], init[f] if f >= 0 else -1),
+                 (init[w], init[g] if g >= 0 else -1))
+                for (v, f), (w, g) in e.ann_ends]
+        model.append(sorted(ends))
+        swapped.append(sorted([(b, a) for a, b in ends]))
+    model.sort()
+    swapped.sort()
+    return b"<" if model < swapped else b">" if model > swapped else b"="
 
 
 def _component_engines(p: InvariantPair, blocks: dict, reversal: bool):
     """One engine per assembly component of ``p``, or of its reversal, on
-    the blocks of ``blocks`` keyed by ``(reversal, polycycles)``; None for
-    a periodic torus.  A missing block is compiled into ``blocks``."""
+    the blocks of ``blocks`` keyed by ``(reversal, polycycles)``.  A
+    missing block is compiled into ``blocks``."""
     for vertex_ids, annulus_ids in p.assembly:
-        if not vertex_ids:
-            yield None
-            continue
         vertices = [v for v in p.vertices if v.id in vertex_ids]
         annuli = [a for a in p.annuli if a.id in annulus_ids]
         comps = frozenset({v.component for v in vertices if v.label == "d"})
@@ -880,9 +905,13 @@ def _component_engines(p: InvariantPair, blocks: dict, reversal: bool):
 
 def _oriented_blob(p: InvariantPair, blocks: dict, reversal: bool) -> bytes:
     """The framed ORIENTED bytes of ``p``, or with ``reversal`` of its
-    reversal: one search per component, ``b"T"`` for a periodic torus."""
-    return _framed(b"T" if e is None else e.canonical()
-                   for e in _component_engines(p, blocks, reversal))
+    reversal: the orientation byte, then one search per component, and
+    ``T`` with the count if there are periodic tori."""
+    engines = list(_component_engines(p, blocks, reversal))
+    blobs = [e.canonical() for e in engines]
+    if p.tori:
+        blobs.append(b"T%d" % p.tori)
+    return _framed(blobs, _orientation(engines))
 
 
 def _canonical_blob(p: InvariantPair, mode: IsoMode,
@@ -892,9 +921,11 @@ def _canonical_blob(p: InvariantPair, mode: IsoMode,
     The framed bytes of each orientation stay in the pair's instance dict,
     the way a ``cached_property`` keeps its value: ``oriented_blob``, and
     ``reversed_blob``, the oriented bytes of ``reverse_pair(p)``, the first
-    time REVERSIBLE mode asks.  So a repeat call in either mode runs no
-    search.  Reversal acts on the whole model at once, so REVERSIBLE takes
-    the lesser over whole models, not per component.
+    time REVERSIBLE mode needs them.  So a repeat call in either mode runs
+    no search.  Reversal acts on the whole model at once, so REVERSIBLE
+    takes the lesser over whole models, not per component.  The reversal's
+    orientation byte is the flip of the model's, so when the model's reads
+    ``<`` its own bytes are the lesser and the reversal is not searched.
 
     ``blocks`` is the caller's table of compiled diagram blocks for pairs
     on one diagram (see ``_component_engines``); without it the blocks
@@ -904,7 +935,7 @@ def _canonical_blob(p: InvariantPair, mode: IsoMode,
     blocks = {} if blocks is None else blocks
     if "oriented_blob" not in kept:
         kept["oriented_blob"] = _oriented_blob(p, blocks, False)
-    if not mode.allow_reversal:
+    if not mode.allow_reversal or kept["oriented_blob"][1:2] == b"<":
         return kept["oriented_blob"]
     if "reversed_blob" not in kept:
         kept["reversed_blob"] = _oriented_blob(p, blocks, True)

@@ -115,7 +115,7 @@ def chi_cells(p: InvariantPair) -> list:
     """Euler characteristic per assembly component.
 
     Disks contribute 1, polycycle neighborhoods V - E, annuli and collars
-    0, and a periodic torus component 0.
+    0, and each periodic torus, listed after the cell components, 0.
     """
     check_pair(p)
     comp_sizes = {
@@ -124,9 +124,6 @@ def chi_cells(p: InvariantPair) -> list:
     }
     out = []
     for vertex_ids, _ in p.assembly:
-        if not vertex_ids:
-            out.append(0)  # periodic torus
-            continue
         chi = 0
         for vid in vertex_ids:
             v = p.vertex_by_id[vid]
@@ -135,7 +132,7 @@ def chi_cells(p: InvariantPair) -> list:
             elif v.label == "d":
                 chi += comp_sizes[v.component]
         out.append(chi)
-    return out
+    return out + [0] * p.tori
 
 
 def _circle_of_attachment(p: InvariantPair, att: Attachment) -> str:
@@ -224,8 +221,6 @@ def extract_pair(cm: CellModel) -> InvariantPair:
 
 def _component_signature(p: InvariantPair, vertex_ids,
                          comp_euler: int) -> ComponentSignature:
-    if not vertex_ids:
-        return ComponentSignature(True, 1, 0, 0)  # periodic torus
     labels = [p.vertex_by_id[v].label for v in vertex_ids]
     boundary = labels.count("b")
     orientable = "n" not in labels
@@ -246,14 +241,14 @@ def _component_signature(p: InvariantPair, vertex_ids,
 def reconstruct(p: InvariantPair) -> tuple:
     """Paste the cell model and classify each surface component.
 
-    Returns ``(CellModel, SurfaceSignature)``.
+    Returns ``(CellModel, SurfaceSignature)``; the periodic tori come
+    last, one component each.
     """
     cm = build_cell_model(p)
-    chis = chi_cells(p)
-    sigs = []
-    for (vertex_ids, _), chi in zip(p.assembly, chis):
-        sigs.append(_component_signature(p, vertex_ids, chi))
-    return cm, SurfaceSignature(tuple(sigs))
+    sigs = [_component_signature(p, vertex_ids, chi)
+            for (vertex_ids, _), chi in zip(p.assembly, chi_cells(p))]
+    tori = (ComponentSignature(True, 1, 0, 0),) * p.tori
+    return cm, SurfaceSignature(tuple(sigs) + tori)
 
 
 def cellmodel_euler(cm: CellModel) -> list:

@@ -382,7 +382,7 @@ def brute_force_pairs(bounds: EnumBounds) -> list:
     def offer(pair):
         if validate_pair(pair):
             return
-        if len(assembly_components(pair)) != 1:
+        if len(assembly_components(pair)) + pair.tori != 1:
             return
         for rep in classes:
             if pair_isomorphic(rep, pair, bounds.mode) is not None:

@@ -1,4 +1,5 @@
 import random
+import resource
 import subprocess
 import sys
 
@@ -151,6 +152,30 @@ class TestReports:
         code2, out2, _ = run(capsys, "canon", path)
         assert code1 == code2 == 0 and out1 == out2
         assert len(out1.strip()) == 64
+
+    @pytest.mark.parametrize("flags", [[], ["--reverse-allowed"]],
+                             ids=["oriented", "reversible"])
+    def test_canon_counts_tori(self, tmp_path, flags):
+        """A 109-byte document with a hundred million periodic tori: the
+        canonical bytes frame them by count, so the command answers at
+        once.  The child gets 512 MB of address space, so a per-torus
+        cost fails with a MemoryError instead of taxing the host."""
+        path = tmp_path / "tori.json"
+        path.write_text(
+            '{"version":1,"diagram":{"saddles":[],"separatrices":[]},'
+            '"graph":{"vertices":[],"annuli":[],"tori":100000000}}',
+            encoding="utf-8")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = within_budget(
+            subprocess.run,
+            [sys.executable, "-m", "flowinv", "canon", str(path), *flags],
+            capture_output=True, text=True, preexec_fn=cap_memory,
+            seconds=1.0)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.strip()) == 64
 
     def test_export_dot(self, capsys):
         code, out, _ = run(capsys, "export-dot",

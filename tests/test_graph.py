@@ -188,8 +188,9 @@ class TestAssemblyAndStripping:
             tori=1,
         )
         comps = assembly_components(p)
-        assert len(comps) == 3
-        assert comps[-1] == (frozenset(), frozenset())
+        assert comps == ((frozenset({"c1", "c2"}), frozenset({"u0"})),
+                         (frozenset({"c3", "c4"}), frozenset({"u1"})))
+        assert p.tori == 1  # the third component, counted, not listed
 
     def test_underlying_multigraph_of_three_eight(self, three_eight):
         g = underlying_multigraph(three_eight)

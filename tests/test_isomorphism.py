@@ -1,6 +1,8 @@
 import hashlib
 import random
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +14,7 @@ from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, VertexNode
 from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
     ValidationError
 from flowinv.isomorphism import (
+    CANONICAL_FORMAT_VERSION,
     ORIENTED,
     REVERSIBLE,
     canonical_diagram,
@@ -239,7 +242,7 @@ class TestCanonicalForm:
             canonical_form(q, ORIENTED).blob
 
     def test_version_byte(self):
-        assert canonical_form(sphere_rotation()).blob[0] == 2
+        assert canonical_form(sphere_rotation()).blob[0] == 3
 
     def test_agrees_with_backtracking_on_model_pairs(self):
         pairs = [build() for build in MODELS]
@@ -257,45 +260,48 @@ class TestCanonicalForm:
     def test_labeling_keeps_only_framed_bytes(self, mode):
         """A pair read from outside compiles its diagram block for the
         search alone: the pair keeps its framed bytes and nothing else,
-        and its diagram keeps no more than its cached properties."""
-        kept = {"oriented_blob", "reversed_blob"} if mode.allow_reversal \
-            else {"oriented_blob"}
+        and its diagram keeps no more than its cached properties.  The
+        reversed bytes are kept when REVERSIBLE mode searched for them,
+        that is unless the orientation byte reads ``<``."""
         for name in GOLDEN_DIGESTS:
             p = _fixture_model(name)
             pair_before = set(p.__dict__) | own_state(InvariantPair)
             canonical_form(p, mode)
+            kept = {"oriented_blob"}
+            if mode.allow_reversal and p.oriented_blob[1:2] != b"<":
+                kept.add("reversed_blob")
             assert set(p.__dict__) - pair_before == kept
             assert set(p.diagram.__dict__) <= own_state(SaddleDiagram)
 
 
 # Canonical digests (ORIENTED, REVERSIBLE) of every valid fixture under
-# format 2; the graph file is pinned through its realized model.  A change
+# format 3; the graph file is pinned through its realized model.  A change
 # to the canonical bytes must bump CANONICAL_FORMAT_VERSION and this table.
 GOLDEN_DIGESTS = {
     "disk_eight_aligned.json": (
-        "f77197e1b1d1c13643bb5982cf09d5d8eb7f2eddd519487f62a9f6a048a62ab0",
-        "91cc7222448503ac50e0119d35d26e4505fbd0f22885b9d16f2a58fe3334881e"),
+        "f5d3f9433da1ba69ded9c451eab9eb87a00f78f4bbcd2f5de81bac3c4f1dcdb4",
+        "07ee11f84b60121433908f46129e92c90edf6f84f14e98de773394565ca542b0"),
     "disk_eight_opposed.json": (
-        "6853434a473f7e88d4aeed64b26a958e2266c9ca4ab576bd84be282dc1bbfc8f",
-        "986f40d4109851dfea7450dee3349a4f723c1a6009101f731320042b75ec1d92"),
+        "625219e5b981163d64895a99dcd64653f06f9ecab0bb8a5fa4eafb05fea8895c",
+        "c659c80f7a7efba9b4b0c4e7e4078c8dc63e66366aede500f67ec728580e88a4"),
     "periodic_torus.json": (
-        "7aae91f32899855b4faccc894b1806488f2924ec591707d57c74abe2df5b32dd",
-        "7aae91f32899855b4faccc894b1806488f2924ec591707d57c74abe2df5b32dd"),
+        "6a59b7dc936422574fb36c7351800b7d6547be1feab293fa95e39a51ad7eeb02",
+        "6a59b7dc936422574fb36c7351800b7d6547be1feab293fa95e39a51ad7eeb02"),
     "sphere_rotation.json": (
-        "348ec3d130ab4ee6a6e40c6bb58a525778af6a92dd05c29f992d3fdbb3e20d16",
-        "348ec3d130ab4ee6a6e40c6bb58a525778af6a92dd05c29f992d3fdbb3e20d16"),
+        "1994a74a30023ad13a75fad622efc3392171c921b9a37ae734579fe3308fa109",
+        "1994a74a30023ad13a75fad622efc3392171c921b9a37ae734579fe3308fa109"),
     "star_graph.json": (
-        "56ca146ebf50e422cf492cfc170ac312d0c22ac71bb91761cd653d16af60af0d",
-        "0d1a35cd6d4091f2e32c9d0cac48f41d8769d51540073626fabd89ce852eeddc"),
+        "781cd3eefb0b916585396acdb82b033774c768b07f7322b7c8be4e49e7cd39ea",
+        "29d6abca3064f99bbf918d06726a3f94412f03999adbde2ca204e624eeaadd49"),
     "three_centers_boundary.json": (
-        "6853434a473f7e88d4aeed64b26a958e2266c9ca4ab576bd84be282dc1bbfc8f",
-        "986f40d4109851dfea7450dee3349a4f723c1a6009101f731320042b75ec1d92"),
+        "625219e5b981163d64895a99dcd64653f06f9ecab0bb8a5fa4eafb05fea8895c",
+        "c659c80f7a7efba9b4b0c4e7e4078c8dc63e66366aede500f67ec728580e88a4"),
     "three_centers_eight.json": (
-        "54eb3723f7853fb074dafdee6fe70e34ce71d1617b2bd4078458e23a5e14e976",
-        "54eb3723f7853fb074dafdee6fe70e34ce71d1617b2bd4078458e23a5e14e976"),
+        "7a4a7d19e714d1d9f0ea39a2e421ed6192b58fdbc8b442f279fc85fa642577e9",
+        "7a4a7d19e714d1d9f0ea39a2e421ed6192b58fdbc8b442f279fc85fa642577e9"),
     "three_centers_mobius.json": (
-        "f0c66f3f7c68ef6dd0e72a1b15621b930706922e3dda5da5378eb824a29a0661",
-        "f0c66f3f7c68ef6dd0e72a1b15621b930706922e3dda5da5378eb824a29a0661"),
+        "56eec8797a65c3966fc9476a9e9ec860386c1891f2b001108133ea43d36a6c94",
+        "56eec8797a65c3966fc9476a9e9ec860386c1891f2b001108133ea43d36a6c94"),
 }
 
 
@@ -329,9 +335,26 @@ class TestGoldenDigests:
 # byte.  Every such diagram is isomorphic to its reversal, so both modes
 # agree here.
 GOLDEN_DIAGRAM_DIGESTS = {
-    "oriented": "a9d064fdc978cd8a7fc55ae17593475f795a3ee84c713cdcf384a36220d650e4",
-    "reversible": "a9d064fdc978cd8a7fc55ae17593475f795a3ee84c713cdcf384a36220d650e4",
+    "oriented": "857627f830cf13d525acb81080e94730a193af8162860ff87643632b3b095ef8",
+    "reversible": "857627f830cf13d525acb81080e94730a193af8162860ff87643632b3b095ef8",
 }
+
+
+def test_pinned_format_is_the_constant():
+    """The README's "`CANONICAL_FORMAT_VERSION`, now N" and the first
+    byte of every pinned blob follow the constant, so a format bump
+    cannot leave the docs or a golden table stale."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = re.findall(r"`CANONICAL_FORMAT_VERSION`,\s+now\s+(\d+)",
+                       readme.read_text(encoding="utf-8"))
+    assert named and set(named) == {str(CANONICAL_FORMAT_VERSION)}
+    for mode in (ORIENTED, REVERSIBLE):
+        for name in GOLDEN_DIGESTS:
+            blob = canonical_form(_fixture_model(name), mode).blob
+            assert blob[0] == CANONICAL_FORMAT_VERSION
+        for d in enumerate_diagrams(EnumBounds(max_saddles=2, max_k_sum=2,
+                                               mode=mode)):
+            assert canonical_diagram(d, mode)[0] == CANONICAL_FORMAT_VERSION
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
@@ -654,7 +677,7 @@ class TestEngineShortcuts:
             leaves.clear()
             least = engine.canonical()
             assert leaves[0] != least and engine.automorphisms
-            assert least == canonical_form(_rebuilt(p)).blob[1:]
+            assert least == canonical_form(_rebuilt(p)).blob[2:]
 
     def test_refine_matches_full_refinement(self):
         """Skipping singleton cells changes no coloring: at the root and at
@@ -749,10 +772,11 @@ class TestKeptSearch:
         parts = [three_centers_eight(), leaf_pair("n", "b"),
                  realize_multigraph(cycle_graph(5))]
         p = _disjoint_union(*parts, tori=1)
-        assert len(p.assembly) == 4  # three parts and the torus
+        assert len(p.assembly) == 3  # three parts; the torus is counted
         roots = _root_searches(monkeypatch)
         canonical_form(p, ORIENTED)
         assert len(roots) == 3
+        assert p.oriented_blob[1:2] == b">"  # the reversal is the lesser
         canonical_form(p, REVERSIBLE)
         assert len(roots) == 6  # only the reversed pair's, one per component
         for mode in (ORIENTED, REVERSIBLE, ORIENTED):
@@ -761,12 +785,16 @@ class TestKeptSearch:
 
     def test_reversible_first_then_oriented(self, monkeypatch):
         p = _disjoint_union(three_centers_eight(), disk_flow(True))
+        r = reverse_pair(p)
         roots = _root_searches(monkeypatch)
         canonical_form(p, REVERSIBLE)
-        assert len(roots) == 4  # both orientations of both components
-        canonical_form(p, ORIENTED)
-        canonical_form(p, REVERSIBLE)
-        assert len(roots) == 4
+        assert len(roots) == 2  # orientation byte "<": its own bytes only
+        canonical_form(r, REVERSIBLE)
+        assert len(roots) == 6  # byte ">": both orientations, two components
+        for q in (p, r):
+            canonical_form(q, ORIENTED)
+            canonical_form(q, REVERSIBLE)
+        assert len(roots) == 6
 
     @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
                              ids=["oriented", "reversible"])

@@ -9,6 +9,7 @@ from flowinv.multigraph import Multigraph, multigraph_isomorphic
 from flowinv.reconstruction import (
     Cell,
     CellModel,
+    ComponentSignature,
     NotRealizableError,
     ReconstructionError,
     build_cell_model,
@@ -153,6 +154,20 @@ class TestCellModel:
         assert sorted(cellmodel_euler(build_cell_model(p))) == [0, 2, 2]
         _, sig = reconstruct(p)
         assert sorted(c.genus for c in sig.components) == [0, 0, 1]
+
+    def test_tori_come_last_one_each(self):
+        """The assembly counts tori instead of listing them; the surface
+        still has one torus component per torus, after the others."""
+        sphere = sphere_rotation()
+        p = InvariantPair(sphere.diagram, sphere.vertices, sphere.annuli,
+                          tori=3)
+        assert len(p.assembly) == 1
+        assert chi_cells(p) == [2, 0, 0, 0]
+        _, sig = reconstruct(p)
+        assert sig.components == (
+            (ComponentSignature(True, 0, 0, 2),)
+            + (ComponentSignature(True, 1, 0, 0),) * 3)
+        assert len(sig.summary_lines()) == 4
 
     def test_extract_round_trip(self):
         for build in (sphere_rotation, three_centers_eight, eight_torus_pair,
