@@ -13,22 +13,16 @@ bijections from out-slots to in-slots; every valid diagram is a
 relabeling of one of these.  Two candidates are isomorphic exactly when
 a slot symmetry (see ``_slot_symmetries``) carries one onto the other.
 Only the candidate least in its orbit is kept, and the symmetries that
-fix it are the diagram's.
+fix it are the diagram's.  Kept candidates stream in the order they are
+tried and are not labeled; only ``enumerate_diagrams`` sorts them by
+canonical bytes.
 
 Closures are generated orderly.  Two closures of one diagram
 representative are isomorphic exactly when a symmetry of the diagram
 carries one onto the other, so only the closure least in its orbit under
 those symmetries is built, and every model built is a class of its own
-(McKay, "Isomorph-free exhaustive generation", 1998).
-
-A closure's pair is built from parts made once and shared: the polycycle
-vertices and one ``Attachment`` per face point once per diagram, one
-leaf vertex and its ``Attachment`` per kind and index, and the annulus
-ids, once per call.
-Since a kept closure joins every component (``_joins_components``) and
-each leaf annulus ties its leaf to a face, the pair is one piece, and it
-is handed that one-component ``assembly`` as it is built.  Its
-``violations`` are still computed in full: every emitted pair is checked.
+(McKay, "Isomorph-free exhaustive generation", 1998).  A closure grows
+directed, face point by face point, in the form ``_assemble`` reads.
 
 The optional ``rng`` argument is accepted and ignored.  Which candidate
 represents a class does not depend on the order candidates are tried in:
@@ -138,11 +132,10 @@ def _turned(image: tuple, sigma: tuple) -> tuple:
 
 
 def _diagram_classes(bounds: EnumBounds):
-    """``(diagram, image, group)`` once per diagram class in the bounds: the
-    class's least candidate under its slot symmetries ``group`` (McKay
-    1998).  Each is labeled once, for the order: (saddle count, total k),
-    then canonical bytes."""
-    found = []
+    """``(diagram, image, group)`` for each diagram class in the bounds, as
+    soon as its least candidate under its slot symmetries ``group`` is
+    found (McKay 1998), so by degree multiset and then lexicographically.
+    Nothing is labeled or buffered here."""
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
         group = _slot_symmetries(ks, bounds.mode.allow_reversal)
         others = group[1:]  # the identity keeps every candidate
@@ -151,12 +144,7 @@ def _diagram_classes(bounds: EnumBounds):
                 if _turned(image, sigma) < image:
                     break
             else:
-                d = _diagram(ks, image)
-                key = (len(ks), sum(ks)), canonical_diagram(d, bounds.mode)
-                found.append((key, d, image, group))
-    found.sort(key=lambda item: item[0])
-    for _, d, image, group in found:
-        yield d, image, group
+                yield _diagram(ks, image), image, group
 
 
 def _symmetries(d: SaddleDiagram, image: tuple, group: list) -> list:
@@ -186,65 +174,31 @@ def _symmetries(d: SaddleDiagram, image: tuple, group: list) -> list:
 def enumerate_diagrams(bounds: EnumBounds, rng: random.Random | None = None):
     """All diagram classes within the bounds, exactly once per class, by
     (saddle count, total k), then canonical bytes; each is represented by
-    its least candidate (``_diagram_classes``).  ``rng`` is ignored."""
-    for d, _, _ in _diagram_classes(bounds):
-        yield d
+    its least candidate.  The stream of ``_diagram_classes`` is sorted
+    here, the one place diagrams are labeled.  ``rng`` is ignored."""
+    def order(d):
+        return (len(d.saddles), sum(s.k for s in d.saddles),
+                canonical_diagram(d, bounds.mode))
+
+    yield from sorted((d for d, _, _ in _diagram_classes(bounds)), key=order)
 
 
-def _face_closures(points: list, max_annuli: int):
-    """Partition boundary circles into circle-circle pairs and leaf singles."""
-    results = []
-
-    def recurse(remaining, pairs, singles):
-        if len(pairs) + len(singles) > max_annuli:
-            return
-        if not remaining:
-            results.append((tuple(pairs), tuple(singles)))
-            return
-        first, rest = remaining[0], remaining[1:]
-        for i in range(len(rest)):
-            recurse(rest[:i] + rest[i + 1:], pairs + [(first, rest[i])], singles)
-        recurse(rest, pairs, singles + [first])
-
-    recurse(points, [], [])
-    return results
-
-
-def _allowed_leaf_kinds(bounds: EnumBounds):
-    """The leaf kinds with a positive budget: only b leaves make boundary
-    and only n leaves make a surface non-orientable."""
-    budgets = (("c", bounds.max_centers), ("n", bounds.max_n),
-               ("b", bounds.max_b))
-    return [k for k, budget in budgets if budget > 0]
-
-
-def _leaf_budget_ok(counts: dict, bounds: EnumBounds) -> bool:
-    return (counts.get("c", 0) <= bounds.max_centers
-            and counts.get("n", 0) <= bounds.max_n
-            and counts.get("b", 0) <= bounds.max_b)
-
-
-def _annulus_only_models(bounds: EnumBounds):
-    """Connected models with no saddles: one annulus between two leaves."""
+def _annulus_only_models(bounds: EnumBounds, leaves: dict):
+    """Connected models with no saddles: one annulus between two of the
+    shared ``leaves`` (``enumerate_pairs``), which hold one entry per
+    unit of each kind's budget."""
     if bounds.max_annuli < 1:
         return
-    kinds = _allowed_leaf_kinds(bounds)
+    kinds = [kind for kind in leaves if leaves[kind]]
     # reversal swaps the annulus's sides, so (a, b) and (b, a) are one class
     ends = (combinations_with_replacement(kinds, 2)
             if bounds.mode.allow_reversal else product(kinds, kinds))
     for a, b in ends:
-        counts = {}
-        for k in (a, b):
-            counts[k] = counts.get(k, 0) + 1
-        if not _leaf_budget_ok(counts, bounds):
-            continue
-        first = f"{a}0"
-        second = f"{b}1" if a == b else f"{b}0"
-        yield InvariantPair(
-            SaddleDiagram.empty(),
-            (VertexNode(first, a), VertexNode(second, b)),
-            (AnnulusEdge("a0", Attachment(first), Attachment(second)),),
-        )
+        i = int(a == b)  # two ends of one kind take its leaves 0 and 1
+        if i < len(leaves[b]):
+            first, second = leaves[a][0], leaves[b][i]
+            yield InvariantPair(SaddleDiagram.empty(), (first[0], second[0]),
+                                (AnnulusEdge("a0", first[1], second[1]),))
 
 
 def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
@@ -253,11 +207,12 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     Emitted in increasing cell count and by canonical bytes within a
     bucket; every emitted pair validates and keeps the framed canonical
     bytes that placed it (of both orientations in REVERSIBLE mode), so
-    ``canonical_form(pair, bounds.mode)`` on it runs no search.
+    ``canonical_form(pair, bounds.mode)`` on it runs no search.  Those
+    keys are unique, so no diagram is labeled for an order.
 
     Each class is offered once: a diagram-based class as the closure of
     its diagram representative that is least in its orbit under the
-    diagram's symmetries (``_symmetries``, ``_orbit_least``).  The
+    diagram's symmetries (``_symmetries``, ``_closures``).  The
     closures of one diagram are labeled from one table of compiled
     diagram blocks, which in REVERSIBLE mode also holds the blocks of the
     reversed diagram (``isomorphism._canonical_blob``).  Only the loop
@@ -265,7 +220,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     diagram carries it.  ``rng`` is accepted and ignored.
 
     The closures of one diagram share its polycycle vertices and one
-    ``Attachment`` per face point.  All closures share one leaf vertex
+    ``Attachment`` per face point.  All pairs share one leaf vertex
     and its ``Attachment`` per kind and index up to the leaf budgets, the
     annulus ids, and the set of the first ``n`` of them for each ``n``.
     Each closure's pair is handed its one-component ``assembly``
@@ -288,7 +243,7 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
     if bounds.max_tori >= 1:
         offer(InvariantPair(SaddleDiagram.empty(), (), (), 1))
-    for pair in _annulus_only_models(bounds):
+    for pair in _annulus_only_models(bounds, leaves):
         offer(pair)
 
     for diagram, image, group in _diagram_classes(bounds):
@@ -317,26 +272,42 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
         yield pair
 
 
-def _closures(comps, face_points, moves, bounds: EnumBounds):
-    """The orbit-least directed closures of one diagram that join its
-    components into one piece and keep the leaf budgets."""
-    single_kinds = _allowed_leaf_kinds(bounds)
-    for pairs, singles in _face_closures(face_points, bounds.max_annuli):
-        # every component must reach another through face-face annuli
-        if len(comps) > 1 and not _joins_components(comps, pairs):
-            continue
-        for kinds in product(single_kinds, repeat=len(singles)):
-            counts = {}
-            for k in kinds:
-                counts[k] = counts.get(k, 0) + 1
-            if not _leaf_budget_ok(counts, bounds):
-                continue
-            for orient in product((False, True),
-                                  repeat=len(pairs) + len(singles)):
-                closure = _directed_closure(pairs, singles, kinds, orient)
-                if moves and not _orbit_least(closure, moves):
-                    continue
-                yield closure
+def _closures(comps, face_points, moves, bounds: EnumBounds) -> list:
+    """The orbit-least closures of one diagram that join its components
+    and keep the leaf budgets: the least open face point is joined to a
+    later one either way round, or capped by a leaf of a kind with budget
+    left on either side, until the open points need more annuli than
+    remain.  A closure is its sorted ``(neg face, pos face)`` annuli and
+    its sorted ``(face, leaf kind, leaf on the negative side)`` ones."""
+    budget = {"c": bounds.max_centers, "n": bounds.max_n, "b": bounds.max_b}
+    directed, capped, found = [], [], []
+
+    def grow(open_points, annuli_left):
+        if (len(open_points) + 1) // 2 > annuli_left:
+            return
+        if not open_points:
+            closure = tuple(sorted(directed)), tuple(capped)
+            if _orbit_least(closure, moves) and (
+                    len(comps) == 1 or _joins_components(comps, closure[0])):
+                found.append(closure)
+            return
+        first, rest = open_points[0], open_points[1:]
+        for i, other in enumerate(rest):
+            for annulus in ((first, other), (other, first)):
+                directed.append(annulus)
+                grow(rest[:i] + rest[i + 1:], annuli_left - 1)
+                directed.pop()
+        for kind, left in budget.items():
+            if left:
+                budget[kind] -= 1
+                for leaf_neg in (False, True):
+                    capped.append((first, kind, leaf_neg))
+                    grow(rest, annuli_left - 1)
+                    capped.pop()
+                budget[kind] += 1
+
+    grow(sorted(face_points), bounds.max_annuli)
+    return found
 
 
 def _joins_components(comps, pairs) -> bool:
@@ -346,16 +317,6 @@ def _joins_components(comps, pairs) -> bool:
         ((c1, c2) for (c1, _), (c2, _) in pairs),
     )
     return len(groups) == 1
-
-
-def _directed_closure(pairs, singles, kinds, orient) -> tuple:
-    """A closure as its sorted directed annuli: ``(neg face, pos face)``
-    for each pair, ``(face, leaf kind, leaf on the negative side)`` for
-    each single.  ``orient`` flips pairs first, then singles."""
-    directed = tuple(sorted((b, a) if flipped else (a, b)
-                            for (a, b), flipped in zip(pairs, orient)))
-    leaves = tuple(sorted(zip(singles, kinds, orient[len(pairs):])))
-    return directed, leaves
 
 
 def _orbit_least(closure: tuple, moves: list) -> bool:

@@ -2,9 +2,10 @@
 
 Everything here recomputes results by brute force or by a different
 route than the library: chain enumeration for heights, subset filtering
-for upsets, explicit permutation composition for faces, pruning-free
-generation with pairwise isomorphism dedup for enumeration.  None of it
-shares code with the paths it checks.
+for upsets, explicit permutation composition for faces, filtered set
+partitions for closures, pruning-free generation with pairwise
+isomorphism dedup for enumeration.  None of it shares code with the
+paths it checks.
 """
 
 from __future__ import annotations
@@ -367,6 +368,53 @@ def _all_matchings(points: list):
     for i in range(len(rest)):
         for tail in _all_matchings(rest[:i] + rest[i + 1:]):
             yield [(first, rest[i])] + tail
+
+
+def directed_closures_oracle(comps, face_points, moves,
+                             bounds: EnumBounds) -> set:
+    """Every closure ``enumeration._closures`` keeps for one diagram,
+    built by another route: each set partition of the face points into
+    pairs and singles, each direction of each pair and each (kind, side)
+    of each single, filtered by ``max_annuli``, the leaf budgets and
+    whether the pairs join the components, and kept when it equals the
+    least of its images under ``moves`` (``(face_map, reverses)``; a
+    reversing move also swaps every annulus's sides)."""
+    points = sorted(face_points)
+    budget = {"c": bounds.max_centers, "n": bounds.max_n, "b": bounds.max_b}
+    caps = [(kind, side) for kind in budget for side in (False, True)]
+    out = set()
+    for count in range(len(points) // 2 + 1):
+        for pairs in combinations(combinations(points, 2), count):
+            used = {p for pair in pairs for p in pair}
+            singles = [p for p in points if p not in used]
+            if (len(used) < 2 * count
+                    or count + len(singles) > bounds.max_annuli):
+                continue
+            links = [{a[0], b[0]} for a, b in pairs]
+            reached = {comps[0][0]}
+            for _ in comps:  # each pass reaches one more component or none
+                for link in links:
+                    if link & reached:
+                        reached |= link
+            if len(reached) < len(comps):
+                continue
+            for directed in product(*[(pair, pair[::-1]) for pair in pairs]):
+                for capped in product(caps, repeat=len(singles)):
+                    kinds = [kind for kind, _ in capped]
+                    if any(kinds.count(k) > budget[k] for k in budget):
+                        continue
+                    closure = (tuple(sorted(directed)), tuple(sorted(
+                        (p, kind, side)
+                        for p, (kind, side) in zip(singles, capped))))
+                    images = [(
+                        tuple(sorted((f[b], f[a]) if r else (f[a], f[b])
+                                     for a, b in closure[0])),
+                        tuple(sorted((f[p], kind, side != r)
+                                     for p, kind, side in closure[1])))
+                        for f, r in moves]
+                    if closure == min([closure, *images]):
+                        out.add(closure)
+    return out
 
 
 def brute_force_pairs(bounds: EnumBounds) -> list:

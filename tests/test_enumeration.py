@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 from functools import cached_property
 from hashlib import sha256
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -27,7 +27,7 @@ from flowinv.reconstruction import reconstruct
 
 from conftest import own_state
 from oracles import brute_force_pairs, diagram_automorphisms_oracle, \
-    diagram_candidates
+    diagram_candidates, directed_closures_oracle
 from test_acceptance import SMALL_CONFIGS
 from test_isomorphism import GOLDEN_DIGESTS, _fixture_model
 
@@ -366,6 +366,58 @@ def test_slot_orbits_are_diagram_classes(mode):
             assert bytes_of.setdefault(least, key) == key
             candidates += 1
     assert candidates == 2760
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize("bounds", [
+    SMALL_BOUNDS[-1],
+    EnumBounds(max_saddles=3, max_k_sum=3, max_centers=1, max_n=1, max_b=1,
+               max_annuli=3),
+], ids=["two-saddle", "three-saddle"])
+def test_closures_match_oracle(bounds, mode):
+    """Closure growth keeps, each once, exactly the orbit-least closures
+    that fit the bounds and join the components, on every diagram class,
+    multi-polycycle ones included."""
+    bounds = replace(bounds, mode=mode)
+    joined = 0
+    for d, image, group in enumeration._diagram_classes(bounds):
+        if not d.saddles:
+            continue
+        comps, faces = d.components, d.faces_by_component
+        points = [(comp_id, idx) for comp_id, _, _ in comps
+                  for idx in range(len(faces.get(comp_id, [])))]
+        moves = enumeration._symmetries(d, image, group)
+        grown = enumeration._closures(comps, points, moves, bounds)
+        assert len(grown) == len(set(grown))
+        assert set(grown) == directed_closures_oracle(comps, points, moves,
+                                                      bounds)
+        joined += len(comps) > 1 and bool(grown)
+    assert joined
+
+
+def test_diagram_classes_stream_unlabeled(monkeypatch):
+    """``enumerate_pairs`` labels no diagram, and diagram classes stream:
+    the first three are found without building any diagram after them."""
+    def refuse(*args):
+        raise AssertionError("canonical_diagram called")
+
+    monkeypatch.setattr(enumeration, "canonical_diagram", refuse)
+    for bounds in SMALL_BOUNDS:
+        for mode in (ORIENTED, REVERSIBLE):
+            assert list(enumerate_pairs(replace(bounds, mode=mode)))
+
+    built, diagram = [], enumeration._diagram
+
+    def counting(ks, image):
+        built.append(image)
+        return diagram(ks, image)
+
+    monkeypatch.setattr(enumeration, "_diagram", counting)
+    classes = enumeration._diagram_classes(EnumBounds(max_saddles=3,
+                                                      max_k_sum=3))
+    assert len(list(islice(classes, 3))) == 3
+    assert len(built) <= 3
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],

@@ -191,6 +191,36 @@ def test_no_function_cache_in_the_source():
             assert not used, f"{path.name}:{node.lineno} uses functools.{used}"
 
 
+def test_no_dead_private_helper():
+    """Every function, method and class of the package source whose name
+    has one leading underscore is named somewhere in the package outside
+    its own definition."""
+    defined, named = {}, set()
+
+    def visit(node, path, inside):
+        name = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+                inside = inside | {node.name}
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name is not None and name not in inside:
+            named.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, inside)
+
+    for path in sorted(Path(flowinv.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, frozenset())
+    assert defined
+    dead = sorted(f"{where} {name}" for name, where in defined.items()
+                  if name not in named)
+    assert not dead, f"never used: {dead}"
+
+
 def test_reversing_an_invalid_pair_traces_no_faces():
     dangling = _diagram(three_centers_eight(), separatrices=(
         Separatrix("a", "x", "s"), Separatrix("b", "s", "s")))
