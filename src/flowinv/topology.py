@@ -3,16 +3,17 @@
 A finite topology is the same data as a preorder: the opens of the
 Alexandroff topology of a poset are exactly its upsets, and the
 specialization order (x <= y iff x lies in the closure of {y}) recovers
-the poset.  Everything here is exhaustively verified at construction,
-which is affordable because every space we build has a handful of
-points.
+the poset.  A space is held by the minimal open U_x of each point, so
+building one from a poset, checking it, and reading its closures,
+specialization order and separation axioms all cost about the size of
+the order relation.  Only ``FinSpace.opens`` enumerates the opens, which
+are exponential in the poset's width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 from typing import Hashable, Iterable, NamedTuple
 
 
@@ -25,7 +26,15 @@ class PosetError(ValueError):
 
 
 class TopologyError(ValueError):
-    """Raised when a family of opens fails to be a topology."""
+    """Raised when a family of opens or minimal opens is no topology."""
+
+
+def _successors(elements: Iterable, pairs: Iterable) -> dict:
+    """Each element's set of the b with (element, b) among ``pairs``."""
+    out = {x: set() for x in elements}
+    for a, b in pairs:
+        out[a].add(b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -47,9 +56,7 @@ class FinPoset:
             a, b = pair
             if a not in self.elements or b not in self.elements:
                 raise PosetError(f"order pair {pair!r} uses unknown elements")
-        up = {x: set() for x in self.elements}
-        for a, b in self.order:
-            up[a].add(b)
+        up = _successors(self.elements, self.order)
         for x in self.elements:
             if x not in up[x]:
                 raise PosetError(f"order is not reflexive at {x!r}")
@@ -92,16 +99,12 @@ class FinPoset:
 
     @cached_property
     def _up(self) -> dict:
-        up = {x: set() for x in self.elements}
-        for a, b in self.order:
-            up[a].add(b)
+        up = _successors(self.elements, self.order)
         return {x: frozenset(s) for x, s in up.items()}
 
     @cached_property
     def _down(self) -> dict:
-        down = {x: set() for x in self.elements}
-        for a, b in self.order:
-            down[b].add(a)
+        down = _successors(self.elements, ((b, a) for a, b in self.order))
         return {x: frozenset(s) for x, s in down.items()}
 
     def leq(self, a, b) -> bool:
@@ -153,9 +156,7 @@ def is_multigraph_like(poset: FinPoset) -> MultigraphLikeness:
     On failure the witness is an offending element.
     """
     for x in sorted(poset.elements, key=repr):
-        if poset.heights[x] > 1:
-            return MultigraphLikeness(False, x)
-        if len(poset.down(x)) > 3:
+        if poset.heights[x] > 1 or len(poset.down(x)) > 3:
             return MultigraphLikeness(False, x)
     return MultigraphLikeness(True, None)
 
@@ -189,76 +190,94 @@ def connected_groups(points: Iterable, links: Iterable) -> list:
 
 @dataclass(frozen=True)
 class FinSpace:
-    """A finite topological space with its full family of opens.
-
-    Construction verifies the family: the empty set and the whole set
-    are open, and the opens are closed under union and intersection.
-    The check reads each point's minimal open U_x, the intersection of
-    the opens containing x, in O(|opens| * |points|): every U_x must be
-    open ("intersection"), and so must every open joined with any U_x
-    ("union").  That is enough: an open O is the union of the U_x of its
-    points, and O & O' the union of the U_x of the points of O & O', so
-    both O | O' and O & O' are reached from an open (O, or the empty
-    set) by joining one U_x at a time.
+    """A finite topological space, held by the minimal open U_x of each
+    point x (the intersection of the opens containing x); the opens are
+    the unions of U_x's.  Construction checks, with one subset test per
+    pair (x, y) with y in U_x, that the U_x form a basis: every point has
+    one, x lies in U_x, U_x lies in the points, and y in U_x implies U_y
+    inside U_x.
     """
 
     points: frozenset
-    opens: frozenset
-
-    # bit index per point, fixed by sorted repr for determinism
-    _index: dict = field(init=False, repr=False, compare=False)
-    # the mask of each point's minimal open U_x, by bit index
-    _minimal: list = field(init=False, repr=False, compare=False)
+    minimal_opens: dict = field(hash=False)
 
     def __post_init__(self):
-        index = {p: i for i, p in enumerate(sorted(self.points, key=repr))}
-        object.__setattr__(self, "_index", index)
-        masks = set()
-        for u in self.opens:
-            if not u <= self.points:
-                raise TopologyError(f"open {set(u)!r} is not a subset of the points")
-            masks.add(self._mask(u))
-        if len(masks) != len(self.opens):
+        u = {x: frozenset(ux) for x, ux in self.minimal_opens.items()}
+        object.__setattr__(self, "minimal_opens", u)
+        for x in self.points:
+            if x not in u:
+                raise TopologyError(f"point {x!r} has no minimal open")
+        for x, ux in u.items():
+            if x not in ux:
+                raise TopologyError(f"point {x!r} is not in its minimal open")
+            if not ux <= self.points:
+                raise TopologyError(
+                    f"minimal open of {x!r} is not a subset of the points")
+            for y in ux:
+                if not u[y] <= ux:
+                    raise TopologyError(
+                        f"minimal open of {x!r} contains {y!r}"
+                        " but not its minimal open")
+
+    @classmethod
+    def from_opens(cls, points: frozenset, opens: frozenset) -> "FinSpace":
+        """The space with the opens ``opens``, checked in
+        O(|opens| * |points|) to be a topology: the empty and whole sets
+        are open, every minimal open U_x is open ("intersection"), and so
+        is every open joined with any U_x ("union").  That is enough: O,
+        O | O' and O & O' are unions of the U_x of their points, so each
+        is reached from O or the empty set by joining one U_x at a time.
+        """
+        for o in opens:
+            if not o <= points:
+                raise TopologyError(f"open {set(o)!r} is not a subset of the points")
+        family = set(opens)
+        if len(family) != len(opens):
             raise TopologyError("duplicate opens")
-        full = (1 << len(self.points)) - 1
-        if 0 not in masks:
+        if frozenset() not in family:
             raise TopologyError("the empty set is not open")
-        if full not in masks:
+        if points not in family:
             raise TopologyError("the whole set is not open")
-        minimal = [reduce(and_, [m for m in masks if m >> i & 1])
-                   for i in range(len(index))]
-        if not masks.issuperset(minimal):
+        minimal = {x: points.intersection(*(o for o in family if x in o))
+                   for x in points}
+        if not family.issuperset(minimal.values()):
             raise TopologyError("opens are not closed under intersection")
-        if not masks.issuperset({m | u for u in set(minimal) for m in masks}):
+        if not family.issuperset(o | ux for ux in set(minimal.values())
+                                 for o in family):
             raise TopologyError("opens are not closed under union")
-        object.__setattr__(self, "_minimal", minimal)
+        return cls(points, minimal)
 
-    def _mask(self, subset: frozenset) -> int:
-        m = 0
-        for p in subset:
-            m |= 1 << self._index[p]
-        return m
-
-    @cached_property
-    def minimal_opens(self) -> dict:
-        """U_x per point x: the intersection of the opens containing x,
-        itself open because the family of opens is finite."""
-        points = list(self._index)  # by bit index
-        return {x: frozenset(p for i, p in enumerate(points) if u >> i & 1)
-                for x, u in zip(points, self._minimal)}
+    @property
+    def opens(self) -> frozenset:
+        """Every open: each union of minimal opens, built on demand and
+        exponential in the width (an antichain of n points has 2^n)."""
+        opens = {frozenset()}
+        for ux in set(self.minimal_opens.values()):
+            opens |= {o | ux for o in opens}
+        return frozenset(opens)
 
     def closure(self, subset: frozenset) -> frozenset:
-        """Smallest closed set containing ``subset``."""
-        hole = frozenset().union(
-            *(u for u in self.opens if not u & subset)
-        ) if self.opens else frozenset()
-        return self.points - frozenset(hole)
+        """Smallest closed set containing ``subset``: the points x whose
+        least neighbourhood U_x meets it."""
+        return frozenset(x for x, ux in self.minimal_opens.items()
+                         if not ux.isdisjoint(subset))
 
 
 class SeparationAxioms(NamedTuple):
     t0: bool
     t1: bool
     t2: bool
+
+
+def _indistinguishable_pair(u: dict) -> tuple | None:
+    """The first two distinct points, in sorted-repr order, each in the
+    other's minimal open (so sharing their closure), or None when the
+    space is T0."""
+    for x in sorted(u, key=repr):
+        twins = [y for y in u[x] if y != x and x in u[y]]
+        if twins:
+            return x, min(twins, key=repr)
+    return None
 
 
 def separation_axioms(space: FinSpace) -> SeparationAxioms:
@@ -271,7 +290,7 @@ def separation_axioms(space: FinSpace) -> SeparationAxioms:
     space is T2; as T2 implies T1, T2 equals T1 on finite spaces.
     """
     u = space.minimal_opens
-    t0 = not any(x != y and x in u[y] for x in u for y in u[x])
+    t0 = _indistinguishable_pair(u) is None
     t1 = all(len(ux) == 1 for ux in u.values())
     return SeparationAxioms(t0, t1, t1)
 
@@ -284,35 +303,15 @@ def specialization_order(space: FinSpace) -> FinPoset:
     points share their closure.
     """
     u = space.minimal_opens
-    for x in sorted(u, key=repr):
-        for y in sorted(u[x], key=repr):
-            if x != y and x in u[y]:
-                raise NotT0Error(
-                    f"points {x!r} and {y!r} have identical closures"
-                )
+    pair = _indistinguishable_pair(u)
+    if pair is not None:
+        raise NotT0Error("points %r and %r have identical closures" % pair)
     return FinPoset(space.points,
                     frozenset((x, y) for x in u for y in u[x]))
 
 
 def alexandroff_space(poset: FinPoset) -> FinSpace:
-    """The Alexandroff topology of a poset: opens are exactly the upsets.
-
-    Every upset is the union of the principal upsets of its elements, so
-    the opens are the closure of {empty set} under union with a principal
-    upset, built as bitmasks in O(n * |opens|).
-    """
-    elems = sorted(poset.elements, key=repr)
-    bit = {x: 1 << i for i, x in enumerate(elems)}
-    up_mask = dict.fromkeys(elems, 0)
-    for a, b in poset.order:
-        up_mask[a] |= bit[b]
-    up_masks = set(up_mask.values())
-    opens, todo = {0}, [0]
-    while todo:
-        mask = todo.pop()
-        for up in up_masks:
-            if mask | up not in opens:
-                opens.add(mask | up)
-                todo.append(mask | up)
-    return FinSpace(poset.elements, frozenset(
-        frozenset(x for x in elems if mask & bit[x]) for mask in opens))
+    """The Alexandroff topology of a poset: the opens are exactly the
+    upsets, so U_x is the principal upset of x, read off the order in
+    one pass."""
+    return FinSpace(poset.elements, _successors(poset.elements, poset.order))

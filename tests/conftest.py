@@ -37,18 +37,27 @@ def within_budget(fn, *args, seconds: float = 10.0, **kwargs):
 
     A real-time interval timer interrupts the call, so a search that
     would run for hours fails instead of hanging the suite.  Uses SIGALRM:
-    POSIX, main thread only.
+    POSIX, main thread only.  The failure is raised after the call has
+    unwound: an interrupted frame can have no line number, and pytest
+    cannot report a traceback through it.
     """
     def expire(signum, frame):
-        pytest.fail(f"{fn.__name__} ran over its {seconds:g} s budget")
+        raise _OverBudget
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         return fn(*args, **kwargs)
+    except _OverBudget:
+        pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    pytest.fail(f"{fn.__name__} ran over its {seconds:g} s budget")
+
+
+class _OverBudget(Exception):
+    """Raised into a call that ``within_budget`` interrupts."""
 
 
 def eight_diagram(aligned: bool = False) -> SaddleDiagram:

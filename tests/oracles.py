@@ -2,10 +2,10 @@
 
 Everything here recomputes results by brute force or by a different
 route than the library: chain enumeration for heights, subset filtering
-for upsets, explicit permutation composition for faces, filtered set
-partitions for closures, pruning-free generation with pairwise
-isomorphism dedup for enumeration.  None of it shares code with the
-paths it checks.
+for upsets, a bitmask union closure for Alexandroff opens, explicit
+permutation composition for faces, filtered set partitions for closures,
+pruning-free generation with pairwise isomorphism dedup for enumeration.
+None of it shares code with the paths it checks.
 """
 
 from __future__ import annotations
@@ -56,6 +56,22 @@ def upsets_oracle(poset: FinPoset) -> set:
             if all(poset.up(x) <= subset for x in subset):
                 out.add(subset)
     return out
+
+
+def union_closure_opens(up: list) -> list:
+    """The opens of the Alexandroff topology of the poset with up-masks
+    ``up``, as bitmasks: every upset is the union of the principal
+    upsets of its elements, so the opens are the closure of {empty set}
+    under union with a principal upset, in O(n * |opens|)."""
+    principal = set(up)
+    opens, todo = {0}, [0]
+    while todo:
+        mask = todo.pop()
+        for u in principal:
+            if mask | u not in opens:
+                opens.add(mask | u)
+                todo.append(mask | u)
+    return list(opens)
 
 
 def broken_topology_rules(points: frozenset, opens: frozenset) -> set:
@@ -321,6 +337,13 @@ def cycle_graph(m: int) -> Multigraph:
     return Multigraph.build(
         [f"x{i}" for i in range(m)],
         {f"e{i}": (f"x{i}", f"x{(i + 1) % m}") for i in range(m)})
+
+
+def star_graph(m: int) -> Multigraph:
+    """A hub joined to m leaves."""
+    return Multigraph.build(
+        ["hub"] + [f"x{i}" for i in range(m)],
+        {f"e{i}": ("hub", f"x{i}") for i in range(m)})
 
 
 def path_graph(m: int) -> Multigraph:

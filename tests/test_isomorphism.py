@@ -41,7 +41,8 @@ from conftest import (
     torus_pair,
     within_budget,
 )
-from oracles import cycle_graph, full_refine, random_graph, random_relabel
+from oracles import (
+    cycle_graph, full_refine, random_graph, random_relabel, star_graph)
 
 MODELS = [
     sphere_rotation,
@@ -369,12 +370,6 @@ def test_canonical_diagram_digest(mode):
     assert h.hexdigest() == GOLDEN_DIAGRAM_DIGESTS[name]
 
 
-def _star(m):
-    return Multigraph.build(
-        ["hub"] + [f"x{i}" for i in range(m)],
-        {f"e{i}": ("hub", f"x{i}") for i in range(m)})
-
-
 def _dipole(m):
     return Multigraph.build("uw", {f"e{i}": "uw" for i in range(m)})
 
@@ -386,8 +381,8 @@ def _bouquet(m):
 # Realized symmetric graphs whose canonical search was factorial before
 # refinement followed rotation words and faces.
 SYMMETRIC = {
-    "star-12": lambda: _star(12),
-    "star-40": lambda: _star(40),
+    "star-12": lambda: star_graph(12),
+    "star-40": lambda: star_graph(40),
     "dipole-8": lambda: _dipole(8),
     "dipole-16": lambda: _dipole(16),
     "cycle-6": lambda: cycle_graph(6),
@@ -490,7 +485,7 @@ NEAR_MISS_MODELS = {
     "random-20": lambda: [realize_multigraph(random_graph(20))],
     "random-40": lambda: [realize_multigraph(random_graph(40))],
     "cycle-10": lambda: [realize_multigraph(cycle_graph(10))],
-    "star-12": lambda: [realize_multigraph(_star(12))],
+    "star-12": lambda: [realize_multigraph(star_graph(12))],
     # one annulus joins two petals of one flower: flipped, it lands on
     # the same polycycle, so only the side check tells the two apart
     "looped-flower": lambda: [realize_multigraph(Multigraph.build(

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import pytest
 
+from flowinv.graph import to_extended_poset
+from flowinv.reconstruction import realize_multigraph
 from flowinv.topology import (
     FinPoset,
     FinSpace,
@@ -19,31 +23,31 @@ from oracles import (
     broken_topology_rules,
     chain_height_oracle,
     poset_from_upmasks,
+    star_graph,
+    union_closure_opens,
     upsets_oracle,
 )
 
 
 def sierpinski() -> FinSpace:
-    return FinSpace(
+    return FinSpace.from_opens(
         frozenset("ab"),
         frozenset({frozenset(), frozenset("b"), frozenset("ab")}),
     )
 
 
 def discrete(points: str) -> FinSpace:
-    from itertools import combinations
-
     pts = frozenset(points)
     opens = set()
     for size in range(len(points) + 1):
         for combo in combinations(sorted(pts), size):
             opens.add(frozenset(combo))
-    return FinSpace(pts, frozenset(opens))
+    return FinSpace.from_opens(pts, frozenset(opens))
 
 
 def indiscrete(points: str) -> FinSpace:
     pts = frozenset(points)
-    return FinSpace(pts, frozenset({frozenset(), pts}))
+    return FinSpace.from_opens(pts, frozenset({frozenset(), pts}))
 
 
 def chain(n: int) -> FinPoset:
@@ -120,19 +124,19 @@ class TestConnected:
 class TestSpaces:
     def test_topology_must_contain_empty_and_whole(self):
         with pytest.raises(TopologyError):
-            FinSpace(frozenset("a"), frozenset({frozenset("a")}))
+            FinSpace.from_opens(frozenset("a"), frozenset({frozenset("a")}))
 
     def test_topology_union_closure_enforced(self):
         pts = frozenset("abc")
         opens = {frozenset(), pts, frozenset("a"), frozenset("b")}
         with pytest.raises(TopologyError, match="union"):
-            FinSpace(pts, frozenset(opens))
+            FinSpace.from_opens(pts, frozenset(opens))
 
     def test_topology_intersection_closure_enforced(self):
         pts = frozenset("abc")
         opens = {frozenset(), pts, frozenset("ab"), frozenset("bc")}
         with pytest.raises(TopologyError, match="intersection"):
-            FinSpace(pts, frozenset(opens))
+            FinSpace.from_opens(pts, frozenset(opens))
 
     def test_closure_check_agrees_with_pairwise_oracle(self):
         checked = 0
@@ -141,18 +145,30 @@ class TestSpaces:
             for opens in all_families(pts):
                 broken = broken_topology_rules(pts, opens)
                 if not broken:
-                    space = FinSpace(pts, opens)
+                    space = FinSpace.from_opens(pts, opens)
                     assert space.minimal_opens == {
                         x: frozenset.intersection(*(u for u in opens if x in u))
                         for x in pts}
                     continue
                 with pytest.raises(TopologyError) as exc:
-                    FinSpace(pts, opens)
+                    FinSpace.from_opens(pts, opens)
                 if len(broken) == 1:  # the message names the broken rule
                     rule = next(iter(broken))
                     assert rule in str(exc.value)
                 checked += 1
         assert checked == 278 - 35  # 1 + 1 + 4 + 29 topologies on 0-3 points
+
+    @pytest.mark.parametrize("points, minimal_opens, rule", [
+        ("ab", {"a": "a"}, "'b' has no minimal open"),
+        ("ab", {"a": "a", "b": "a"}, "'b' is not in its minimal open"),
+        ("ab", {"a": "ac", "b": "b"}, "of 'a' is not a subset of the points"),
+        ("abc", {"a": "ab", "b": "bc", "c": "c"},
+         "of 'a' contains 'b' but not its minimal open"),
+    ], ids=["missing", "outside-own", "leaves-points", "not-upward"])
+    def test_minimal_opens_must_form_a_basis(self, points, minimal_opens, rule):
+        u = {x: frozenset(ux) for x, ux in minimal_opens.items()}
+        with pytest.raises(TopologyError, match=rule):
+            FinSpace(frozenset(points), u)
 
     def test_sierpinski_specialization(self):
         p = specialization_order(sierpinski())
@@ -218,6 +234,46 @@ class TestAlexandroff:
         for up in all_labeled_posets(4):
             p = poset_from_upmasks(up)
             assert specialization_order(alexandroff_space(p)) == p
+
+    def test_opens_and_closures_match_upset_oracle(self):
+        """Every labeled poset on at most 5 points: the opens are the
+        upsets, the opens give back the space, and the closure of A is
+        the points outside every open that misses A."""
+        for n in range(6):
+            subsets = [frozenset(c) for size in range(n + 1)
+                       for c in combinations(range(n), size)]
+            for up in all_labeled_posets(n):
+                p = poset_from_upmasks(up)
+                space = alexandroff_space(p)
+                upsets = frozenset(upsets_oracle(p))
+                assert space.opens == upsets
+                assert FinSpace.from_opens(p.elements, upsets) == space
+                for a in subsets:
+                    hole = frozenset().union(*(o for o in upsets if not o & a))
+                    assert space.closure(a) == p.elements - hole
+
+    def test_minimal_opens_match_union_closure_oracle(self):
+        """Every labeled poset on at most 6 points: U_x is the
+        intersection of the union-closure oracle's opens containing x."""
+        for n in range(7):
+            full = (1 << n) - 1
+            for up in all_labeled_posets(n):
+                meet = [full] * n
+                for mask in union_closure_opens(up):
+                    for i in range(n):
+                        if mask >> i & 1:
+                            meet[i] &= mask
+                u = alexandroff_space(poset_from_upmasks(up)).minimal_opens
+                assert {i: sum(1 << j for j in ux) for i, ux in u.items()} \
+                    == dict(enumerate(meet))
+
+    def test_realized_star_costs_its_order_not_its_opens(self):
+        """The extended poset of a realized star-40 has an antichain of 40
+        edge points, so about 2^40 opens; its space is built from U_x."""
+        p = to_extended_poset(realize_multigraph(star_graph(40)))
+        space = within_budget(alexandroff_space, p, seconds=1)
+        assert specialization_order(space) == p
+        assert separation_axioms(space) == (True, False, False)
 
     def test_long_chain_costs_its_opens_not_every_subset(self):
         p = chain(40)
