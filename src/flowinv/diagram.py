@@ -214,10 +214,15 @@ class SaddleDiagram:
             (e.source, e.target) for e in self.separatrices
             if e.source in known and e.target in known
         ))
+        index = {sid: i for i, saddle_ids in enumerate(groups)
+                 for sid in saddle_ids}
+        sep_ids = [[] for _ in groups]
+        for e in self.separatrices:
+            if e.source in index:
+                sep_ids[index[e.source]].append(e.id)
         return tuple(
-            (min(saddle_ids), saddle_ids,
-             frozenset(e.id for e in self.separatrices if e.source in saddle_ids))
-            for saddle_ids in groups
+            (min(saddle_ids), saddle_ids, frozenset(ids))
+            for saddle_ids, ids in zip(groups, sep_ids)
         )
 
     @cached_property

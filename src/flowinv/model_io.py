@@ -17,6 +17,10 @@ every value (``re`` skips whitespace and matches numbers,
 not JSON by the reader's rules, which also bound nesting, leading zeros
 and digit counts, the reader raises its ParseError; otherwise it turns
 the failing key path into a line and column.
+
+Writing is one pass over the pair: ``serialize_model`` fills one template
+per record with the line openers of its depth, and its text equals
+``json.dumps`` of the document in the indented or the compact layout.
 """
 
 from __future__ import annotations
@@ -475,82 +479,65 @@ def parse_graph(text: str) -> Multigraph:
         walker.fail(("edges",), "graph", str(exc))
 
 
-def _document_of(p: InvariantPair) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "diagram": {
-            "saddles": [
-                {
-                    "id": s.id,
-                    "kind": s.kind,
-                    "k": s.k,
-                    "rotation": [
-                        {"sep": sep, "end": end} for sep, end in s.rotation
-                    ],
-                }
-                for s in p.diagram.saddles
-            ],
-            "separatrices": [
-                {"id": e.id, "source": e.source, "target": e.target}
-                | ({"twisted": True} if e.twisted else {})
-                for e in p.diagram.separatrices
-            ],
-        },
-        "graph": {
-            "vertices": [
-                {"id": v.id, "label": "polycycle" if v.label == "d" else v.label}
-                | ({"component": v.component} if v.label == "d" else {})
-                for v in p.vertices
-            ],
-            "annuli": [
-                {
-                    "id": a.id,
-                    "neg": {"vertex": a.neg.vertex}
-                    | ({"face": a.neg.face} if a.neg.face is not None else {}),
-                    "pos": {"vertex": a.pos.vertex}
-                    | ({"face": a.pos.face} if a.pos.face is not None else {}),
-                }
-                for a in p.annuli
-            ],
-            "tori": p.tori,
-        },
-    }
+# the line opener at each nesting depth and the key separator of the
+# indented and of the compact layout
+_INDENTED = tuple("\n" + "  " * depth for depth in range(7)), ": "
+_COMPACT = ("",) * 7, ":"
 
 
 def serialize_model(p: InvariantPair, compact: bool = False) -> str:
     """Deterministic canonical-field-order document text.
 
-    Object lists are ordered by id (the pair stores them that way), so
-    serializing equal pairs yields byte-identical text.
+    The text is ``json.dumps(doc, indent=2) + "\n"`` of the document, or
+    ``json.dumps(doc, separators=(",", ":"))`` when ``compact``, written
+    straight from the pair by one template per record.  Object lists are
+    ordered by id (the pair stores them that way), so serializing equal
+    pairs yields byte-identical text.
     """
-    doc = _document_of(p)
-    if compact:
-        return json.dumps(doc, separators=(",", ":"))
-    return _indented(doc) + "\n"
+    (n0, n1, n2, n3, n4, n5, n6), c = _COMPACT if compact else _INDENTED
+    q = encode_basestring_ascii
+    saddles = []
+    for s in p.diagram.saddles:
+        rotation = _array([f'{{{n6}"sep"{c}{q(sep)},{n6}"end"{c}{q(to)}{n5}}}'
+                           for sep, to in s.rotation], n5, n4)
+        saddles.append(f'{{{n4}"id"{c}{q(s.id)},{n4}"kind"{c}{q(s.kind)},'
+                       f'{n4}"k"{c}{s.k},{n4}"rotation"{c}{rotation}{n3}}}')
+    twisted = f',{n4}"twisted"{c}true'
+    separatrices = [
+        f'{{{n4}"id"{c}{q(e.id)},{n4}"source"{c}{q(e.source)},'
+        f'{n4}"target"{c}{q(e.target)}{twisted if e.twisted else ""}{n3}}}'
+        for e in p.diagram.separatrices]
+    vertices = [
+        f'{{{n4}"id"{c}{q(v.id)},{n4}"label"{c}"polycycle",'
+        f'{n4}"component"{c}{q(v.component)}{n3}}}' if v.label == "d" else
+        f'{{{n4}"id"{c}{q(v.id)},{n4}"label"{c}{q(v.label)}{n3}}}'
+        for v in p.vertices]
+    annuli = [
+        f'{{{n4}"id"{c}{q(a.id)},{n4}"neg"{c}{_attachment(a.neg, n5, n4, c)},'
+        f'{n4}"pos"{c}{_attachment(a.pos, n5, n4, c)}{n3}}}'
+        for a in p.annuli]
+    # n0 also ends the text: a newline when indented, nothing when compact
+    return (f'{{{n1}"version"{c}{FORMAT_VERSION},'
+            f'{n1}"diagram"{c}{{{n2}"saddles"{c}{_array(saddles, n3, n2)},'
+            f'{n2}"separatrices"{c}{_array(separatrices, n3, n2)}{n1}}},'
+            f'{n1}"graph"{c}{{{n2}"vertices"{c}{_array(vertices, n3, n2)},'
+            f'{n2}"annuli"{c}{_array(annuli, n3, n2)},'
+            f'{n2}"tori"{c}{p.tori}{n1}}}{n0}}}{n0}')
 
 
-def _indented(value, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2)`` for the str, int, bool, list and dict
-    values of a document, without the stdlib's pure-Python encoder (its C
-    encoder does not indent).  ``newline`` opens a line at the depth of
-    ``value``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(k)}: {_indented(v, inner)}"
-                 for k, v in value.items()]
-        brackets = "{}"
-    else:
-        items = [_indented(v, inner) for v in value]
-        brackets = "[]"
+def _array(items: list, inner: str, outer: str) -> str:
+    """The written records ``items`` as an array whose items open lines
+    with ``inner`` and whose close bracket opens one with ``outer``."""
     if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+        return "[]"
+    return f"[{inner}{(',' + inner).join(items)}{outer}]"
+
+
+def _attachment(a: Attachment, inner: str, outer: str, c: str) -> str:
+    """The written attachment ``a``, laid out as ``_array`` lays out items."""
+    vertex = encode_basestring_ascii(a.vertex)
+    face = "" if a.face is None else f',{inner}"face"{c}{a.face}'
+    return f'{{{inner}"vertex"{c}{vertex}{face}{outer}}}'
 
 
 def _dot_quote(s: str) -> str:

@@ -319,8 +319,12 @@ def realize_multigraph(g: Multigraph) -> InvariantPair:
     seps = []
     vertices = []
     slots = {}  # graph vertex -> list of free attachments
+    degree = dict.fromkeys(g.vertices, 0)
+    for _, ends in g.edges:
+        for v in ends:
+            degree[v] += 3 - len(ends)  # a loop counts twice
     for v in sorted(g.vertices, key=repr):
-        deg = g.degree(v)
+        deg = degree[v]
         if deg == 1:
             vertices.append(VertexNode(f"v_{v}", "c"))
             slots[v] = [Attachment(f"v_{v}")]

@@ -4,7 +4,8 @@ Everything here recomputes results by brute force or by a different
 route than the library: chain enumeration for heights, subset filtering
 for upsets, a bitmask union closure for Alexandroff opens, explicit
 permutation composition for faces, filtered set partitions for closures,
-pruning-free generation with pairwise isomorphism dedup for enumeration.
+pruning-free generation with pairwise isomorphism dedup for enumeration,
+the stdlib's ``json.dumps`` of plain dicts for model documents.
 None of it shares code with the paths it checks.
 """
 
@@ -24,6 +25,7 @@ from flowinv.graph import (
     validate_pair,
 )
 from flowinv.isomorphism import pair_isomorphic, relabel_pair, reverse_diagram
+from flowinv.model_io import FORMAT_VERSION
 from flowinv.multigraph import Multigraph
 from flowinv.topology import FinPoset
 
@@ -351,6 +353,53 @@ def path_graph(m: int) -> Multigraph:
     return Multigraph.build(
         [f"x{i}" for i in range(m)],
         {f"e{i}": (f"x{i}", f"x{i + 1}") for i in range(m - 1)})
+
+
+# ---------------------------------------------------------------------------
+# model documents
+
+
+def document_of(p: InvariantPair) -> dict:
+    """The model document of ``p`` as plain values, for ``json.dumps``."""
+    return {
+        "version": FORMAT_VERSION,
+        "diagram": {
+            "saddles": [
+                {
+                    "id": s.id,
+                    "kind": s.kind,
+                    "k": s.k,
+                    "rotation": [
+                        {"sep": sep, "end": end} for sep, end in s.rotation
+                    ],
+                }
+                for s in p.diagram.saddles
+            ],
+            "separatrices": [
+                {"id": e.id, "source": e.source, "target": e.target}
+                | ({"twisted": True} if e.twisted else {})
+                for e in p.diagram.separatrices
+            ],
+        },
+        "graph": {
+            "vertices": [
+                {"id": v.id, "label": "polycycle" if v.label == "d" else v.label}
+                | ({"component": v.component} if v.label == "d" else {})
+                for v in p.vertices
+            ],
+            "annuli": [
+                {
+                    "id": a.id,
+                    "neg": {"vertex": a.neg.vertex}
+                    | ({"face": a.neg.face} if a.neg.face is not None else {}),
+                    "pos": {"vertex": a.pos.vertex}
+                    | ({"face": a.pos.face} if a.pos.face is not None else {}),
+                }
+                for a in p.annuli
+            ],
+            "tori": p.tori,
+        },
+    }
 
 
 # ---------------------------------------------------------------------------

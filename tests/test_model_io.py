@@ -17,7 +17,6 @@ from flowinv.model_io import (
     ParseError,
     SchemaError,
     SemanticError,
-    _document_of,
     _Reader,
     export_dot,
     parse_graph,
@@ -35,8 +34,9 @@ from conftest import (
     sphere_rotation,
     three_centers_eight,
     torus_pair,
+    within_budget,
 )
-from oracles import cycle_graph
+from oracles import cycle_graph, document_of, path_graph
 
 
 class TestParse:
@@ -448,9 +448,27 @@ class TestSerialize:
         d = p.diagram
         twisted = tuple(replace(e, twisted=True) for e in d.separatrices)
         pairs.append(replace(p, diagram=replace(d, separatrices=twisted)))
+        boundary = tuple(replace(s, kind="boundary") for s in d.saddles)
+        pairs.append(replace(p, diagram=replace(d, saddles=boundary)))
+        pairs.append(replace(p, tori=3))
         for p in pairs:
-            assert serialize_model(p) == \
-                json.dumps(_document_of(p), indent=2) + "\n"
+            doc = document_of(p)
+            assert serialize_model(p) == json.dumps(doc, indent=2) + "\n"
+            assert serialize_model(p, compact=True) == \
+                json.dumps(doc, separators=(",", ":"))
+
+    def test_realized_path_writes_in_linear_time(self):
+        """Realizing a path-8000 and writing it in both layouts is linear
+        work: per-vertex scans of the edges or separatrices would take
+        seconds."""
+        def realize_and_write(g):
+            p = realize_multigraph(g)
+            return serialize_model(p), serialize_model(p, compact=True)
+
+        indented, compact = within_budget(realize_and_write, path_graph(8000),
+                                          seconds=1)
+        assert json.loads(indented) == json.loads(compact)
+        assert len(json.loads(compact)["graph"]["vertices"]) == 8000
 
     def test_compact_single_line(self):
         text = serialize_model(sphere_rotation(), compact=True)
