@@ -3,11 +3,13 @@
 A finite topology is the same data as a preorder: the opens of the
 Alexandroff topology of a poset are exactly its upsets, and the
 specialization order (x <= y iff x lies in the closure of {y}) recovers
-the poset.  A space is held by the minimal open U_x of each point, so
-building one from a poset, checking it, and reading its closures,
-specialization order and separation axioms all cost about the size of
-the order relation.  Only ``FinSpace.opens`` enumerates the opens, which
-are exponential in the poset's width.
+the poset.  Both are held the same way: a poset by the up-set up(x) of
+each element, a space by the minimal open U_x of each point, and for an
+Alexandroff space the two are equal.  One check, ``_check_up_closed``,
+serves both, so building either, turning one into the other, and
+reading closures, specialization order and separation axioms all cost
+about the size of the order relation.  Only ``FinSpace.opens``
+enumerates the opens, which are exponential in the poset's width.
 """
 
 from __future__ import annotations
@@ -29,90 +31,104 @@ class TopologyError(ValueError):
     """Raised when a family of opens or minimal opens is no topology."""
 
 
-def _successors(elements: Iterable, pairs: Iterable) -> dict:
-    """Each element's set of the b with (element, b) among ``pairs``."""
-    out = {x: set() for x in elements}
-    for a, b in pairs:
-        out[a].add(b)
-    return out
+def _check_up_closed(points: frozenset, sets: dict, error: type,
+                     wording: dict) -> dict:
+    """``sets`` with its values frozen, checked to give each point x an
+    up-closed set S_x, with one subset test per pair (x, y) with y in
+    S_x: every point has one ("missing"), x lies in S_x ("own"), S_x lies
+    inside the points ("outside"), and y in S_x implies S_y inside S_x
+    ("upward").  The first broken rule raises ``error`` with that rule's
+    ``wording``, formatted with x, y and some z in S_y but not in S_x.
+    """
+    s = {x: frozenset(sx) for x, sx in sets.items()}
+    for x in points:
+        if x not in s:
+            raise error(wording["missing"].format(x=x))
+    for x, sx in s.items():
+        if x not in sx:
+            raise error(wording["own"].format(x=x))
+        if not sx <= points:
+            raise error(wording["outside"].format(x=x))
+        for y in sx:
+            if not s[y] <= sx:
+                z = next(iter(s[y] - sx))
+                raise error(wording["upward"].format(x=x, y=y, z=z))
+    return s
+
+
+def _indistinguishable_pair(s: dict) -> tuple | None:
+    """The least two distinct points, by repr, each in the other's set
+    (for a space: sharing their closure), or None when there are none
+    (the space is T0, the preorder antisymmetric)."""
+    twins = [(x, y) for x, sx in s.items() for y in sx
+             if y != x and x in s[y]]
+    return min(twins, key=lambda t: (repr(t[0]), repr(t[1])), default=None)
+
+
+_ORDER_WORDING = {
+    "missing": "element {x!r} has no up-set",
+    "own": "order is not reflexive at {x!r}",
+    "outside": "up-set of {x!r} uses unknown elements",
+    "upward": "order is not transitive: {x!r} <= {y!r} <= {z!r}",
+}
 
 
 @dataclass(frozen=True)
 class FinPoset:
-    """A finite poset: opaque elements plus the full order relation.
-
-    ``order`` holds every pair ``(lesser, greater)`` including the
-    reflexive pairs.  Construction rejects anything that is not
-    reflexive, antisymmetric and transitive.
+    """A finite poset: opaque elements plus the up-set up(x) of each
+    element x, every y with x <= y.  Construction rejects anything that
+    is not reflexive, transitive (the up-sets are up-closed, the check a
+    ``FinSpace`` basis passes) and antisymmetric.
     """
 
     elements: frozenset
-    order: frozenset
+    upsets: dict = field(hash=False)
 
     def __post_init__(self):
-        for pair in self.order:
-            if len(pair) != 2:
-                raise PosetError(f"order entry {pair!r} is not a pair")
-            a, b = pair
-            if a not in self.elements or b not in self.elements:
-                raise PosetError(f"order pair {pair!r} uses unknown elements")
-        up = _successors(self.elements, self.order)
-        for x in self.elements:
-            if x not in up[x]:
-                raise PosetError(f"order is not reflexive at {x!r}")
-        for a, b in self.order:
-            if a != b and a in up[b]:
-                raise PosetError(f"order is not antisymmetric on {a!r}, {b!r}")
-        for a in self.elements:
-            for b in up[a]:
-                if not up[b] <= up[a]:
-                    c = next(iter(up[b] - up[a]))
-                    raise PosetError(
-                        f"order is not transitive: {a!r} <= {b!r} <= {c!r}"
-                    )
+        object.__setattr__(self, "upsets", _check_up_closed(
+            self.elements, self.upsets, PosetError, _ORDER_WORDING))
+        pair = _indistinguishable_pair(self.upsets)
+        if pair is not None:
+            raise PosetError("order is not antisymmetric on %r, %r" % pair)
 
     @classmethod
     def from_pairs(cls, elements: Iterable, pairs: Iterable) -> "FinPoset":
         """Build a poset from generating strict/weak pairs.
 
-        Takes the reflexive-transitive closure of ``pairs``; antisymmetry
-        of the result is still checked.
+        Takes the reflexive-transitive closure of ``pairs``, one search
+        per element; antisymmetry of the result is still checked.
         """
         elems = frozenset(elements)
-        up = {x: {x} for x in elems}
+        succ = {x: [] for x in elems}
         for a, b in pairs:
             if a not in elems or b not in elems:
                 raise PosetError(f"pair ({a!r}, {b!r}) uses unknown elements")
-            up[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for x in elems:
-                new = set(up[x])
-                for y in up[x]:
-                    new |= up[y]
-                if new != up[x]:
-                    up[x] = new
-                    changed = True
-        order = frozenset((a, b) for a in elems for b in up[a])
-        return cls(elems, order)
-
-    @cached_property
-    def _up(self) -> dict:
-        up = _successors(self.elements, self.order)
-        return {x: frozenset(s) for x, s in up.items()}
+            succ[a].append(b)
+        upsets = {}
+        for x in elems:
+            seen, todo = {x}, [x]
+            while todo:
+                for y in succ[todo.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
+            upsets[x] = seen
+        return cls(elems, upsets)
 
     @cached_property
     def _down(self) -> dict:
-        down = _successors(self.elements, ((b, a) for a, b in self.order))
+        down = {x: set() for x in self.elements}
+        for x, ux in self.upsets.items():
+            for y in ux:
+                down[y].add(x)
         return {x: frozenset(s) for x, s in down.items()}
 
     def leq(self, a, b) -> bool:
-        return (a, b) in self.order
+        return b in self.upsets.get(a, ())
 
     def up(self, x) -> frozenset:
         """The upset of x: all y with x <= y."""
-        return self._up[x]
+        return self.upsets[x]
 
     def down(self, x) -> frozenset:
         """The downset of x: all y with y <= x."""
@@ -120,18 +136,12 @@ class FinPoset:
 
     @cached_property
     def heights(self) -> dict:
-        """Height of every element: longest chain ending there."""
+        """Height of every element: longest chain ending there.  What lies
+        strictly below x has a smaller downset, so taking the elements by
+        downset size finds every lower height first."""
         h = {}
-
-        def height_of(x):
-            if x in h:
-                return h[x]
-            below = [y for y in self._down[x] if y != x]
-            h[x] = 0 if not below else 1 + max(height_of(y) for y in below)
-            return h[x]
-
-        for x in self.elements:
-            height_of(x)
+        for x in sorted(self.elements, key=lambda x: len(self._down[x])):
+            h[x] = max((h[y] + 1 for y in self._down[x] if y != x), default=0)
         return h
 
     def height(self) -> int | None:
@@ -163,7 +173,8 @@ def is_multigraph_like(poset: FinPoset) -> MultigraphLikeness:
 
 def is_connected_poset(poset: FinPoset) -> bool:
     """Connectivity of the comparability graph; the empty poset is disconnected."""
-    return len(connected_groups(poset.elements, poset.order)) == 1
+    links = ((x, y) for x, ux in poset.upsets.items() for y in ux)
+    return len(connected_groups(poset.elements, links)) == 1
 
 
 def connected_groups(points: Iterable, links: Iterable) -> list:
@@ -188,36 +199,28 @@ def connected_groups(points: Iterable, links: Iterable) -> list:
     return [frozenset(members) for members in groups.values()]
 
 
+_BASIS_WORDING = {
+    "missing": "point {x!r} has no minimal open",
+    "own": "point {x!r} is not in its minimal open",
+    "outside": "minimal open of {x!r} is not a subset of the points",
+    "upward": "minimal open of {x!r} contains {y!r} but not its minimal open",
+}
+
+
 @dataclass(frozen=True)
 class FinSpace:
     """A finite topological space, held by the minimal open U_x of each
     point x (the intersection of the opens containing x); the opens are
-    the unions of U_x's.  Construction checks, with one subset test per
-    pair (x, y) with y in U_x, that the U_x form a basis: every point has
-    one, x lies in U_x, U_x lies in the points, and y in U_x implies U_y
-    inside U_x.
+    the unions of U_x's.  Construction checks that the U_x form a basis,
+    that is, that they are up-closed as a poset's up-sets are.
     """
 
     points: frozenset
     minimal_opens: dict = field(hash=False)
 
     def __post_init__(self):
-        u = {x: frozenset(ux) for x, ux in self.minimal_opens.items()}
-        object.__setattr__(self, "minimal_opens", u)
-        for x in self.points:
-            if x not in u:
-                raise TopologyError(f"point {x!r} has no minimal open")
-        for x, ux in u.items():
-            if x not in ux:
-                raise TopologyError(f"point {x!r} is not in its minimal open")
-            if not ux <= self.points:
-                raise TopologyError(
-                    f"minimal open of {x!r} is not a subset of the points")
-            for y in ux:
-                if not u[y] <= ux:
-                    raise TopologyError(
-                        f"minimal open of {x!r} contains {y!r}"
-                        " but not its minimal open")
+        object.__setattr__(self, "minimal_opens", _check_up_closed(
+            self.points, self.minimal_opens, TopologyError, _BASIS_WORDING))
 
     @classmethod
     def from_opens(cls, points: frozenset, opens: frozenset) -> "FinSpace":
@@ -269,17 +272,6 @@ class SeparationAxioms(NamedTuple):
     t2: bool
 
 
-def _indistinguishable_pair(u: dict) -> tuple | None:
-    """The first two distinct points, in sorted-repr order, each in the
-    other's minimal open (so sharing their closure), or None when the
-    space is T0."""
-    for x in sorted(u, key=repr):
-        twins = [y for y in u[x] if y != x and x in u[y]]
-        if twins:
-            return x, min(twins, key=repr)
-    return None
-
-
 def separation_axioms(space: FinSpace) -> SeparationAxioms:
     """T0/T1/T2 read off the minimal open neighbourhoods U_x.
 
@@ -302,16 +294,13 @@ def specialization_order(space: FinSpace) -> FinPoset:
     Raises NotT0Error when the preorder is not antisymmetric, i.e. two
     points share their closure.
     """
-    u = space.minimal_opens
-    pair = _indistinguishable_pair(u)
+    pair = _indistinguishable_pair(space.minimal_opens)
     if pair is not None:
         raise NotT0Error("points %r and %r have identical closures" % pair)
-    return FinPoset(space.points,
-                    frozenset((x, y) for x in u for y in u[x]))
+    return FinPoset(space.points, space.minimal_opens)
 
 
 def alexandroff_space(poset: FinPoset) -> FinSpace:
     """The Alexandroff topology of a poset: the opens are exactly the
-    upsets, so U_x is the principal upset of x, read off the order in
-    one pass."""
-    return FinSpace(poset.elements, _successors(poset.elements, poset.order))
+    upsets, so U_x is the principal upset of x."""
+    return FinSpace(poset.elements, poset.upsets)

@@ -146,8 +146,9 @@ def _extend_poset(up, m):
 
 def poset_from_upmasks(up: list) -> FinPoset:
     n = len(up)
-    pairs = [(i, j) for i in range(n) for j in range(n) if (up[i] >> j) & 1]
-    return FinPoset(frozenset(range(n)), frozenset(pairs))
+    return FinPoset(frozenset(range(n)),
+                    {i: {j for j in range(n) if (up[i] >> j) & 1}
+                     for i in range(n)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import inspect
+import sys
 from itertools import combinations
 
 import pytest
 
 from flowinv.graph import to_extended_poset
+from flowinv.multigraph import Multigraph
 from flowinv.reconstruction import realize_multigraph
 from flowinv.topology import (
     FinPoset,
@@ -22,6 +25,7 @@ from oracles import (
     all_labeled_posets,
     broken_topology_rules,
     chain_height_oracle,
+    path_graph,
     poset_from_upmasks,
     star_graph,
     union_closure_opens,
@@ -61,20 +65,43 @@ def edge_poset() -> FinPoset:
 class TestFinPoset:
     def test_rejects_missing_reflexivity(self):
         with pytest.raises(PosetError, match="reflexive"):
-            FinPoset(frozenset("ab"), frozenset({("a", "a")}))
+            FinPoset(frozenset("ab"), {"a": {"a"}, "b": set()})
 
     def test_rejects_cycle(self):
         with pytest.raises(PosetError, match="antisymmetric"):
             FinPoset.from_pairs("ab", [("a", "b"), ("b", "a")])
 
     def test_rejects_missing_transitivity(self):
-        order = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}
+        upsets = {"a": {"a", "b"}, "b": {"b", "c"}, "c": {"c"}}
         with pytest.raises(PosetError, match="transitive"):
-            FinPoset(frozenset("abc"), frozenset(order))
+            FinPoset(frozenset("abc"), upsets)
 
     def test_from_pairs_closes_transitively(self):
         p = chain(3)
         assert p.leq(0, 2)
+
+    def test_from_pairs_matches_upmask_oracle(self):
+        """Every labeled poset on at most 5 points is the closure of its
+        cover pairs."""
+        for n in range(6):
+            for up in all_labeled_posets(n):
+                above = [{j for j in range(n) if up[i] >> j & 1} - {i}
+                         for i in range(n)]
+                covers = [(i, j) for i in range(n) for j in above[i]
+                          if not any(j in above[k] for k in above[i])]
+                assert FinPoset.from_pairs(range(n), covers) \
+                    == poset_from_upmasks(up)
+
+    def test_heights_do_not_recurse(self):
+        """A chain taller than the stack still has its height: heights
+        take no stack frame per chain step."""
+        p = FinPoset.from_pairs(range(300), [(i + 1, i) for i in range(299)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            assert p.height() == 299
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_heights_of_chain(self):
         p = chain(4)
@@ -82,7 +109,7 @@ class TestFinPoset:
         assert p.height() == 3
 
     def test_empty_poset_height_undefined(self):
-        p = FinPoset(frozenset(), frozenset())
+        p = FinPoset(frozenset(), {})
         assert p.height() is None
         assert not is_connected_poset(p)
 
@@ -267,11 +294,21 @@ class TestAlexandroff:
                 assert {i: sum(1 << j for j in ux) for i, ux in u.items()} \
                     == dict(enumerate(meet))
 
-    def test_realized_star_costs_its_order_not_its_opens(self):
+    @pytest.mark.parametrize("family, m", [(star_graph, 40), (path_graph, 4000)],
+                             ids=["star-40", "path-4000"])
+    def test_realized_star_costs_its_order_not_its_opens(self, family, m):
         """The extended poset of a realized star-40 has an antichain of 40
-        edge points, so about 2^40 opens; its space is built from U_x."""
-        p = to_extended_poset(realize_multigraph(star_graph(40)))
-        space = within_budget(alexandroff_space, p, seconds=1)
+        edge points, so about 2^40 opens; its space is built from U_x.  A
+        realized path-4000 is long rather than wide: reading its graph and
+        space back costs the size of its order."""
+        pair = realize_multigraph(family(m))
+
+        def read_back():
+            p = to_extended_poset(pair)
+            Multigraph.from_poset(p)
+            return p, alexandroff_space(p)
+
+        p, space = within_budget(read_back, seconds=1)
         assert specialization_order(space) == p
         assert separation_axioms(space) == (True, False, False)
 
