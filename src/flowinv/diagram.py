@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import attrgetter
 
 from .multigraph import Multigraph
 from .topology import FinPoset, connected_groups
@@ -128,7 +130,12 @@ class SaddleDiagram:
         unique ids, rotation length equals degree, every dart placed exactly
         once with the out-dart at the separatrix source and the in-dart at
         its target, and strict out/in alternation around each saddle.
+
+        A diagram that passes ``_accepts`` has none; the rule loops below
+        run only for one that fails it, and they alone word a violation.
         """
+        if _accepts(self):
+            return ()
         violations = []
 
         def bad(kind, subject, rule, message):
@@ -239,19 +246,48 @@ class SaddleDiagram:
     @cached_property
     def faces(self) -> tuple:
         """Face cycles sorted by (component, least dart), traced without a
-        validity check (``trace_faces`` checks first)."""
+        validity check (``trace_faces`` checks first).
+
+        A face is an orbit of the face permutation of the combinatorial
+        map: the face successor of a dart is the rotation successor of
+        its separatrix's other dart (Lando and Zvonkin, *Graphs on
+        Surfaces and Their Applications*, 2004).  A face keeps to one
+        side of the flow when every successor is a dart of the same end,
+        which strict alternation gives; a successor that changes end
+        raises ``FlowIncoherentFaceError``.  In a valid diagram the darts
+        are exactly the separatrices' darts, so taking the separatrices
+        in id order, ``IN`` before ``OUT``, takes the darts sorted: each
+        face starts at its least dart and comes out by it, and a stable
+        sort by component gives the order.
+        """
+        after = {}
+        for s in self.saddles:
+            r = s.rotation
+            after.update(zip(r, r[1:] + r[:1]))
+        step, starts = {}, []
+        for e in self.separatrices:
+            in_, out = (e.id, IN), (e.id, OUT)
+            step[in_], step[out] = after[out], after[in_]
+            for dart in in_, out:
+                if step[dart][1] != dart[1]:
+                    raise FlowIncoherentFaceError(
+                        f"face through {dart!r} mixes followed and opposed sides"
+                    )
+            starts += (in_, out)
         comp = self.component_of
-        faces = []
-        for cycle in _face_orbits(self):
-            ends = {end for _, end in cycle}
-            if len(ends) != 1:
-                raise FlowIncoherentFaceError(
-                    f"face through {cycle[0]!r} mixes followed and opposed sides"
-                )
-            faces.append(
-                FaceCycle(comp[cycle[0][0]], cycle, ends == {OUT})
-            )
-        faces.sort(key=lambda f: (f.component, f.sides[0]))
+        faces, seen = [], set()
+        for start in starts:
+            if start in seen:
+                continue
+            cycle = [start]
+            dart = step[start]
+            while dart != start:
+                cycle.append(dart)
+                dart = step[dart]
+            seen.update(cycle)
+            faces.append(FaceCycle(comp[start[0]], tuple(cycle),
+                                   start[1] == OUT))
+        faces.sort(key=attrgetter("component"))
         return tuple(faces)
 
     @cached_property
@@ -261,6 +297,41 @@ class SaddleDiagram:
         for f in self.faces:
             out.setdefault(f.component, []).append(f)
         return {comp: tuple(fs) for comp, fs in out.items()}
+
+
+def _accepts(d: SaddleDiagram) -> bool:
+    """True when ``d`` breaks none of the rules of
+    ``SaddleDiagram.violations``, by aggregate comparisons in one read of
+    it: the ids are unique by set size, no separatrix is twisted, every
+    saddle is interior with k >= 0 and a rotation of its degree 2k+2,
+    and each rotation reads, dart by dart, as its own saddle's out- and
+    in-darts alternating.  Each dart is taken from the table of
+    separatrix darts as it is read, so a repeat reads as no dart, and
+    the table must end empty.  A slot that cannot be looked up
+    (unhashable) fails the test, and the rules word it.
+    """
+    if len({s.id for s in d.saddles} | {e.id for e in d.separatrices}) != \
+            len(d.saddles) + len(d.separatrices):
+        return False
+    home = {}
+    for e in d.separatrices:
+        if e.twisted:
+            return False
+        home[e.id, OUT] = (e.source, OUT)
+        home[e.id, IN] = (e.target, IN)
+    try:
+        for s in d.saddles:
+            # the length first: the patterns below are 2k+2 long
+            if s.kind != "interior" or s.k < 0 or len(s.rotation) != s.degree:
+                return False
+            read = list(map(home.pop, s.rotation, repeat(None)))
+            out, in_ = (s.id, OUT), (s.id, IN)
+            if read != [out, in_] * (s.k + 1) and \
+                    read != [in_, out] * (s.k + 1):
+                return False
+    except TypeError:
+        return False
+    return not home
 
 
 def validate_diagram(d: SaddleDiagram) -> list:
@@ -291,30 +362,6 @@ class FaceCycle:
     component: str
     sides: tuple
     flow_positive: bool
-
-
-def _face_orbits(d: SaddleDiagram) -> list:
-    """Orbits of the face successor: the rotation successor of the other end."""
-    succ = {}
-    for s in d.saddles:
-        n = len(s.rotation)
-        for pos, dart in enumerate(s.rotation):
-            succ[dart] = s.rotation[(pos + 1) % n]
-    faces = []
-    seen = set()
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cycle = []
-        dart = start
-        while True:
-            cycle.append(dart)
-            seen.add(dart)
-            dart = succ[flip(dart)]
-            if dart == start:
-                break
-        faces.append(tuple(cycle))
-    return faces
 
 
 def trace_faces(d: SaddleDiagram) -> list:

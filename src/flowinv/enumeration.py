@@ -206,9 +206,13 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
 
     Emitted in increasing cell count and by canonical bytes within a
     bucket; every emitted pair validates and keeps the framed canonical
-    bytes that placed it (of both orientations in REVERSIBLE mode), so
-    ``canonical_form(pair, bounds.mode)`` on it runs no search.  Those
-    keys are unique, so no diagram is labeled for an order.
+    bytes that its search placed it by, so ``canonical_form(pair,
+    bounds.mode)`` on it runs no search.  ORIENTED pairs keep their own
+    bytes.  REVERSIBLE pairs keep the bytes of each orientation searched
+    (``isomorphism._canonical_blob``): their own when the orientation
+    byte reads ``<``, their reversal's at ``>``, and both at ``=``; an
+    ORIENTED call on a ``>`` pair searches it then.  Those keys are
+    unique, so no diagram is labeled for an order.
 
     Each class is offered once: a diagram-based class as the closure of
     its diagram representative that is least in its orbit under the

@@ -79,7 +79,12 @@ class InvariantPair:
         Beyond diagram validity: unique ids, labels resolve, polycycle
         vertices biject with diagram components, every attachment resolves,
         and the attachment matching is perfect.
+
+        A pair that passes ``_accepts`` has none; the rule loops below run
+        only for one that fails it, and they alone word a violation.
         """
+        if _accepts(self):
+            return ()
         violations = list(self.diagram.violations)
 
         def bad(kind, subject, rule, message):
@@ -235,6 +240,41 @@ class InvariantPair:
             annuli[group_of[a.neg.vertex]].append(a.id)
         return tuple((vids, frozenset(aids))
                      for vids, aids in zip(groups, annuli))
+
+
+def _accepts(p: InvariantPair) -> bool:
+    """True when ``p`` breaks none of the rules of
+    ``InvariantPair.violations``, by aggregate comparisons in one read of
+    it: the diagram is valid, the ids are unique by set size, the torus
+    count is a non-negative integer and the model is not empty, every
+    label is known and only polycycle vertices name a component, each
+    component labels exactly one vertex, and the attachment points in
+    use equal the offered points (each face of a polycycle vertex, and
+    the one circle of any other), each used once.
+    """
+    vertices, annuli = p.vertices, p.annuli
+    if p.diagram.violations \
+            or not isinstance(p.tori, int) or p.tori < 0 \
+            or not (vertices or annuli or p.tori) \
+            or len({v.id for v in vertices} | {a.id for a in annuli}) != \
+            len(vertices) + len(annuli):
+        return False
+    comps = p.diagram.components
+    faces = p.diagram.faces_by_component
+    labeled, offered = [], set()
+    for v in vertices:
+        if v.label == D:
+            labeled.append(v.component)
+            offered.update((v.id, i)
+                           for i in range(len(faces.get(v.component, ()))))
+        elif v.label in LABELS and v.component is None:
+            offered.add((v.id, None))
+        else:
+            return False
+    if len(labeled) != len(comps) or set(labeled) != {c[0] for c in comps}:
+        return False
+    used = [(att.vertex, att.face) for a in annuli for att in (a.neg, a.pos)]
+    return len(used) == len(offered) and set(used) == offered
 
 
 def validate_pair(p: InvariantPair) -> list:

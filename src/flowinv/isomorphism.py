@@ -903,11 +903,14 @@ def _component_engines(p: InvariantPair, blocks: dict, reversal: bool):
                                reversal)
 
 
-def _oriented_blob(p: InvariantPair, blocks: dict, reversal: bool) -> bytes:
+def _oriented_blob(p: InvariantPair, blocks: dict, reversal: bool,
+                   engines: list | None = None) -> bytes:
     """The framed ORIENTED bytes of ``p``, or with ``reversal`` of its
     reversal: the orientation byte, then one search per component, and
-    ``T`` with the count if there are periodic tori."""
-    engines = list(_component_engines(p, blocks, reversal))
+    ``T`` with the count if there are periodic tori.  ``engines`` are
+    the components' engines when the caller has compiled them."""
+    if engines is None:
+        engines = list(_component_engines(p, blocks, reversal))
     blobs = [e.canonical() for e in engines]
     if p.tori:
         blobs.append(b"T%d" % p.tori)
@@ -918,14 +921,16 @@ def _canonical_blob(p: InvariantPair, mode: IsoMode,
                     blocks: dict | None = None) -> bytes:
     """Canonical bytes of an already-validated pair.
 
-    The framed bytes of each orientation stay in the pair's instance dict,
-    the way a ``cached_property`` keeps its value: ``oriented_blob``, and
-    ``reversed_blob``, the oriented bytes of ``reverse_pair(p)``, the first
-    time REVERSIBLE mode needs them.  So a repeat call in either mode runs
-    no search.  Reversal acts on the whole model at once, so REVERSIBLE
-    takes the lesser over whole models, not per component.  The reversal's
-    orientation byte is the flip of the model's, so when the model's reads
-    ``<`` its own bytes are the lesser and the reversal is not searched.
+    The framed bytes of each orientation searched stay in the pair's
+    instance dict, the way a ``cached_property`` keeps its value:
+    ``oriented_blob``, and ``reversed_blob``, the oriented bytes of
+    ``reverse_pair(p)``.  So a repeat call in either mode runs no search.
+    Reversal acts on the whole model at once, so REVERSIBLE takes the
+    lesser over whole models, not per component.  The reversal's
+    orientation byte is the flip of the model's, and the model's is read
+    off its compiled engines before any search.  So REVERSIBLE searches
+    only the model at ``<``, only the reversal at ``>``, and both at
+    ``=``; an ORIENTED call after a ``>`` one still searches the model.
 
     ``blocks`` is the caller's table of compiled diagram blocks for pairs
     on one diagram (see ``_component_engines``); without it the blocks
@@ -933,13 +938,20 @@ def _canonical_blob(p: InvariantPair, mode: IsoMode,
     """
     kept = p.__dict__
     blocks = {} if blocks is None else blocks
-    if "oriented_blob" not in kept:
-        kept["oriented_blob"] = _oriented_blob(p, blocks, False)
-    if not mode.allow_reversal or kept["oriented_blob"][1:2] == b"<":
-        return kept["oriented_blob"]
+    reversible = mode.allow_reversal
+    if "oriented_blob" not in kept and not (reversible
+                                            and "reversed_blob" in kept):
+        engines = list(_component_engines(p, blocks, False))
+        if not (reversible and _orientation(engines) == b">"):
+            kept["oriented_blob"] = _oriented_blob(p, blocks, False, engines)
+    oriented = kept.get("oriented_blob")
+    if not reversible or oriented is not None and oriented[1:2] == b"<":
+        return oriented
     if "reversed_blob" not in kept:
         kept["reversed_blob"] = _oriented_blob(p, blocks, True)
-    return min(kept["oriented_blob"], kept["reversed_blob"])
+    if oriented is None:  # the model reads ">", so its reversal is lesser
+        return kept["reversed_blob"]
+    return min(oriented, kept["reversed_blob"])
 
 
 def canonical_form(p: InvariantPair, mode: IsoMode = ORIENTED) -> CanonicalForm:

@@ -6,9 +6,13 @@ specialization order (x <= y iff x lies in the closure of {y}) recovers
 the poset.  Both are held the same way: a poset by the up-set up(x) of
 each element, a space by the minimal open U_x of each point, and for an
 Alexandroff space the two are equal.  One check, ``_check_up_closed``,
-serves both, so building either, turning one into the other, and
-reading closures, specialization order and separation axioms all cost
-about the size of the order relation.  Only ``FinSpace.opens``
+serves both public constructors.  Each set is checked once: sets that
+one ``FinPoset`` or ``FinSpace`` has already passed reach the other
+through ``_checked`` unread, in a dict of the receiver's own, and
+``FinPoset.from_pairs``, whose search closes its sets by construction,
+checks only antisymmetry.  So building either, turning one into the
+other, and reading closures, specialization order and separation axioms
+all cost about the size of the order relation.  Only ``FinSpace.opens``
 enumerates the opens, which are exponential in the poset's width.
 """
 
@@ -65,6 +69,24 @@ def _indistinguishable_pair(s: dict) -> tuple | None:
     return min(twins, key=lambda t: (repr(t[0]), repr(t[1])), default=None)
 
 
+def _checked(cls, points: frozenset, sets: dict):
+    """A ``FinPoset`` or ``FinSpace`` on ``points`` with a copy of
+    ``sets``, whose values are frozen and passed the checks of ``cls``
+    already, so its constructor's check is skipped.  The copy keeps the
+    two objects from sharing one dict."""
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, (points, dict(sets))))
+    return obj
+
+
+def _check_antisymmetric(upsets: dict) -> None:
+    """Raise ``PosetError`` on the least two distinct elements each above
+    the other."""
+    pair = _indistinguishable_pair(upsets)
+    if pair is not None:
+        raise PosetError("order is not antisymmetric on %r, %r" % pair)
+
+
 _ORDER_WORDING = {
     "missing": "element {x!r} has no up-set",
     "own": "order is not reflexive at {x!r}",
@@ -78,7 +100,8 @@ class FinPoset:
     """A finite poset: opaque elements plus the up-set up(x) of each
     element x, every y with x <= y.  Construction rejects anything that
     is not reflexive, transitive (the up-sets are up-closed, the check a
-    ``FinSpace`` basis passes) and antisymmetric.
+    ``FinSpace`` basis passes) and antisymmetric.  ``from_pairs`` and
+    ``specialization_order`` check only what their sets may still break.
     """
 
     elements: frozenset
@@ -87,16 +110,16 @@ class FinPoset:
     def __post_init__(self):
         object.__setattr__(self, "upsets", _check_up_closed(
             self.elements, self.upsets, PosetError, _ORDER_WORDING))
-        pair = _indistinguishable_pair(self.upsets)
-        if pair is not None:
-            raise PosetError("order is not antisymmetric on %r, %r" % pair)
+        _check_antisymmetric(self.upsets)
 
     @classmethod
     def from_pairs(cls, elements: Iterable, pairs: Iterable) -> "FinPoset":
         """Build a poset from generating strict/weak pairs.
 
         Takes the reflexive-transitive closure of ``pairs``, one search
-        per element; antisymmetry of the result is still checked.
+        per element.  The closure gives each element an up-closed set
+        inside the elements that holds it, so only antisymmetry is
+        checked.
         """
         elems = frozenset(elements)
         succ = {x: [] for x in elems}
@@ -112,8 +135,9 @@ class FinPoset:
                     if y not in seen:
                         seen.add(y)
                         todo.append(y)
-            upsets[x] = seen
-        return cls(elems, upsets)
+            upsets[x] = frozenset(seen)
+        _check_antisymmetric(upsets)
+        return _checked(cls, elems, upsets)
 
     @cached_property
     def _down(self) -> dict:
@@ -163,12 +187,15 @@ class MultigraphLikeness(NamedTuple):
 def is_multigraph_like(poset: FinPoset) -> MultigraphLikeness:
     """Check height <= 1 and |downset| <= 3 everywhere.
 
-    On failure the witness is an offending element.
+    On failure the witness is the offending element least by ``repr``;
+    only a failure reads ``repr``.
     """
-    for x in sorted(poset.elements, key=repr):
-        if poset.heights[x] > 1 or len(poset.down(x)) > 3:
-            return MultigraphLikeness(False, x)
-    return MultigraphLikeness(True, None)
+    heights = poset.heights
+    bad = [x for x in poset.elements
+           if heights[x] > 1 or len(poset.down(x)) > 3]
+    if not bad:
+        return MultigraphLikeness(True, None)
+    return MultigraphLikeness(False, min(bad, key=repr))
 
 
 def is_connected_poset(poset: FinPoset) -> bool:
@@ -292,15 +319,17 @@ def specialization_order(space: FinSpace) -> FinPoset:
 
     Equivalently, every open containing x contains y, i.e. y lies in U_x.
     Raises NotT0Error when the preorder is not antisymmetric, i.e. two
-    points share their closure.
+    points share their closure.  The U_x passed the space's basis check,
+    so antisymmetry is the one check left.
     """
     pair = _indistinguishable_pair(space.minimal_opens)
     if pair is not None:
         raise NotT0Error("points %r and %r have identical closures" % pair)
-    return FinPoset(space.points, space.minimal_opens)
+    return _checked(FinPoset, space.points, space.minimal_opens)
 
 
 def alexandroff_space(poset: FinPoset) -> FinSpace:
     """The Alexandroff topology of a poset: the opens are exactly the
-    upsets, so U_x is the principal upset of x."""
-    return FinSpace(poset.elements, poset.upsets)
+    upsets, so U_x is the principal upset of x.  The poset's up-sets
+    passed the basis check as its order, so they are not checked again."""
+    return _checked(FinSpace, poset.elements, poset.upsets)

@@ -5,7 +5,8 @@ route than the library: chain enumeration for heights, subset filtering
 for upsets, a bitmask union closure for Alexandroff opens, explicit
 permutation composition for faces, filtered set partitions for closures,
 pruning-free generation with pairwise isomorphism dedup for enumeration,
-the stdlib's ``json.dumps`` of plain dicts for model documents.
+the stdlib's ``json.dumps`` of plain dicts for model documents, and one
+loop per rule, with no accept test in front, for validation.
 None of it shares code with the paths it checks.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations, product
 
-from flowinv.diagram import SaddleDiagram
+from flowinv.diagram import IN, OUT, SaddleDiagram, Violation
 from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram
 from flowinv.graph import (
     AnnulusEdge,
@@ -298,6 +299,206 @@ def full_refine(engine, col: list) -> list:
         if len(rank) == len(set(col)):
             return new
         col = new
+
+
+# ---------------------------------------------------------------------------
+# validation: the rule loops alone, each rule read in full
+
+
+def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
+    """The violations of ``d``, in the order and wording of
+    ``SaddleDiagram.violations``, by running every rule loop."""
+    violations = []
+    saddle_by_id = {s.id: s for s in d.saddles}
+    sep_by_id = {e.id: e for e in d.separatrices}
+
+    def bad(kind, subject, rule, message):
+        violations.append(Violation(kind, subject, rule, message))
+
+    seen = set()
+    for s in d.saddles:
+        if s.id in seen:
+            bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
+        seen.add(s.id)
+    for e in d.separatrices:
+        if e.id in seen:
+            bad("separatrix", e.id, "unique-id",
+                f"separatrix id {e.id!r} collides with another id")
+        seen.add(e.id)
+
+    for e in d.separatrices:
+        if e.source not in saddle_by_id:
+            bad("separatrix", e.id, "dangling-endpoint",
+                f"separatrix {e.id!r} has unknown source {e.source!r}")
+        if e.target not in saddle_by_id:
+            bad("separatrix", e.id, "dangling-endpoint",
+                f"separatrix {e.id!r} has unknown target {e.target!r}")
+        if e.twisted:
+            bad("separatrix", e.id, "twist-unsupported",
+                f"separatrix {e.id!r} is twisted; twisted ribbons are not supported")
+
+    placements = {}
+    for s in d.saddles:
+        if s.kind != "interior":
+            bad("saddle", s.id, "boundary-unsupported",
+                f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
+            continue
+        if s.k < 0:
+            bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
+            continue
+        if len(s.rotation) != s.degree:
+            bad("saddle", s.id, "degree",
+                f"saddle {s.id!r} has rotation length {len(s.rotation)}"
+                f" but degree {s.degree} (2k+2 with k={s.k})")
+        for pos, dart in enumerate(s.rotation):
+            if not (isinstance(dart, tuple) and len(dart) == 2):
+                bad("saddle", s.id, "unknown-dart",
+                    f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
+                continue
+            sep, end = dart
+            if sep not in sep_by_id or end not in (OUT, IN):
+                bad("saddle", s.id, "unknown-dart",
+                    f"saddle {s.id!r} rotation slot {pos} references unknown dart {dart!r}")
+                continue
+            if dart in placements:
+                bad("saddle", s.id, "dart-pairing",
+                    f"dart {dart!r} appears more than once")
+            placements[dart] = s.id
+        n = len(s.rotation)
+        for pos in range(n):
+            here, after = s.rotation[pos], s.rotation[(pos + 1) % n]
+            if len(here) == 2 and len(after) == 2 and here[1] == after[1]:
+                bad("saddle", s.id, "alternation",
+                    f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
+                    f" are consecutive {here[1]} darts")
+
+    for e in d.separatrices:
+        for dart, home in ((e.out_dart, e.source), (e.in_dart, e.target)):
+            where = placements.get(dart)
+            if where is None:
+                bad("separatrix", e.id, "dart-pairing",
+                    f"dart {dart!r} does not occur in any rotation")
+            elif where != home:
+                bad("separatrix", e.id, "source-label",
+                    f"dart {dart!r} sits at saddle {where!r} but belongs at {home!r}")
+
+    return tuple(violations)
+
+
+def pair_violations_oracle(p: InvariantPair) -> tuple:
+    """The violations of ``p``, in the order and wording of
+    ``InvariantPair.violations``, by running every rule loop.  The
+    components and their face counts of a valid diagram come from
+    ``face_points_oracle``: every saddle has darts there, so each
+    component owns at least one face point."""
+    violations = list(diagram_violations_oracle(p.diagram))
+
+    def bad(kind, subject, rule, message):
+        violations.append(Violation(kind, subject, rule, message))
+
+    seen = set()
+    for v in p.vertices:
+        if v.id in seen:
+            bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
+        seen.add(v.id)
+    for a in p.annuli:
+        if a.id in seen:
+            bad("annulus", a.id, "unique-id",
+                f"annulus id {a.id!r} collides with another id")
+        seen.add(a.id)
+
+    if not isinstance(p.tori, int) or p.tori < 0:
+        bad("model", "", "tori", f"torus count {p.tori!r} must be a non-negative integer")
+
+    if violations:
+        return tuple(violations)
+
+    n_faces = {}
+    for comp, idx in face_points_oracle(p.diagram).values():
+        n_faces[comp] = max(n_faces.get(comp, 0), idx + 1)
+    comp_ids = set(n_faces)
+
+    comp_vertex = {}
+    for v in p.vertices:
+        if v.label not in ("c", "n", "b", "d"):
+            bad("vertex", v.id, "label", f"vertex {v.id!r} has unknown label {v.label!r}")
+            continue
+        if v.label == "d":
+            if v.component is None:
+                bad("vertex", v.id, "component-ref",
+                    f"polycycle vertex {v.id!r} names no diagram component")
+            elif v.component not in comp_ids:
+                bad("vertex", v.id, "component-ref",
+                    f"vertex {v.id!r} references unknown component {v.component!r}")
+            elif v.component in comp_vertex:
+                bad("vertex", v.id, "component-ref",
+                    f"components must label exactly one vertex;"
+                    f" {v.component!r} labels both {comp_vertex[v.component]!r} and {v.id!r}")
+            else:
+                comp_vertex[v.component] = v.id
+        elif v.component is not None:
+            bad("vertex", v.id, "component-ref",
+                f"vertex {v.id!r} has label {v.label!r} but names a component")
+    for comp_id in sorted(comp_ids - set(comp_vertex)):
+        bad("model", comp_id, "component-ref",
+            f"diagram component {comp_id!r} is the label of no vertex")
+
+    if violations:
+        return tuple(violations)
+
+    vertex_by_id = {v.id: v for v in p.vertices}
+    use = {}
+    for a in p.annuli:
+        for side, att in (("neg", a.neg), ("pos", a.pos)):
+            v = vertex_by_id.get(att.vertex)
+            if v is None:
+                bad("annulus", a.id, "attachment",
+                    f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
+                continue
+            if v.label == "d":
+                if att.face is None:
+                    bad("annulus", a.id, "attachment",
+                        f"annulus {a.id!r} {side} side attaches to polycycle"
+                        f" {v.id!r} without naming a face")
+                    continue
+                count = n_faces.get(v.component, 0)
+                if not 0 <= att.face < count:
+                    bad("annulus", a.id, "attachment",
+                        f"annulus {a.id!r} {side} side names face {att.face}"
+                        f" of component {v.component!r} which has {count} faces")
+                    continue
+            elif att.face is not None:
+                bad("annulus", a.id, "attachment",
+                    f"annulus {a.id!r} {side} side names a face on"
+                    f" non-polycycle vertex {v.id!r}")
+                continue
+            use.setdefault((att.vertex, att.face), []).append((a.id, side))
+
+    for v in p.vertices:
+        if v.label == "d":
+            for idx in range(n_faces.get(v.component, 0)):
+                users = use.get((v.id, idx), [])
+                if not users:
+                    bad("vertex", v.id, "matching",
+                        f"face {idx} of component {v.component!r} bounds no annulus")
+                elif len(users) > 1:
+                    bad("vertex", v.id, "matching",
+                        f"face {idx} of component {v.component!r} bounds"
+                        f" {len(users)} annuli: {sorted(users)}")
+        else:
+            users = use.get((v.id, None), [])
+            if not users:
+                bad("vertex", v.id, "matching",
+                    f"{v.label}-vertex {v.id!r} is attached to no annulus")
+            elif len(users) > 1:
+                bad("vertex", v.id, "matching",
+                    f"{v.label}-vertex {v.id!r} is attached to {len(users)}"
+                    f" annuli: {sorted(users)}")
+
+    if not p.vertices and not p.annuli and p.tori == 0:
+        bad("model", "", "nonempty", "model has no cells at all")
+
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------

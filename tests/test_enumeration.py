@@ -465,21 +465,24 @@ def test_shared_blocks_give_fresh_bytes(bounds, mode):
     reversed blocks included: the same pair on a diagram object of its
     own labels to the same bytes in each orientation, and the reversal
     labeled in place gives the bytes of the reversed pair.  The reversal
-    is labeled exactly when the orientation byte does not read ``<``."""
+    is labeled exactly when the orientation byte does not read ``<``, and
+    in REVERSIBLE mode the pair itself unless it reads ``>``."""
+    blobs = ("oriented_blob", "reversed_blob")
     for p in enumerate_pairs(replace(bounds, mode=mode)):
-        fresh = InvariantPair(
-            SaddleDiagram(p.diagram.saddles, p.diagram.separatrices),
-            p.vertices, p.annuli, p.tori)
+        fresh = _rebuilt(p)
         canonical_form(fresh, mode)
-        assert fresh.oriented_blob == p.oriented_blob
+        kept = {k: p.__dict__[k] for k in blobs if k in p.__dict__}
+        assert kept == {k: fresh.__dict__[k] for k in blobs
+                        if k in fresh.__dict__}
+        oriented = canonical_form(_rebuilt(p)).blob
+        assert kept.get("oriented_blob", oriented) == oriented
         if mode.allow_reversal:
             reversed_blob = canonical_form(reverse_pair(fresh)).blob
-            searched = p.oriented_blob[1:2] != b"<"
-            assert ("reversed_blob" in p.__dict__) == searched
-            assert ("reversed_blob" in fresh.__dict__) == searched
-            assert p.__dict__.get("reversed_blob", reversed_blob) == \
-                reversed_blob
-            assert canonical_form(p, mode).blob == min(p.oriented_blob,
+            byte = oriented[1:2]
+            assert ("oriented_blob" in kept) == (byte != b">")
+            assert ("reversed_blob" in kept) == (byte != b"<")
+            assert kept.get("reversed_blob", reversed_blob) == reversed_blob
+            assert canonical_form(p, mode).blob == min(oriented,
                                                        reversed_blob)
 
 

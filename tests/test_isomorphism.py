@@ -261,16 +261,20 @@ class TestCanonicalForm:
     def test_labeling_keeps_only_framed_bytes(self, mode):
         """A pair read from outside compiles its diagram block for the
         search alone: the pair keeps its framed bytes and nothing else,
-        and its diagram keeps no more than its cached properties.  The
-        reversed bytes are kept when REVERSIBLE mode searched for them,
-        that is unless the orientation byte reads ``<``."""
+        and its diagram keeps no more than its cached properties.  REVERSIBLE
+        mode keeps the bytes of each orientation it searched: the model's
+        unless the orientation byte reads ``>``, the reversal's unless it
+        reads ``<``."""
         for name in GOLDEN_DIGESTS:
             p = _fixture_model(name)
             pair_before = set(p.__dict__) | own_state(InvariantPair)
             canonical_form(p, mode)
+            byte = canonical_form(_rebuilt(p)).blob[1:2]
             kept = {"oriented_blob"}
-            if mode.allow_reversal and p.oriented_blob[1:2] != b"<":
-                kept.add("reversed_blob")
+            if mode.allow_reversal:
+                kept = {b"<": {"oriented_blob"},
+                        b"=": {"oriented_blob", "reversed_blob"},
+                        b">": {"reversed_blob"}}[byte]
             assert set(p.__dict__) - pair_before == kept
             assert set(p.diagram.__dict__) <= own_state(SaddleDiagram)
 
@@ -785,11 +789,30 @@ class TestKeptSearch:
         canonical_form(p, REVERSIBLE)
         assert len(roots) == 2  # orientation byte "<": its own bytes only
         canonical_form(r, REVERSIBLE)
-        assert len(roots) == 6  # byte ">": both orientations, two components
+        assert len(roots) == 4  # byte ">": the reversal's bytes only
         for q in (p, r):
             canonical_form(q, ORIENTED)
             canonical_form(q, REVERSIBLE)
-        assert len(roots) == 6
+        assert len(roots) == 6  # r's own bytes, searched once asked for
+        assert canonical_form(r).blob == canonical_form(_rebuilt(r)).blob
+
+    def test_greater_than_searches_only_the_reversal(self, monkeypatch):
+        """A fresh ``>`` pair reads its orientation byte off its compiled
+        engines, so REVERSIBLE runs one search, of the reversal; a later
+        ORIENTED call still searches the pair and gives its own bytes."""
+        p = reverse_pair(three_centers_eight())
+        fresh = canonical_form(_rebuilt(p)).blob
+        assert fresh[1:2] == b">"
+        lesser = canonical_form(three_centers_eight()).blob
+        roots = _root_searches(monkeypatch)
+        assert canonical_form(p, REVERSIBLE).blob == lesser
+        assert len(roots) == 1
+        assert "oriented_blob" not in p.__dict__ and "reversed_blob" in p.__dict__
+        assert canonical_form(p, ORIENTED).blob == fresh
+        assert len(roots) == 2
+        for mode in (REVERSIBLE, ORIENTED):
+            canonical_form(p, mode)
+        assert len(roots) == 2
 
     @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
                              ids=["oriented", "reversible"])

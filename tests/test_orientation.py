@@ -101,13 +101,16 @@ def test_reversible_is_the_least_oriented_blob(models):
                          ids=["oriented-first", "reversible-first"])
 def test_less_than_skips_the_reversed_search(models, first):
     """A ``<`` pair ends a REVERSIBLE call without the reversed bytes; any
-    other pair searched its reversal and keeps them."""
+    other pair searched its reversal and keeps them.  A ``>`` pair that
+    REVERSIBLE mode sees first never searches itself."""
     decided = 0
     for name, p in models.items():
         q = _rebuilt(p)
         canonical_form(q, first)
         canonical_form(q, REVERSIBLE)
-        less = q.oriented_blob[1:2] == b"<"
-        assert ("reversed_blob" in q.__dict__) != less, name
-        decided += less
+        byte = _byte(p)
+        assert ("reversed_blob" in q.__dict__) == (byte != b"<"), name
+        assert ("oriented_blob" in q.__dict__) == \
+            (first is ORIENTED or byte != b">"), name
+        decided += byte == b"<"
     assert decided

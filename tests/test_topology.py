@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from flowinv import topology
 from flowinv.graph import to_extended_poset
 from flowinv.multigraph import Multigraph
 from flowinv.reconstruction import realize_multigraph
@@ -317,3 +318,58 @@ class TestAlexandroff:
         space = within_budget(alexandroff_space, p)
         assert len(space.opens) == 41
         assert specialization_order(space) == p
+
+
+class TestCheckedOnce:
+    def _counting(self, monkeypatch, name: str) -> list:
+        """From now on, one entry per call of ``topology.<name>``."""
+        calls, body = [], getattr(topology, name)
+
+        def counting(*args):
+            calls.append(args)
+            return body(*args)
+
+        monkeypatch.setattr(topology, name, counting)
+        return calls
+
+    def test_realize_read_back_checks_each_set_once(self, monkeypatch):
+        """One read-back of a realized model: ``from_pairs`` closes its
+        sets, so it scans for twins alone; the space takes the poset's
+        checked sets, and the order read off the space scans for twins
+        once, as the separation axioms do.  Nothing runs the up-closure
+        check."""
+        pair = realize_multigraph(star_graph(4))
+        pair.violations
+        closed = self._counting(monkeypatch, "_check_up_closed")
+        twins = self._counting(monkeypatch, "_indistinguishable_pair")
+        p = to_extended_poset(pair)
+        Multigraph.from_poset(p)
+        space = alexandroff_space(p)
+        assert specialization_order(space) == p
+        assert separation_axioms(space) == (True, False, False)
+        assert (len(closed), len(twins)) == (0, 3)
+
+    def test_sides_share_no_dict(self):
+        """Changing the up-sets of a poset after taking its space, or the
+        minimal opens of a space after reading its order, leaves the
+        other side as it was."""
+        p = edge_poset()
+        space = alexandroff_space(p)
+        order = specialization_order(space)
+        before = dict(p.upsets)
+        p.upsets.clear()
+        assert space.minimal_opens == before and order.upsets == before
+        space.minimal_opens.clear()
+        assert order.upsets == before
+
+    def test_long_chain_reads_back_in_its_order_size(self):
+        """``from_pairs`` of a chain-1 500 closes about 10^6 pairs; with
+        each set checked once the read-back costs that, not the cube."""
+        n = 1500
+
+        def read_back():
+            p = FinPoset.from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
+            return p, specialization_order(alexandroff_space(p))
+
+        p, order = within_budget(read_back, seconds=1)
+        assert order == p and p.up(0) == frozenset(range(n))

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import random
 from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
@@ -16,10 +17,16 @@ from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
     VertexNode, classify_separation, reduced_label, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, canonical_form, pair_isomorphic, \
     reverse_pair
-from flowinv.model_io import parse_model
-from flowinv.reconstruction import build_cell_model, chi_cells, reconstruct
+from flowinv.enumeration import enumerate_pairs
+from flowinv.model_io import ParseError, SchemaError, _decode, _Walker, \
+    _read_model, parse_model
+from flowinv.reconstruction import build_cell_model, chi_cells, \
+    realize_multigraph, reconstruct
 
-from conftest import fixture_text, three_centers_eight
+from conftest import FIXTURES, fixture_text, three_centers_eight
+from oracles import all_connected_multigraphs, diagram_violations_oracle, \
+    pair_violations_oracle, random_graph
+from test_enumeration import SMALL_BOUNDS
 
 ENTRY_POINTS = {
     "canonical_form": canonical_form,
@@ -261,3 +268,256 @@ def test_pair_validation_runs_once_per_pair_object(monkeypatch):
     classify_separation(p)
     assert sum(q is p for q in validated) == 1
     assert len({id(q) for q in validated}) == len(validated)
+
+
+# ---------------------------------------------------------------------------
+# the accept tests against the rule loops alone
+
+
+def _unvalidated(text: str):
+    """The pair a model document describes, read without validation, or
+    None when the document does not parse into one."""
+    try:
+        return _read_model(_decode(text), _Walker(text))[0]
+    except (ParseError, SchemaError):
+        return None
+
+
+def _rotation(p, rng, change):
+    """``p`` with the rotation of a random saddle replaced by
+    ``change(rotation, rng)``."""
+    if not p.diagram.saddles:
+        return None
+    s = rng.choice(p.diagram.saddles)
+    saddles = tuple(replace(t, rotation=tuple(change(list(t.rotation), rng)))
+                    if t is s else t for t in p.diagram.saddles)
+    return _diagram(p, saddles=saddles)
+
+
+def _repeat_dart(r, rng):
+    i, j = rng.randrange(len(r)), rng.randrange(len(r))
+    r[i] = r[j]
+    return r
+
+
+def _drop_dart(r, rng):
+    del r[rng.randrange(len(r))]
+    return r
+
+
+def _swap_darts(r, rng):
+    i, j = rng.randrange(len(r)), rng.randrange(len(r))
+    r[i], r[j] = r[j], r[i]
+    return r
+
+
+def _swap_across_saddles(p, rng):
+    if len(p.diagram.saddles) < 2:
+        return None
+    s, t = rng.sample(p.diagram.saddles, 2)
+    i, j = rng.randrange(len(s.rotation)), rng.randrange(len(t.rotation))
+    rs, rt = list(s.rotation), list(t.rotation)
+    rs[i], rt[j] = rt[j], rs[i]
+    others = tuple(u for u in p.diagram.saddles if u not in (s, t))
+    return _diagram(p, saddles=others + (replace(s, rotation=tuple(rs)),
+                                         replace(t, rotation=tuple(rt))))
+
+
+def _retarget(p, rng):
+    if not p.diagram.separatrices:
+        return None
+    e = rng.choice(p.diagram.separatrices)
+    to = rng.choice([s.id for s in p.diagram.saddles] + ["elsewhere"])
+    moved = replace(e, **{rng.choice(("source", "target")): to})
+    return _diagram(p, separatrices=tuple(
+        moved if f is e else f for f in p.diagram.separatrices))
+
+
+def _change_saddle(p, rng):
+    if not p.diagram.saddles:
+        return None
+    s = rng.choice(p.diagram.saddles)
+    changed = rng.choice([replace(s, kind="boundary"), replace(s, k=s.k + 1),
+                          replace(s, k=s.k - 1), replace(s, k=-1),
+                          replace(s, k=2 ** 62)])
+    return _diagram(p, saddles=tuple(
+        changed if t is s else t for t in p.diagram.saddles))
+
+
+def _shrink_saddle(p, rng):
+    """One saddle with k one less and two neighbouring slots gone: each
+    rotation still alternates at its degree, but two darts are nowhere."""
+    shrinkable = [s for s in p.diagram.saddles
+                  if isinstance(s.k, int) and s.k >= 1
+                  and len(s.rotation) == s.degree]
+    if not shrinkable:
+        return None
+    s = rng.choice(shrinkable)
+    i = rng.randrange(len(s.rotation) - 1)
+    shrunk = replace(s, k=s.k - 1, rotation=s.rotation[:i] + s.rotation[i + 2:])
+    return _diagram(p, saddles=tuple(
+        shrunk if t is s else t for t in p.diagram.saddles))
+
+
+def _lone_saddle(p, rng):
+    return _diagram(p, saddles=p.diagram.saddles + (
+        Saddle("lone", rng.choice((-1, 0)), ()),))
+
+
+def _twist(p, rng):
+    if not p.diagram.separatrices:
+        return None
+    e = rng.choice(p.diagram.separatrices)
+    return _diagram(p, separatrices=tuple(
+        replace(f, twisted=True) if f is e else f
+        for f in p.diagram.separatrices))
+
+
+def _duplicate_separatrix(p, rng):
+    if not p.diagram.separatrices:
+        return None
+    return _diagram(p, separatrices=p.diagram.separatrices
+                    + (rng.choice(p.diagram.separatrices),))
+
+
+def _take_an_id(p, rng):
+    """A separatrix renamed, darts and all, to a saddle's id, or a vertex
+    renamed, attachments and all, to an annulus's: only the uniqueness
+    of ids breaks."""
+    if p.diagram.saddles and p.diagram.separatrices and rng.random() < 0.5:
+        e = rng.choice(p.diagram.separatrices)
+        taken = rng.choice(p.diagram.saddles).id
+        saddles = tuple(replace(s, rotation=tuple(
+            (taken, dart[1]) if dart[:1] == (e.id,) else dart
+            for dart in s.rotation)) for s in p.diagram.saddles)
+        return _diagram(p, saddles=saddles, separatrices=tuple(
+            replace(f, id=taken) if f is e else f
+            for f in p.diagram.separatrices))
+    if not (p.vertices and p.annuli):
+        return None
+    v, taken = rng.choice(p.vertices), rng.choice(p.annuli).id
+
+    def moved(att):
+        return replace(att, vertex=taken) if att.vertex == v.id else att
+
+    return replace(p, vertices=tuple(
+        replace(u, id=taken) if u is v else u for u in p.vertices),
+        annuli=tuple(replace(a, neg=moved(a.neg), pos=moved(a.pos))
+                     for a in p.annuli))
+
+
+def _duplicate_annulus(p, rng):
+    if not p.annuli:
+        return None
+    a = rng.choice(p.annuli)
+    return replace(p, annuli=p.annuli + (
+        replace(a, id=rng.choice((a.id, a.id + "'"))),))
+
+
+def _drop_annulus(p, rng):
+    if not p.annuli:
+        return None
+    a = rng.choice(p.annuli)
+    return replace(p, annuli=tuple(b for b in p.annuli if b is not a))
+
+
+def _move_face(p, rng):
+    if not p.annuli:
+        return None
+    a = rng.choice(p.annuli)
+    side = rng.choice(("neg", "pos"))
+    att = getattr(a, side)
+    face = rng.choice([None, 0, 1, -1] if att.face is None
+                      else [None, att.face + 1, att.face - 1, 0])
+    return _annulus(p, replace(a, **{side: Attachment(att.vertex, face)}))
+
+
+def _twin_polycycle(p, rng):
+    """A second vertex labeled by a polycycle vertex's component, every
+    face of it attached to a center of its own: only the rule that a
+    component labels exactly one vertex breaks."""
+    polycycles = [v for v in p.vertices if v.label == "d"]
+    if p.violations or not polycycles:
+        return None
+    v = rng.choice(polycycles)
+    twin = replace(v, id=v.id + "'")
+    faces = range(len(p.diagram.faces_by_component[v.component]))
+    centers = tuple(VertexNode(f"{twin.id}c{i}", "c") for i in faces)
+    annuli = tuple(
+        AnnulusEdge(f"{twin.id}a{i}", Attachment(c.id), Attachment(twin.id, i))
+        for i, c in zip(faces, centers))
+    return replace(p, vertices=p.vertices + (twin,) + centers,
+                   annuli=p.annuli + annuli)
+
+
+def _relabel_vertex(p, rng):
+    if not p.vertices:
+        return None
+    v = rng.choice(p.vertices)
+    label = rng.choice([x for x in ("c", "n", "b", "d", "q") if x != v.label])
+    return _vertex(p, replace(v, label=label))
+
+
+SINGLE_EDITS = {
+    "repeat-dart": lambda p, rng: _rotation(p, rng, _repeat_dart),
+    "drop-dart": lambda p, rng: _rotation(p, rng, _drop_dart),
+    "swap-darts": lambda p, rng: _rotation(p, rng, _swap_darts),
+    "swap-across-saddles": _swap_across_saddles,
+    "retarget-separatrix": _retarget,
+    "twist-separatrix": _twist,
+    "duplicate-separatrix": _duplicate_separatrix,
+    "take-an-id": _take_an_id,
+    "change-kind-or-k": _change_saddle,
+    "shrink-saddle": _shrink_saddle,
+    "lone-saddle": _lone_saddle,
+    "duplicate-annulus": _duplicate_annulus,
+    "drop-annulus": _drop_annulus,
+    "move-face-index": _move_face,
+    "relabel-vertex": _relabel_vertex,
+    "twin-polycycle": _twin_polycycle,
+}
+
+
+def _models_to_edit() -> list:
+    """Every fixture that parses, the BROKEN_RULES edits, realized
+    graphs and the pairs enumerated at SMALL_BOUNDS."""
+    models = [p for p in map(_unvalidated, (
+        path.read_text(encoding="utf-8")
+        for path in sorted(FIXTURES.glob("*.json")))) if p is not None]
+    models += [edit(three_centers_eight())
+               for edit, _, _ in BROKEN_RULES.values()]
+    models += [non_alternating_pair(), double_face_pair(),
+               InvariantPair(SaddleDiagram.empty(), (), ())]
+    models += map(realize_multigraph, all_connected_multigraphs(4))
+    models += (realize_multigraph(random_graph(n)) for n in range(2, 13))
+    for bounds in SMALL_BOUNDS:
+        models += enumerate_pairs(bounds)
+    return models
+
+
+def _assert_violations_match(p):
+    assert p.diagram.violations == diagram_violations_oracle(p.diagram)
+    assert p.violations == pair_violations_oracle(p)
+
+
+def test_violations_equal_the_rule_loops():
+    """Whole violation tuples, in order, equal those of the rule loops
+    alone: on fixtures, broken rules, realized and enumerated pairs, and
+    on seeded single edits of each.  Both the accepted and the rejected
+    paths run, and the edits break every dart, id and matching rule."""
+    rng = random.Random(24)
+    models = _models_to_edit()
+    outcomes, rules = set(), set()
+    for p in models:
+        edited = (edit(p, rng) for edit in SINGLE_EDITS.values()
+                  for _ in range(3))
+        for q in (p, *(q for q in edited if q is not None)):
+            _assert_violations_match(q)
+            outcomes.add(not q.violations)
+            rules |= {v.rule for v in q.violations}
+    assert outcomes == {True, False}
+    assert rules >= {"unique-id", "dangling-endpoint", "twist-unsupported",
+                     "boundary-unsupported",
+                     "degree", "dart-pairing", "alternation", "source-label",
+                     "label", "component-ref", "attachment", "matching",
+                     "nonempty"}
