@@ -8,10 +8,9 @@ with v < e iff v is an endpoint of e.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .topology import FinPoset, connected_groups, is_multigraph_like
+from .topology import FinPoset, _strict_downsets, connected_groups
 
 
 @dataclass(frozen=True)
@@ -73,30 +72,30 @@ class Multigraph:
 
     @classmethod
     def from_poset(cls, poset: FinPoset) -> "Multigraph":
-        """Read a multi-graph off a multi-graph-like poset."""
-        ok, witness = is_multigraph_like(poset)
+        """Read a multi-graph off a multi-graph-like poset, in one pass
+        over its up-sets: an element with nothing below it is a vertex,
+        any other an edge whose ends are the elements below it."""
+        below, (ok, witness) = _strict_downsets(poset)
         if not ok:
             raise ValueError(f"poset is not multi-graph-like at {witness!r}")
-        vertices = poset.level(0)
-        edges = {}
-        for e in poset.level(1):
-            edges[e] = frozenset(poset.down(e) - {e})
-        return cls.build(vertices, edges)
+        return cls.build((x for x, bx in below.items() if not bx),
+                         ((x, bx) for x, bx in below.items() if bx))
 
 
 def _neighbours(g: Multigraph) -> tuple:
     """Per vertex, the number of its edges to each vertex (a loop once, on
     the diagonal), and its (degree, loop count) signature."""
-    adj = {v: Counter() for v in g.vertices}
+    adj = {v: {} for v in g.vertices}
     for _, ends in g.edges:
         if len(ends) == 2:
             u, w = ends
-            adj[u][w] += 1
-            adj[w][u] += 1
+            adj[u][w] = adj[u].get(w, 0) + 1
+            adj[w][u] = adj[w].get(u, 0) + 1
         else:
             (v,) = ends
-            adj[v][v] += 1
-    sig = {v: (sum(row.values()) + row[v], row[v]) for v, row in adj.items()}
+            adj[v][v] = adj[v].get(v, 0) + 1
+    sig = {v: (sum(row.values()) + row.get(v, 0), row.get(v, 0))
+           for v, row in adj.items()}
     return adj, sig
 
 
@@ -114,10 +113,17 @@ def multigraph_isomorphic(g1: Multigraph, g2: Multigraph) -> dict | None:
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
     (adj1, sig1), (adj2, sig2) = _neighbours(g1), _neighbours(g2)
-    if Counter(sig1.values()) != Counter(sig2.values()):
+    if sorted(sig1.values()) != sorted(sig2.values()):
         return None
     targets = sorted(g2.vertices, key=repr)
     mapping, used = {}, set()
+
+    def offered(pool, s):
+        """The unused images in ``pool`` with signature ``s``, read as they
+        are tried.  Whenever it is read only earlier positions are mapped,
+        so it offers what a list built up front would, read only as far
+        as the image taken."""
+        return (w for w in pool if w not in used and sig2[w] == s)
 
     def joined_alike(v, w) -> bool:
         return ({mapping[u]: c for u, c in adj1[v].items() if u in mapping}
@@ -139,8 +145,7 @@ def multigraph_isomorphic(g1: Multigraph, g2: Multigraph) -> dict | None:
             if i == len(choices):
                 p = parent[v]
                 pool = targets if p is None else adj2[mapping[p]]
-                choices.append(iter([w for w in pool if w not in used
-                                     and sig2[w] == sig1[v]]))
+                choices.append(offered(pool, sig1[v]))
             elif v in mapping:
                 used.discard(mapping.pop(v))
             for w in choices[i]:

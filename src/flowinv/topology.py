@@ -184,18 +184,35 @@ class MultigraphLikeness(NamedTuple):
     witness: Hashable | None
 
 
+def _strict_downsets(poset: FinPoset) -> tuple:
+    """Each element's strict down-set, inverted from the up-sets in one
+    pass, and the poset's ``MultigraphLikeness`` read off that table.
+
+    An element with nothing below it is a vertex; one with 1 or 2 below
+    it, all of them minimal, is an edge.  Any other element breaks the
+    rule, which is "height <= 1 and |downset| <= 3" without heights.
+    """
+    below = {x: [] for x in poset.elements}
+    for x, ux in poset.upsets.items():
+        for y in ux:
+            if y != x:
+                below[y].append(x)
+    minimal = {x for x, bx in below.items() if not bx}
+    bad = [x for x, bx in below.items()
+           if len(bx) > 2 or not minimal.issuperset(bx)]
+    if not bad:
+        return below, MultigraphLikeness(True, None)
+    return below, MultigraphLikeness(False, min(bad, key=repr))
+
+
 def is_multigraph_like(poset: FinPoset) -> MultigraphLikeness:
-    """Check height <= 1 and |downset| <= 3 everywhere.
+    """Check height <= 1 and |downset| <= 3 everywhere, on the strict
+    down-sets alone, without heights or the cached downsets.
 
     On failure the witness is the offending element least by ``repr``;
     only a failure reads ``repr``.
     """
-    heights = poset.heights
-    bad = [x for x in poset.elements
-           if heights[x] > 1 or len(poset.down(x)) > 3]
-    if not bad:
-        return MultigraphLikeness(True, None)
-    return MultigraphLikeness(False, min(bad, key=repr))
+    return _strict_downsets(poset)[1]
 
 
 def is_connected_poset(poset: FinPoset) -> bool:

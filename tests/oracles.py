@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Everything here recomputes results by brute force or by a different
-route than the library: chain enumeration for heights, subset filtering
+route than the library: chain enumeration for heights, the poset's
+levels and downsets for reading a multi-graph back, subset filtering
 for upsets, a bitmask union closure for Alexandroff opens, explicit
 permutation composition for faces, filtered set partitions for closures,
 pruning-free generation with pairwise isomorphism dedup for enumeration,
@@ -150,6 +151,28 @@ def poset_from_upmasks(up: list) -> FinPoset:
     return FinPoset(frozenset(range(n)),
                     {i: {j for j in range(n) if (up[i] >> j) & 1}
                      for i in range(n)})
+
+
+def multigraph_likeness_oracle(poset: FinPoset) -> tuple:
+    """``(ok, witness)`` of "height <= 1 and |downset| <= 3", with heights
+    by chain enumeration and downsets by filtering every element."""
+    bad = [x for x in poset.elements
+           if chain_height_oracle(poset, x) > 1
+           or sum(poset.leq(y, x) for y in poset.elements) > 3]
+    return not bad, min(bad, key=repr, default=None)
+
+
+def multigraph_by_levels(poset: FinPoset) -> Multigraph:
+    """The multi-graph read off the poset's levels: vertices at height 0,
+    each height-1 element an edge on what lies strictly below it, after
+    the same check by ``heights`` and ``down``, with the same error."""
+    bad = [x for x in poset.elements
+           if poset.heights[x] > 1 or len(poset.down(x)) > 3]
+    if bad:
+        raise ValueError(
+            f"poset is not multi-graph-like at {min(bad, key=repr)!r}")
+    return Multigraph.build(
+        poset.level(0), {e: poset.down(e) - {e} for e in poset.level(1)})
 
 
 # ---------------------------------------------------------------------------

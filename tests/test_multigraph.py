@@ -3,11 +3,21 @@ from collections import Counter
 
 import pytest
 
+from flowinv.graph import to_extended_poset
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
-from flowinv.topology import is_multigraph_like
+from flowinv.reconstruction import realize_multigraph
+from flowinv.topology import FinPoset, is_multigraph_like
 
 from conftest import within_budget
-from oracles import cycle_graph, path_graph, random_graph
+from oracles import (
+    all_labeled_posets,
+    cycle_graph,
+    multigraph_by_levels,
+    multigraph_likeness_oracle,
+    path_graph,
+    poset_from_upmasks,
+    random_graph,
+)
 
 
 def star(leaves: int) -> Multigraph:
@@ -48,6 +58,44 @@ class TestPosetCorrespondence:
         g = Multigraph.build("v", {"e": {"v"}})
         back = Multigraph.from_poset(g.to_poset())
         assert back.loop_count(next(iter(back.vertices))) == 1
+
+    @pytest.mark.parametrize("poset, witness", [
+        (FinPoset.from_pairs(range(3), [(0, 1), (1, 2)]), 2),
+        (FinPoset.from_pairs("e123", [("1", "e"), ("2", "e"), ("3", "e")]),
+         "e"),
+    ], ids=["3-chain", "three-below"])
+    def test_rejects_with_witness(self, poset, witness):
+        with pytest.raises(ValueError) as err:
+            Multigraph.from_poset(poset)
+        assert str(err.value) == f"poset is not multi-graph-like at {witness!r}"
+
+    def test_matches_level_oracle_on_small_posets(self):
+        """Every labeled poset on at most 5 elements (4 474 of them): the
+        likeness check, witness included, equals its definition by chain
+        heights and downset sizes, and the read-back equals the one by
+        levels, or fails with the same message."""
+        count = 0
+        for n in range(6):
+            for up in all_labeled_posets(n):
+                p = poset_from_upmasks(up)
+                assert tuple(is_multigraph_like(p)) \
+                    == multigraph_likeness_oracle(p)
+                try:
+                    want = multigraph_by_levels(p)
+                except ValueError as exc:
+                    want = str(exc)
+                try:
+                    got = Multigraph.from_poset(p)
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == want
+                count += 1
+        assert count == 4474
+
+    def test_read_back_builds_no_heights_or_downsets(self):
+        p = to_extended_poset(realize_multigraph(random_graph(12)))
+        Multigraph.from_poset(p)
+        assert "heights" not in vars(p) and "_down" not in vars(p)
 
 
 class TestIsomorphism:

@@ -6,7 +6,7 @@ import pytest
 
 from flowinv import topology
 from flowinv.graph import to_extended_poset
-from flowinv.multigraph import Multigraph
+from flowinv.multigraph import Multigraph, multigraph_isomorphic
 from flowinv.reconstruction import realize_multigraph
 from flowinv.topology import (
     FinPoset,
@@ -295,18 +295,23 @@ class TestAlexandroff:
                 assert {i: sum(1 << j for j in ux) for i, ux in u.items()} \
                     == dict(enumerate(meet))
 
-    @pytest.mark.parametrize("family, m", [(star_graph, 40), (path_graph, 4000)],
-                             ids=["star-40", "path-4000"])
+    @pytest.mark.parametrize("family, m", [
+        (star_graph, 40), (path_graph, 4000), (star_graph, 4000)],
+        ids=["star-40", "path-4000", "star-4000"])
     def test_realized_star_costs_its_order_not_its_opens(self, family, m):
         """The extended poset of a realized star-40 has an antichain of 40
         edge points, so about 2^40 opens; its space is built from U_x.  A
         realized path-4000 is long rather than wide: reading its graph and
-        space back costs the size of its order."""
-        pair = realize_multigraph(family(m))
+        space back costs the size of its order.  A realized star-4000 is
+        both, and matching its graph back offers each leaf the hub's row
+        only as far as the first unused image."""
+        graph = family(m)
+        pair = realize_multigraph(graph)
 
         def read_back():
             p = to_extended_poset(pair)
-            Multigraph.from_poset(p)
+            back = Multigraph.from_poset(p)
+            assert multigraph_isomorphic(back, graph) is not None
             return p, alexandroff_space(p)
 
         p, space = within_budget(read_back, seconds=1)
