@@ -40,6 +40,7 @@ and ``enumerate_pairs`` keeps one per diagram for its closure loop.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
@@ -465,13 +466,16 @@ class _DiagramBlock:
 
     Objects are numbered in type blocks: saddles from 0, then
     separatrices, then faces (by component, then face index); the engine
-    numbers its vertices and annuli after them.  Besides the index arrays
-    the block keeps the initial ranks of its objects and their signatures
-    in the first refinement round at the root, which read only those
-    ranks, except for the annulus end of a glued face: ``root_round``
-    holds them as if no face were glued.  Initial keys of the
-    diagram's objects carry the type tags 0-2 and so sort before every
-    vertex and annulus key: their ranks are the same in every engine.
+    numbers its vertices and annuli after them.  Colors are cell starts
+    (see ``_CanonicalEngine``): an object's initial color is the index of
+    the first occurrence of its key in the sorted keys.  Besides the index
+    arrays the block keeps those initial colors, the shared initial cells
+    and, by cell start, the signatures of their members in the first
+    refinement round at the root.  They read only initial colors, except
+    for the annulus end of a glued face: ``root_round`` holds them as if
+    no face were glued.  Initial keys of the diagram's objects carry the
+    type tags 0-2 and so sort before every vertex and annulus key: their
+    colors are the same in every engine.
 
     ``texts`` keeps the diagram's part of the leaf text (``text``) by the
     saddle and separatrix colors of the leaf.  It lives exactly as long
@@ -534,43 +538,36 @@ class _DiagramBlock:
                 + [(1, e.source == e.target) for e in seps]
                 + [(2, len(face.sides), face.flow_positive)
                    for _, _, face in faces])
-        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-        self.ranks = len(rank)
-        self.initial = [rank[k] for k in keys]
-        self.root_round = self.signatures(self.initial, [None] * len(faces),
-                                          range(self.ranks))
+        start = {}
+        for i, key in enumerate(sorted(keys)):
+            start.setdefault(key, i)
+        self.initial = [start[key] for key in keys]
+        self.root_cells = _shared_cells(self.initial)
+        no_att = [None] * len(faces)
+        self.root_round = {c: self.signatures(self.initial, no_att, members)
+                           for c, members in self.root_cells}
         self.texts = {}
 
-    def signatures(self, col: list, face_att: list, resign) -> list:
-        """One refinement round's signatures of the diagram's objects under
-        ``col``; ``face_att[j]`` is the ``(annulus, side)`` end glued to
-        face ``j``, or None.  Only an object whose color is in ``resign``
-        gets its full signature; any other signs ``(tag, color)``."""
+    def signatures(self, col: list, face_att: list, resign: list) -> list:
+        """One refinement round's signatures under ``col`` of the objects
+        ``resign``, the members of one cell, which lie in one type block;
+        ``face_att[j]`` is the ``(annulus, side)`` end glued to face ``j``,
+        or None.  No other object is signed."""
+        if resign[0] < self.sep_base:
+            words = self.sad_words
+            return [_least_rotation(tuple([(end, col[e])
+                                           for end, e in words[i]]))
+                    for i in resign]
+        if resign[0] < self.face_base:
+            base, links = self.sep_base, self.sep_links
+            return [[col[x] for x in links[i - base]] for i in resign]
         sigs = []
-        i = 0
-        for word in self.sad_words:
-            c = col[i]
-            if c in resign:
-                w = tuple((end, col[e]) for end, e in word)
-                sigs.append((0, c, _least_rotation(w)))
-            else:
-                sigs.append((0, c))
-            i += 1
-        for links in self.sep_links:
-            c = col[i]
-            sigs.append((1, c, *[col[x] for x in links]) if c in resign
-                        else (1, c))
-            i += 1
-        for j, word in enumerate(self.face_words):
-            c = col[i]
-            if c in resign:
-                w = tuple((end, col[e]) for end, e in word)
-                att = face_att[j]
-                att_sig = (col[att[0]], att[1]) if att else ()
-                sigs.append((2, c, _least_rotation(w), att_sig))
-            else:
-                sigs.append((2, c))
-            i += 1
+        for i in resign:
+            j = i - self.face_base
+            w = tuple([(end, col[e]) for end, e in self.face_words[j]])
+            att = face_att[j]
+            sigs.append((_least_rotation(w),
+                         (col[att[0]], att[1]) if att else ()))
         return sigs
 
     def text(self, col: list) -> tuple:
@@ -605,15 +602,14 @@ class _DiagramBlock:
         return kept
 
 
-def _shared_colors(col: list) -> set:
-    """The colors that more than one object has under ``col``."""
-    seen, shared = set(), set()
-    for c in col:
-        if c in seen:
-            shared.add(c)
-        else:
-            seen.add(c)
-    return shared
+def _shared_cells(col: list, lo: int = 0) -> list:
+    """``(start, members)`` of each cell of ``col`` with more than one
+    member, the members in index order; only the objects from ``lo`` on
+    are read."""
+    cells = {}
+    for i in range(lo, len(col)):
+        cells.setdefault(col[i], []).append(i)
+    return [(c, members) for c, members in cells.items() if len(members) > 1]
 
 
 def _block_order(col: list, lo: int, hi: int) -> list:
@@ -636,10 +632,13 @@ class _CanonicalEngine:
     swapped, as ``reverse_pair`` swaps them.  Objects are
     numbered in type blocks: saddles from 0, then separatrices, faces (by
     component, then face index), vertices and annuli, each block from its
-    base on; a coloring is a flat list over these numbers.  Refinement
-    re-ranks structured signatures until the partition stabilizes (it can
-    only split, so stability is just the color count not growing); the
-    lexicographically least serialization over all discrete branch
+    base on; a coloring is a flat list over these numbers.  It is an
+    ordered partition of the objects: each object's color is the start of
+    its cell, the number of objects in earlier cells, so the m members of
+    the cell that starts at c all have the color c, and c+1..c+m-1 are no
+    object's color.  Refinement
+    splits the shared cells in place until none splits (see ``refine``);
+    the lexicographically least serialization over all discrete branch
     colorings is canonical.  The root's first round takes the diagram's
     signatures from the block and builds only the annulus end of each
     face and the signatures of vertices and annuli.
@@ -651,30 +650,41 @@ class _CanonicalEngine:
     the annuli carry that into the rest of the component: symmetric
     models need a few branches per dart, not factorially many.
 
-    Every signature starts with its object's type tag, so a refined
-    coloring keeps the type blocks in order: at a discrete leaf the
-    colors are 0..n-1 and each block holds the colors from its base on.
-    An object's canonical index is its color minus its block base;
-    ``serialize`` reads only colors and compiled arrays, never object ids.
+    Initial keys lead with the object's type tag, and a split keeps each
+    part of a cell where the cell was, so a coloring keeps the type
+    blocks in order: at a discrete leaf the colors are 0..n-1 and each
+    block holds the colors from its base on.  An object's canonical index
+    is its color minus its block base; ``serialize`` reads only colors
+    and compiled arrays, never object ids.  A branch individualizes one
+    member of the target cell, the shared cell with the least start, by
+    moving it to the end of its type block (``individualize``).
+
+    These are the bytes of format 3, whose colors were dense ranks: each
+    round re-ranked every signature, each led by the object's tag and
+    color, and a branch gave its object the color n.  Each slot of a
+    signature holds the colors of one type, and within a type cell
+    starts order the objects as dense ranks do, and as the color n did
+    after its first round, which put the object at the end of its type
+    block.  So every round gives the ordered partition that dense ranks
+    gave, and the search tree, its leaves and the bytes are the same.
 
     Four shortcuts skip work whose result is known, and one pruning rule
     skips subtrees whose least leaf is known; none changes a byte.
-    Refinement stops at a discrete coloring: the round after it would
-    return the same coloring, and the search then goes straight to its
-    leaf (see ``refine``).  After the block's root round, an object
-    alone in its cell is not re-signed: its color alone ranks it, and
-    such a cell can never split.  ``_least_rotation`` builds only the
-    rotations that start at the least letter, and the least rotation
-    starts there.  A leaf's saddle, rotation and separatrix text, and its
-    face ranks, read only the saddle and separatrix colors, so the block
-    keeps them by those colors: the closures of one diagram meet the
-    same few texts again and again.  The search records an automorphism
-    whenever a leaf serializes like the least one so far, and skips a
-    target-cell member that lies in the orbit of an explored one under
-    the recorded automorphisms fixing every individualized object of
-    the node: such an automorphism carries the explored subtree onto the
-    skipped one, leaf for leaf with equal bytes (McKay 1981), so the
-    least leaf stays.
+    Refinement stops once no cell is shared: a discrete coloring cannot
+    split, and the search then goes straight to its leaf.  A round signs
+    only the members of shared cells: a cell of one object can never
+    split, and no signature is compared outside its own cell.
+    ``_least_rotation`` builds only the rotations that start at the least
+    letter, and the least rotation starts there.  A leaf's saddle,
+    rotation and separatrix text, and its face ranks, read only the saddle
+    and separatrix colors, so the block keeps them by those colors: the
+    closures of one diagram meet the same few texts again and again.  The
+    search records an automorphism whenever a leaf serializes like the
+    least one so far, and skips a target-cell member that lies in the
+    orbit of an explored one under the recorded automorphisms fixing every
+    individualized object of the node: such an automorphism carries the
+    explored subtree onto the skipped one, leaf for leaf with equal bytes
+    (McKay 1981), so the least leaf stays.
     """
 
     def __init__(self, block: _DiagramBlock, vertices=(), annuli=(),
@@ -709,65 +719,93 @@ class _CanonicalEngine:
             block.members[v.component] if v.label == "d" else []
             for v in vertices
         ]
-        # vertex keys (3, label) and the annulus key (4,) rank after the
-        # diagram's keys, in label order
-        ranks = {label: block.ranks + r
-                 for r, label in enumerate(sorted(set(self.labels)))}
-        self.initial = (block.initial + [ranks[label] for label in self.labels]
-                        + [block.ranks + len(ranks)] * len(annuli))
+        labels = sorted(self.labels)
+        self.initial = (block.initial
+                        + [vertex_base + bisect_left(labels, label)
+                           for label in self.labels]
+                        + [self.annulus_base] * len(annuli))
+        self.root_cells = (block.root_cells
+                           + _shared_cells(self.initial, vertex_base))
+        # where each type block starts, and the end of the last
+        self.bounds = (0, block.sep_base, block.face_base, vertex_base,
+                       self.annulus_base, self.n)
 
     def refine(self, col: list, root: bool = False) -> list:
-        """Re-rank signatures until the color count stops growing or every
-        object has its own color.
+        """Split the shared cells of ``col`` until no cell splits or none is
+        shared; the shared cells left, ``(start, members)`` with the
+        members in index order, stay in ``shared`` for ``_search``.
 
-        At the ``root`` the coloring is ``initial``, and the first round
-        reads the diagram's signatures off the block.  After that, only
-        objects that share their color are re-signed; an object alone in
-        its cell signs ``(tag, color)``.  That ranks it as its full
-        signature would: colors are global ranks, so no other object has
-        its color, and every signature starts with the tag and the color.
-        The discrete exit returns what one more round would: every
-        signature starts with its type tag and then its current color, so
-        the ranks of a discrete coloring's signatures follow its colors,
-        which are block-ordered (their ranks came from signatures led by
-        the tag); the next round would rank them to the same list.
+        Each round signs the members of every shared cell from the last
+        round's colors, so rounds are synchronous, then sorts each such
+        cell by signature and splits it in place: a group of equal
+        signatures is colored with the cell's start plus the group's
+        offset in it.  Cells never move, so the colors stay cell starts.
+        At the ``root`` the coloring is ``initial``, whose shared cells
+        are compiled (``root_cells``), and the first round reads the
+        diagram's signatures off the block.
         """
-        ncolors = len(set(col))
-        while True:
-            resign = _shared_colors(col)
-            if root:
-                # the block's root round, given each glued face its end
-                sigs = list(self.block.root_round)
-                for j, att in enumerate(self.face_att):
-                    if att:
-                        i = self.face_base + j
-                        sigs[i] = sigs[i][:3] + ((col[att[0]], att[1]),)
-                root = False
-            else:
-                sigs = self.block.signatures(col, self.face_att, resign)
-            i = self.vertex_base
-            for atts, members in zip(self.vertex_atts, self.vertex_members):
-                c = col[i]
-                if c in resign:
-                    sigs.append((3, c,
-                                 tuple(sorted((col[a], side)
-                                              for a, side in atts)),
-                                 tuple(sorted(col[s] for s in members))))
-                else:
-                    sigs.append((3, c))
-                i += 1
-            for ends in self.ann_ends:
-                c = col[i]
-                sigs.append((4, c, tuple((col[v], col[f] if f >= 0 else -1)
-                                         for v, f in ends))
-                            if c in resign else (4, c))
-                i += 1
-            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            new = [rank[s] for s in sigs]
-            if len(rank) == ncolors or len(rank) == self.n:
-                return new
-            ncolors = len(rank)
-            col = new
+        col = list(col)
+        shared = self.root_cells if root else _shared_cells(col)
+        while shared:
+            signed = [self._signatures(col, c, members, root)
+                      for c, members in shared]
+            root = False
+            kept, split = [], False
+            for (start, members), sigs in zip(shared, signed):
+                if sigs.count(sigs[0]) == len(sigs):
+                    kept.append((start, members))
+                    continue
+                split = True
+                c, group, last = start, [], None
+                for offset, (sig, i) in enumerate(sorted(zip(sigs, members))):
+                    if sig != last:
+                        if len(group) > 1:
+                            kept.append((c, group))
+                        c, group, last = start + offset, [], sig
+                    col[i] = c
+                    group.append(i)
+                if len(group) > 1:
+                    kept.append((c, group))
+            if not split:
+                break
+            shared = kept
+        self.shared = shared
+        return col
+
+    def _signatures(self, col: list, start: int, members: list,
+                    root: bool) -> list:
+        """The signatures of the cell ``members`` that starts at ``start``;
+        at the ``root`` the diagram's come from the block's root round,
+        each glued face given its end."""
+        if start >= self.annulus_base:
+            base, ends = self.annulus_base, self.ann_ends
+            return [[(col[v], col[f] if f >= 0 else -1)
+                     for v, f in ends[i - base]] for i in members]
+        if start >= self.vertex_base:
+            base, atts = self.vertex_base, self.vertex_atts
+            return [(sorted([(col[a], side) for a, side in atts[i - base]]),
+                     sorted([col[s] for s in self.vertex_members[i - base]]))
+                    for i in members]
+        if not root:
+            return self.block.signatures(col, self.face_att, members)
+        sigs = self.block.root_round[start]
+        if start < self.face_base:
+            return sigs
+        face_att, base = self.face_att, self.face_base
+        return [(sig[0], (col[att[0]], att[1])) if att else sig
+                for sig, att in zip(sigs, (face_att[i - base]
+                                           for i in members))]
+
+    def individualize(self, col: list, i: int) -> list:
+        """``col`` with object ``i`` alone at the end of its type block: the
+        later cells of the block move down by one."""
+        k = bisect_right(self.bounds, i)
+        lo, hi = self.bounds[k - 1], self.bounds[k]
+        c = col[i]
+        col = list(col)
+        col[lo:hi] = [x - 1 if x > c else x for x in col[lo:hi]]
+        col[i] = hi - 1
+        return col
 
     def serialize(self, col: list) -> bytes:
         """The text of a discrete coloring, in canonical indices.  The
@@ -805,14 +843,10 @@ class _CanonicalEngine:
         the root has none.
         """
         col = self.refine(col, root=not fixed)
-        if max(col) == self.n - 1:  # colors are dense ranks: discrete
+        if not self.shared:  # discrete
             self._leaf(col)
             return
-        cells = {}
-        for i, c in enumerate(col):
-            cells.setdefault(c, []).append(i)
-        target = min((c, members) for c, members in cells.items()
-                     if len(members) > 1)[1]
+        target = min(self.shared)[1]
         explored = []
         known = 0
         for i in target:
@@ -822,10 +856,8 @@ class _CanonicalEngine:
                     orbit = self._orbits(target, fixed)
                 if any(orbit[i] == orbit[j] for j in explored):
                     continue
-            col2 = list(col)
-            col2[i] = self.n
             fixed.append(i)
-            self._search(col2, fixed)
+            self._search(self.individualize(col, i), fixed)
             fixed.pop()
             explored.append(i)
 
@@ -874,12 +906,18 @@ def _orientation(engines) -> bytes:
     every initial rank and swaps only the two ends of each annulus, so
     the reversal's byte is this byte flipped, and ``=`` whenever the
     model is isomorphic to its reversal.
+
+    A rank is the dense rank of an initial color within its engine, as
+    format 3 reads it: the lists of different components are compared,
+    and cell starts, which count objects rather than keys, would order
+    some of them otherwise.
     """
     model, swapped = [], []
     for e in engines:
-        init = e.initial
-        ends = [((init[v], init[f] if f >= 0 else -1),
-                 (init[w], init[g] if g >= 0 else -1))
+        init, starts = e.initial, sorted(set(e.initial))
+        rank = dict(zip(starts, range(len(starts))))
+        ends = [((rank[init[v]], rank[init[f]] if f >= 0 else -1),
+                 (rank[init[w]], rank[init[g]] if g >= 0 else -1))
                 for (v, f), (w, g) in e.ann_ends]
         model.append(sorted(ends))
         swapped.append(sorted([(b, a) for a, b in ends]))

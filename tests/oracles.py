@@ -6,18 +6,24 @@ levels and downsets for reading a multi-graph back, subset filtering
 for upsets, a bitmask union closure for Alexandroff opens, explicit
 permutation composition for faces, filtered set partitions for closures,
 pruning-free generation with pairwise isomorphism dedup for enumeration,
-the stdlib's ``json.dumps`` of plain dicts for model documents, and one
-loop per rule, with no accept test in front, for validation.
-None of it shares code with the paths it checks.
+the Burnside count of slot orbits for diagram classes, the stdlib's
+``json.dumps`` of plain dicts for model documents, and one loop per
+rule, with no accept test in front, for validation.  None of it shares
+code with the paths it checks, except that the slot orbits are counted
+under the library's own slot symmetries: that count checks the stream's
+orbit-least filter, not the group.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb, factorial, prod
 
 from flowinv.diagram import IN, OUT, SaddleDiagram, Violation
-from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram
+from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram, \
+    _slot_symmetries
 from flowinv.graph import (
     AnnulusEdge,
     Attachment,
@@ -322,6 +328,15 @@ def full_refine(engine, col: list) -> list:
         if len(rank) == len(set(col)):
             return new
         col = new
+
+
+def ordered_cells(col: list) -> list:
+    """The cells of the coloring ``col`` in color order, each the sorted
+    list of its members: what a coloring says, whatever its color values."""
+    cells = {}
+    for i, c in enumerate(col):
+        cells.setdefault(c, []).append(i)
+    return [cells[c] for c in sorted(cells)]
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +663,74 @@ def random_relabel(p: InvariantPair, rng: random.Random) -> InvariantPair:
 
 # ---------------------------------------------------------------------------
 # pruning-free enumeration twin
+
+
+def _cycle_type(perm) -> Counter:
+    """Cycle length -> number of cycles of that length in ``perm``."""
+    seen, lengths = set(), Counter()
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x, length = perm[x], length + 1
+        if length:
+            lengths[length] += 1
+    return lengths
+
+
+def _double_factorial(m: int) -> int:
+    """m!! for odd m >= -1; (-1)!! = 1."""
+    return prod(range(m, 0, -2))
+
+
+def slot_orbit_count(ks: tuple, reversal: bool) -> int:
+    """The number of orbits of ``_slot_symmetries(ks, reversal)`` on the
+    bijections f from out-slots to in-slots, by the Cauchy-Frobenius
+    (Burnside) lemma: the mean over the group of the bijections each
+    element fixes, each count in closed form.
+
+    A non-reflecting element acts as alpha on out-slots and beta on
+    in-slots and fixes f when f alpha = beta f: the centralizer size of
+    alpha, prod over cycle lengths l of c_l! l^c_l, when alpha and beta
+    have the same cycle type, and none otherwise.  A reflecting element
+    maps out-slots to in-slots by A and in-slots to out-slots by B and
+    fixes f when f B f = A, so g = B f runs over the square roots of BA.
+    Per cycle length l of BA with c_l cycles, these number the ways to
+    pair some l-cycles into 2l-cycles, l ways per pair, and square-root
+    the odd ones alone: sum over j of C(c_l, 2j) (2j-1)!! l^j for odd l,
+    and (c_l - 1)!! l^(c_l/2), or none when c_l is odd, for even l.
+    """
+    n = sum(ks) + len(ks)
+    group = _slot_symmetries(ks, reversal)
+    fixed = 0
+    for sigma in group:
+        if n and sigma[0] >= n:
+            a = [x - n for x in sigma[:n]]
+            b = sigma[n:]
+            roots = 1
+            for l, c in _cycle_type([b[a[j]] for j in range(n)]).items():
+                if l % 2:
+                    roots *= sum(comb(c, 2 * j) * _double_factorial(2 * j - 1)
+                                 * l ** j for j in range(c // 2 + 1))
+                elif c % 2:
+                    roots = 0
+                else:
+                    roots *= _double_factorial(c - 1) * l ** (c // 2)
+            fixed += roots
+        else:
+            alpha = _cycle_type(sigma[:n])
+            if alpha == _cycle_type([x - n for x in sigma[n:]]):
+                fixed += prod(factorial(c) * l ** c for l, c in alpha.items())
+    assert fixed % len(group) == 0
+    return fixed // len(group)
+
+
+def diagram_class_count(bounds: EnumBounds) -> int:
+    """The number of diagram classes within ``bounds``: the slot orbits
+    summed over the degree multisets."""
+    return sum(slot_orbit_count(ks, bounds.mode.allow_reversal)
+               for ks in _degree_multisets(bounds.max_saddles,
+                                           bounds.max_k_sum))
 
 
 def diagram_candidates(ks: tuple):

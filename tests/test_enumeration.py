@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from functools import cached_property
 from hashlib import sha256
@@ -27,7 +28,7 @@ from flowinv.reconstruction import reconstruct
 
 from conftest import own_state
 from oracles import brute_force_pairs, diagram_automorphisms_oracle, \
-    diagram_candidates, directed_closures_oracle
+    diagram_candidates, diagram_class_count, directed_closures_oracle
 from test_acceptance import SMALL_CONFIGS
 from test_isomorphism import GOLDEN_DIGESTS, _fixture_model
 
@@ -366,6 +367,26 @@ def test_slot_orbits_are_diagram_classes(mode):
             assert bytes_of.setdefault(least, key) == key
             candidates += 1
     assert candidates == 2760
+
+
+@pytest.mark.parametrize("mode, classes",
+                         [(ORIENTED, 11222), (REVERSIBLE, 7871)],
+                         ids=["oriented", "reversible"])
+def test_diagram_classes_match_burnside_count(mode, classes):
+    """The stream keeps one candidate per slot orbit: at every bound up to
+    four saddles and total k four, it yields as many diagram classes as
+    the Burnside count of the orbits says."""
+    classes_of = enumeration._diagram_classes(
+        EnumBounds(max_saddles=4, max_k_sum=4, mode=mode))
+    streamed = Counter(tuple(s.k for s in d.saddles)
+                       for d, _, _ in classes_of)
+    for saddles in range(5):
+        for k_sum in range(5):
+            multisets = enumeration._degree_multisets(saddles, k_sum)
+            assert sum(streamed[ks] for ks in multisets) == \
+                diagram_class_count(EnumBounds(max_saddles=saddles,
+                                               max_k_sum=k_sum, mode=mode))
+    assert sum(streamed.values()) == classes
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
