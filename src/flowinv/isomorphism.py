@@ -40,7 +40,7 @@ and ``enumerate_pairs`` keeps one per diagram for its closure loop.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
@@ -469,32 +469,40 @@ class _DiagramBlock:
     numbers its vertices and annuli after them.  Colors are cell starts
     (see ``_CanonicalEngine``): an object's initial color is the index of
     the first occurrence of its key in the sorted keys.  Besides the index
-    arrays the block keeps those initial colors, the shared initial cells
-    and, by cell start, the signatures of their members in the first
-    refinement round at the root.  They read only initial colors, except
-    for the annulus end of a glued face: ``root_round`` holds them as if
-    no face were glued.  Initial keys of the diagram's objects carry the
-    type tags 0-2 and so sort before every vertex and annulus key: their
-    colors are the same in every engine.
+    arrays the block keeps those initial colors, their dense ranks
+    (``ranks``, which the orientation byte reads), the first face object
+    of each polycycle (``face_start``), the shared initial cells and, by
+    cell start, the signatures of their members in the first refinement
+    round at the root.  They read only initial colors, except for the
+    annulus end of a glued face: ``root_round`` holds them as if no face
+    were glued.  Initial keys of the diagram's objects carry the type tags
+    0-2 and so sort before every vertex and annulus key: their colors and
+    ranks are the same in every engine.
 
     ``texts`` keeps the diagram's part of the leaf text (``text``) by the
-    saddle and separatrix colors of the leaf.  It lives exactly as long
-    as the block: one ``_canonical_blob`` call on a pair from outside, or
-    one diagram's closure loop in ``enumerate_pairs``.
+    saddle and separatrix colors of the leaf, and ``vertex_cells`` the
+    initial colors, ranks and shared cells of the engines' vertices by
+    their labels.  Both live exactly as long as the block: one
+    ``_canonical_blob`` call on a pair from outside, or one diagram's
+    closure loop in ``enumerate_pairs``.
     """
 
     def __init__(self, diagram: SaddleDiagram, comps):
         comp_of = diagram.component_of
         saddles = [s for s in diagram.saddles if comp_of[s.id] in comps]
         seps = [e for e in diagram.separatrices if comp_of[e.id] in comps]
-        faces = [(comp, idx, face) for comp in sorted(comps)
-                 for idx, face in enumerate(diagram.faces_by_component[comp])]
         s_of = {s.id: i for i, s in enumerate(saddles)}
         self.sep_base = len(saddles)
         e_of = {e.id: self.sep_base + i for i, e in enumerate(seps)}
         self.face_base = self.sep_base + len(seps)
-        self.face_index = {(comp, idx): self.face_base + i
-                           for i, (comp, idx, _) in enumerate(faces)}
+        # the first face object of each polycycle, and its faces' offsets
+        faces, self.face_start, self.face_groups = [], {}, []
+        for comp in sorted(comps):
+            comp_faces = diagram.faces_by_component[comp]
+            self.face_start[comp] = self.face_base + len(faces)
+            self.face_groups.append(
+                range(len(faces), len(faces) + len(comp_faces)))
+            faces += comp_faces
         self.vertex_base = self.face_base + len(faces)
 
         self.k = [s.k for s in saddles]
@@ -502,13 +510,8 @@ class _DiagramBlock:
             [(end, e_of[sep]) for sep, end in s.rotation] for s in saddles
         ]
         self.face_words = [
-            [(end, e_of[sep]) for sep, end in face.sides]
-            for _, _, face in faces
+            [(end, e_of[sep]) for sep, end in face.sides] for face in faces
         ]
-        groups = {}
-        for j, (comp, _, _) in enumerate(faces):
-            groups.setdefault(comp, []).append(j)
-        self.face_groups = list(groups.values())
         # Per dart (separatrix, end): the separatrices before and after it
         # in its saddle's rotation word, and the face it lies on.  Strict
         # alternation makes both neighbours of an out-dart in-darts and
@@ -537,16 +540,14 @@ class _DiagramBlock:
         keys = ([(0, s.k) for s in saddles]
                 + [(1, e.source == e.target) for e in seps]
                 + [(2, len(face.sides), face.flow_positive)
-                   for _, _, face in faces])
-        start = {}
-        for i, key in enumerate(sorted(keys)):
-            start.setdefault(key, i)
-        self.initial = [start[key] for key in keys]
-        self.root_cells = _shared_cells(self.initial)
+                   for face in faces])
+        self.initial, self.ranks, self.root_cells = _initial_cells(keys, 0)
+        self.key_count = max(self.ranks, default=-1) + 1
         no_att = [None] * len(faces)
         self.root_round = {c: self.signatures(self.initial, no_att, members)
                            for c, members in self.root_cells}
         self.texts = {}
+        self.vertex_cells = {}
 
     def signatures(self, col: list, face_att: list, resign: list) -> list:
         """One refinement round's signatures under ``col`` of the objects
@@ -572,9 +573,13 @@ class _DiagramBlock:
 
     def text(self, col: list) -> tuple:
         """The ``k:``, ``r:`` and ``e:`` parts of a leaf's text under the
-        discrete coloring ``col``, and each face's rank within its
-        polycycle (by its least dart).  Both read only the saddle and
-        separatrix colors, so ``texts`` keeps them under those colors."""
+        discrete coloring ``col``; by object, the text ``#r`` of each
+        face's rank r within its polycycle (by its least dart), an empty
+        text at any other object and at -1, where an annulus end lies on
+        no face; and by polycycle, its name ``dr`` by its rank r among the
+        polycycles (by its least saddle).  All three read only the saddle
+        and separatrix colors, so ``texts`` keeps them under those
+        colors."""
         key = tuple(col[:self.face_base])
         kept = self.texts.get(key)
         if kept is not None:
@@ -590,25 +595,45 @@ class _DiagramBlock:
         for j in _block_order(col, sep_base, self.face_base):
             source, target = self.sep_links[j][:2]
             seps.append(f"{col[source]}>{col[target]}")
-        face_rank = [0] * (self.vertex_base - self.face_base)
+        face_tag = [""] * (self.vertex_base + 1)
         for group in self.face_groups:
             group = sorted(group, key=lambda j: min(
                 (col[e], end) for end, e in self.face_words[j]))
             for r, j in enumerate(group):
-                face_rank[j] = r
+                face_tag[self.face_base + j] = f"#{r}"
+        least = sorted((min(col[s] for s in members), comp)
+                       for comp, members in self.members.items())
+        names = {comp: f"d{r}" for r, (_, comp) in enumerate(least)}
         head = "|".join(("k:" + ",".join(str(self.k[i]) for i in s_ord),
                          "r:" + ";".join(rot), "e:" + ";".join(seps)))
-        kept = self.texts[key] = (head, face_rank)
+        kept = self.texts[key] = (head, face_tag, names)
         return kept
 
 
-def _shared_cells(col: list, lo: int = 0) -> list:
-    """``(start, members)`` of each cell of ``col`` with more than one
-    member, the members in index order; only the objects from ``lo`` on
-    are read."""
+def _initial_cells(keys: list, base: int) -> tuple:
+    """The initial coloring of the objects ``base, base + 1, ...`` whose
+    keys are ``keys``: each object's color, the start of its key's cell
+    (``base`` plus the number of smaller keys); each object's dense rank
+    among the distinct keys; and the shared cells ``(start, members)``,
+    the members in index order and the cells in order of their first."""
     cells = {}
-    for i in range(lo, len(col)):
-        cells.setdefault(col[i], []).append(i)
+    for i, key in enumerate(keys, base):
+        cells.setdefault(key, []).append(i)
+    start, rank, c = {}, {}, base
+    for r, key in enumerate(sorted(cells)):
+        start[key], rank[key] = c, r
+        c += len(cells[key])
+    return ([start[key] for key in keys], [rank[key] for key in keys],
+            [(start[key], members) for key, members in cells.items()
+             if len(members) > 1])
+
+
+def _shared_cells(col: list) -> list:
+    """``(start, members)`` of each cell of ``col`` with more than one
+    member, the members in index order."""
+    cells = {}
+    for i, c in enumerate(col):
+        cells.setdefault(c, []).append(i)
     return [(c, members) for c, members in cells.items() if len(members) > 1]
 
 
@@ -626,7 +651,9 @@ class _CanonicalEngine:
 
     The constructor takes the component's diagram part compiled once into
     a ``_DiagramBlock``, which several engines over one diagram may share,
-    and adds the index arrays of the vertices and annuli.  With
+    and adds the index arrays of the vertices and annuli in one pass over
+    the annuli, with the dense initial ranks of each annulus end
+    (``end_ranks``) for the orientation byte.  With
     ``reversal`` it labels the reversal of the component: the block is
     compiled from the reversed diagram, and each annulus's sides are read
     swapped, as ``reverse_pair`` swaps them.  Objects are
@@ -690,45 +717,60 @@ class _CanonicalEngine:
     def __init__(self, block: _DiagramBlock, vertices=(), annuli=(),
                  reversal: bool = False):
         self.block = block
-        self.face_base = block.face_base
+        self.face_base = face_base = block.face_base
         self.vertex_base = vertex_base = block.vertex_base
-        v_of = {v.id: vertex_base + i for i, v in enumerate(vertices)}
-        self.annulus_base = vertex_base + len(vertices)
-        self.n = self.annulus_base + len(annuli)
+        self.annulus_base = annulus_base = vertex_base + len(vertices)
+        self.n = annulus_base + len(annuli)
 
-        self.labels = [v.label for v in vertices]
-        self.face_att = [None] * len(block.face_words)
-        self.vertex_atts = [[] for _ in vertices]
-        self.ann_ends = []
-        component = {v.id: v.component for v in vertices}
-        for j, a in enumerate(annuli):
-            ends = []
-            for side, att in enumerate((a.pos, a.neg) if reversal
-                                       else (a.neg, a.pos)):
-                v = v_of[att.vertex]
-                self.vertex_atts[v - vertex_base].append(
-                    (self.annulus_base + j, side))
-                f = -1
-                if att.face is not None:
-                    f = block.face_index[(component[att.vertex], att.face)]
-                    self.face_att[f - block.face_base] = \
-                        (self.annulus_base + j, side)
-                ends.append((v, f))
-            self.ann_ends.append(tuple(ends))
-        self.vertex_members = [
-            block.members[v.component] if v.label == "d" else []
-            for v in vertices
-        ]
-        labels = sorted(self.labels)
-        self.initial = (block.initial
-                        + [vertex_base + bisect_left(labels, label)
-                           for label in self.labels]
-                        + [self.annulus_base] * len(annuli))
-        self.root_cells = (block.root_cells
-                           + _shared_cells(self.initial, vertex_base))
+        self.labels = labels = [v.label for v in vertices]
+        key = tuple(labels)
+        kept = block.vertex_cells.get(key)
+        if kept is None:
+            colors, ranks, cells = _initial_cells(labels, vertex_base)
+            kept = block.vertex_cells[key] = (
+                colors, [block.key_count + r for r in ranks], cells)
+        v_colors, v_ranks, v_cells = kept
+        self.initial = (block.initial + v_colors
+                        + [annulus_base] * len(annuli))
+        self.root_cells = block.root_cells + v_cells
+        if len(annuli) > 1:
+            self.root_cells.append((annulus_base,
+                                    list(range(annulus_base, self.n))))
+        # vertex id -> (object, first face object of its polycycle, rank)
+        face_start, members = block.face_start, block.members
+        at = {v.id: (vertex_base + i, face_start.get(v.component), rank)
+              for i, (v, rank) in enumerate(zip(vertices, v_ranks))}
+        self.vertex_members = [members[v.component] if v.label == "d"
+                               else [] for v in vertices]
+        # a polycycle vertex is named by its polycycle's rank at a leaf
+        self.vertex_names = [(v.component, v.label) for v in vertices]
+
+        # per annulus end: its vertex and face objects (-1 at a leaf), and
+        # their dense initial ranks, which the orientation byte compares
+        self.face_att = face_att = [None] * len(block.face_words)
+        self.vertex_atts = vertex_atts = [[] for _ in vertices]
+        self.ann_ends, self.end_ranks = ann_ends, end_ranks = [], []
+        face_rank = block.ranks
+        for j, a in enumerate(annuli, annulus_base):
+            neg, pos = (a.pos, a.neg) if reversal else (a.neg, a.pos)
+            v, first, v_rank = at[neg.vertex]
+            w, first_w, w_rank = at[pos.vertex]
+            vertex_atts[v - vertex_base].append((j, 0))
+            vertex_atts[w - vertex_base].append((j, 1))
+            f = g = f_rank = g_rank = -1
+            if neg.face is not None:
+                f = first + neg.face
+                face_att[f - face_base] = (j, 0)
+                f_rank = face_rank[f]
+            if pos.face is not None:
+                g = first_w + pos.face
+                face_att[g - face_base] = (j, 1)
+                g_rank = face_rank[g]
+            ann_ends.append(((v, f), (w, g)))
+            end_ranks.append(((v_rank, f_rank), (w_rank, g_rank)))
         # where each type block starts, and the end of the last
-        self.bounds = (0, block.sep_base, block.face_base, vertex_base,
-                       self.annulus_base, self.n)
+        self.bounds = (0, block.sep_base, face_base, vertex_base,
+                       annulus_base, self.n)
 
     def refine(self, col: list, root: bool = False) -> list:
         """Split the shared cells of ``col`` until no cell splits or none is
@@ -810,22 +852,16 @@ class _CanonicalEngine:
     def serialize(self, col: list) -> bytes:
         """The text of a discrete coloring, in canonical indices.  The
         diagram's part comes from the block (``_DiagramBlock.text``)."""
-        face_base, vertex_base = self.face_base, self.vertex_base
-        head, face_rank = self.block.text(col)
-
-        # a polycycle ranks by its least saddle
-        least = {j: min(col[s] for s in members)
-                 for j, members in enumerate(self.vertex_members) if members}
-        comp_rank = {j: r for r, j in enumerate(sorted(least, key=least.get))}
-        verts = [f"d{comp_rank[j]}" if j in comp_rank else self.labels[j]
-                 for j in _block_order(col, vertex_base, self.annulus_base)]
-
-        def att_text(v: int, f: int) -> str:
-            text = str(col[v] - vertex_base)
-            return text if f < 0 else f"{text}#{face_rank[f - face_base]}"
-
-        anns = [">".join(att_text(v, f) for v, f in self.ann_ends[j])
-                for j in _block_order(col, self.annulus_base, self.n)]
+        vertex_base = self.vertex_base
+        head, face_tag, names = self.block.text(col)
+        verts = [names.get(comp, label) for comp, label in (
+            self.vertex_names[j]
+            for j in _block_order(col, vertex_base, self.annulus_base))]
+        ends = self.ann_ends
+        anns = [f"{col[v] - vertex_base}{face_tag[f]}"
+                f">{col[w] - vertex_base}{face_tag[g]}"
+                for (v, f), (w, g) in (ends[j] for j in _block_order(
+                    col, self.annulus_base, self.n))]
         return "|".join((head, "v:" + ",".join(verts),
                          "a:" + ";".join(anns))).encode("ascii")
 
@@ -910,15 +946,12 @@ def _orientation(engines) -> bytes:
     A rank is the dense rank of an initial color within its engine, as
     format 3 reads it: the lists of different components are compared,
     and cell starts, which count objects rather than keys, would order
-    some of them otherwise.
+    some of them otherwise.  Each engine compiles its ends' ranks
+    (``end_ranks``).
     """
     model, swapped = [], []
     for e in engines:
-        init, starts = e.initial, sorted(set(e.initial))
-        rank = dict(zip(starts, range(len(starts))))
-        ends = [((rank[init[v]], rank[init[f]] if f >= 0 else -1),
-                 (rank[init[w]], rank[init[g]] if g >= 0 else -1))
-                for (v, f), (w, g) in e.ann_ends]
+        ends = e.end_ranks
         model.append(sorted(ends))
         swapped.append(sorted([(b, a) for a, b in ends]))
     model.sort()
@@ -929,10 +962,20 @@ def _orientation(engines) -> bytes:
 def _component_engines(p: InvariantPair, blocks: dict, reversal: bool):
     """One engine per assembly component of ``p``, or of its reversal, on
     the blocks of ``blocks`` keyed by ``(reversal, polycycles)``.  A
-    missing block is compiled into ``blocks``."""
-    for vertex_ids, annulus_ids in p.assembly:
-        vertices = [v for v in p.vertices if v.id in vertex_ids]
-        annuli = [a for a in p.annuli if a.id in annulus_ids]
+    missing block is compiled into ``blocks``.  Each component's vertices
+    and annuli keep their order in ``p``."""
+    assembly = p.assembly
+    if len(assembly) == 1:
+        groups = [(p.vertices, p.annuli)]
+    else:
+        groups = [([], []) for _ in assembly]
+        group_of = {vid: group for group, (vertex_ids, _)
+                    in zip(groups, assembly) for vid in vertex_ids}
+        for v in p.vertices:
+            group_of[v.id][0].append(v)
+        for a in p.annuli:
+            group_of[a.neg.vertex][1].append(a)
+    for vertices, annuli in groups:
         comps = frozenset({v.component for v in vertices if v.label == "d"})
         if (reversal, comps) not in blocks:
             d = reverse_diagram(p.diagram) if reversal else p.diagram

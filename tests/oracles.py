@@ -7,8 +7,11 @@ for upsets, a bitmask union closure for Alexandroff opens, explicit
 permutation composition for faces, filtered set partitions for closures,
 pruning-free generation with pairwise isomorphism dedup for enumeration,
 the Burnside count of slot orbits for diagram classes, the stdlib's
-``json.dumps`` of plain dicts for model documents, and one loop per
-rule, with no accept test in front, for validation.  None of it shares
+``json.dumps`` of plain dicts for model documents, one loop per
+rule, with no accept test in front, for validation, and, for what the
+canonical engine compiles, a face table looked up by polycycle and face
+index, shared cells and dense ranks read back off the initial coloring,
+and each assembly component filtered from the whole pair.  None of it shares
 code with the paths it checks, except that the slot orbits are counted
 under the library's own slot symmetries: that count checks the stream's
 orbit-least filter, not the group.
@@ -328,6 +331,81 @@ def full_refine(engine, col: list) -> list:
         if len(rank) == len(set(col)):
             return new
         col = new
+
+
+def shared_cells_oracle(col: list, lo: int = 0) -> list:
+    """``(start, members)`` of each cell of ``col`` with more than one
+    member among the objects from ``lo`` on, in order of first member:
+    the root cells read off a compiled initial coloring."""
+    cells = {}
+    for i in range(lo, len(col)):
+        cells.setdefault(col[i], []).append(i)
+    return [(c, members) for c, members in cells.items() if len(members) > 1]
+
+
+def dense_ranks(col: list) -> list:
+    """Each color's rank among the distinct colors of ``col``."""
+    rank = {c: r for r, c in enumerate(sorted(set(col)))}
+    return [rank[c] for c in col]
+
+
+def component_groups_oracle(p: InvariantPair) -> list:
+    """``(vertices, annuli)`` of each assembly component of ``p``, each
+    filtered from the whole pair in the pair's order."""
+    return [([v for v in p.vertices if v.id in vertex_ids],
+             [a for a in p.annuli if a.id in annulus_ids])
+            for vertex_ids, annulus_ids in p.assembly]
+
+
+def engine_initial_oracle(engine) -> list:
+    """The engine's initial coloring: the block's colors, then each
+    vertex at the vertex base plus the count of smaller labels, then
+    every annulus at the annulus base."""
+    e, labels = engine, sorted(engine.labels)
+    return (e.block.initial
+            + [e.vertex_base + labels.index(label) for label in e.labels]
+            + [e.annulus_base] * (e.n - e.annulus_base))
+
+
+def annulus_ends_oracle(engine, diagram: SaddleDiagram, vertices: list,
+                        annuli: list, reversal: bool) -> list:
+    """Each annulus's ``(vertex, face)`` ends in the engine's numbering
+    (face -1 at a leaf; sides swapped under ``reversal``), each face
+    looked up by ``(polycycle, face index)`` in a table numbering the
+    faces of the polycycles of ``vertices`` in sorted order after the
+    block's saddles and separatrices; ``diagram`` is the one the block
+    was compiled from."""
+    e = engine
+    comps = sorted({v.component for v in vertices if v.label == "d"})
+    faces = diagram.faces_by_component
+    index = {(comp, idx): e.face_base + i
+             for i, (comp, idx) in enumerate(
+                 (comp, idx) for comp in comps
+                 for idx in range(len(faces[comp])))}
+    v_of = {v.id: e.vertex_base + i for i, v in enumerate(vertices)}
+    component = {v.id: v.component for v in vertices}
+    return [tuple((v_of[att.vertex], -1 if att.face is None
+                   else index[(component[att.vertex], att.face)])
+                  for att in ((a.pos, a.neg) if reversal else (a.neg, a.pos)))
+            for a in annuli]
+
+
+def end_ranks_oracle(engine) -> list:
+    """Each annulus end's dense initial ranks of its vertex and face (-1
+    at a leaf), ranked over the engine's whole initial coloring."""
+    ranks = dense_ranks(engine.initial)
+    return [tuple((ranks[v], ranks[f] if f >= 0 else -1) for v, f in ends)
+            for ends in engine.ann_ends]
+
+
+def orientation_oracle(engines) -> bytes:
+    """The orientation byte from ``end_ranks_oracle``: each engine sorts
+    its ends, the model sorts its engines' lists, and compares them with
+    the same with every annulus's ends swapped."""
+    model = sorted(sorted(end_ranks_oracle(e)) for e in engines)
+    swapped = sorted(sorted((b, a) for a, b in end_ranks_oracle(e))
+                     for e in engines)
+    return b"<" if model < swapped else b">" if model > swapped else b"="
 
 
 def ordered_cells(col: list) -> list:

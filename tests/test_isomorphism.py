@@ -42,8 +42,10 @@ from conftest import (
     within_budget,
 )
 from oracles import (
-    cycle_graph, full_refine, ordered_cells, path_graph, random_graph,
-    random_relabel, star_graph)
+    annulus_ends_oracle, component_groups_oracle, cycle_graph, dense_ranks,
+    end_ranks_oracle, engine_initial_oracle, full_refine, ordered_cells,
+    orientation_oracle, path_graph, random_graph, random_relabel,
+    shared_cells_oracle, star_graph)
 
 MODELS = [
     sphere_rotation,
@@ -758,6 +760,70 @@ class TestEngineShortcuts:
                 found += len(e.automorphisms)
                 assert all(_is_automorphism(e, g) for g in e.automorphisms)
         assert found
+
+    def test_compiled_engines_match_oracles(self):
+        """What the block and the engine compile in one pass: the
+        diagram's dense ranks, the root cells, each annulus end's face
+        object, the end ranks the orientation byte compares, and the
+        grouping of the pair by assembly component, which gives the
+        engines over the filtered components in order."""
+        pairs = list(enumerate_pairs(SMALL_CLASSES))
+        models = pairs + list(enumerate_pairs(
+            replace(SMALL_CLASSES, mode=REVERSIBLE)))
+        models += [_fixture_model(name) for name in sorted(GOLDEN_DIGESTS)]
+        rng = random.Random(3)  # the unions of test_disjoint_union_digest
+        models += [_disjoint_union(rng.choice(pairs), rng.choice(pairs))
+                   for _ in range(150)]
+        models += _multi_component_models() + _genus_two_closures()
+        polycycles = tori = 0
+        for p in models:
+            groups = component_groups_oracle(p)
+            tori += p.tori > 0
+            for reversal in (False, True):
+                d = isomorphism.reverse_diagram(p.diagram) if reversal \
+                    else p.diagram
+                engines = list(isomorphism._component_engines(p, {}, reversal))
+                assert len(engines) == len(groups)
+                for e, (vertices, annuli) in zip(engines, groups):
+                    b = e.block
+                    polycycles += len(b.face_start) > 1
+                    assert b.ranks == dense_ranks(b.initial)
+                    assert b.root_cells == shared_cells_oracle(b.initial)
+                    assert e.initial == engine_initial_oracle(e)
+                    assert e.root_cells == b.root_cells + shared_cells_oracle(
+                        e.initial, e.vertex_base)
+                    assert e.ann_ends == annulus_ends_oracle(
+                        e, d, vertices, annuli, reversal)
+                    assert e.end_ranks == end_ranks_oracle(e)
+                    fresh = isomorphism._CanonicalEngine(b, vertices, annuli,
+                                                         reversal)
+                    assert _compiled(e) == _compiled(fresh)
+                assert isomorphism._orientation(engines) \
+                    == orientation_oracle(engines)
+        assert polycycles and tori
+
+
+def _multi_component_models() -> list:
+    """The suites' other disjoint unions, two of them with a torus, and a
+    sphere with two tori."""
+    chiral, cycle = three_centers_eight(), realize_multigraph(cycle_graph(5))
+    return [
+        _disjoint_union(chiral, leaf_pair("n", "b"), sphere_rotation(), cycle,
+                        disk_flow(True), chiral, tori=1),
+        _disjoint_union(chiral, leaf_pair("n", "b"), cycle, tori=1),
+        _disjoint_union(chiral, disk_flow(True)),
+        _disjoint_union(chiral, reverse_pair(chiral)),
+        _disjoint_union(chiral, leaf_pair("c", "n")),
+        _disjoint_union(sphere_rotation(), tori=2),
+    ]
+
+
+def _compiled(engine) -> tuple:
+    """Every array the engine compiles."""
+    e = engine
+    return (e.n, e.bounds, e.labels, e.initial, e.root_cells, e.face_att,
+            e.vertex_atts, e.ann_ends, e.end_ranks, e.vertex_members,
+            e.vertex_names)
 
 
 # ---------------------------------------------------------------------------
