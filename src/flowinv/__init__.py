@@ -24,7 +24,6 @@ from .diagram import (
     diagram_poset,
     faces_by_component,
     trace_faces,
-    validate_diagram,
 )
 from .enumeration import (
     ClassTable,

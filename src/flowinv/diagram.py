@@ -131,40 +131,46 @@ class SaddleDiagram:
         once with the out-dart at the separatrix source and the in-dart at
         its target, and strict out/in alternation around each saddle.
 
-        A diagram that passes ``_accepts`` has none; the rule loops below
-        run only for one that fails it, and they alone word a violation.
+        One read: a rule is worded slot by slot only where an aggregate
+        comparison finds it broken.
         """
-        if _accepts(self):
-            return ()
         violations = []
 
         def bad(kind, subject, rule, message):
             violations.append(Violation(kind, subject, rule, message))
 
-        seen = set()
-        for s in self.saddles:
-            if s.id in seen:
-                bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
-            seen.add(s.id)
-        for e in self.separatrices:
-            if e.id in seen:
-                bad("separatrix", e.id, "unique-id",
-                    f"separatrix id {e.id!r} collides with another id")
-            seen.add(e.id)
+        saddles, seps = self.saddles, self.separatrices
+        unique = len({s.id for s in saddles} | {e.id for e in seps}) == \
+            len(saddles) + len(seps)
+        if not unique:
+            seen = set()
+            for s in saddles:
+                if s.id in seen:
+                    bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
+                seen.add(s.id)
+            for e in seps:
+                if e.id in seen:
+                    bad("separatrix", e.id, "unique-id",
+                        f"separatrix id {e.id!r} collides with another id")
+                seen.add(e.id)
 
-        for e in self.separatrices:
-            if e.source not in self.saddle_by_id:
+        known = self.saddle_by_id
+        home = {}  # dart not yet placed -> (its home saddle, its end)
+        for e in seps:
+            if e.source not in known:
                 bad("separatrix", e.id, "dangling-endpoint",
                     f"separatrix {e.id!r} has unknown source {e.source!r}")
-            if e.target not in self.saddle_by_id:
+            if e.target not in known:
                 bad("separatrix", e.id, "dangling-endpoint",
                     f"separatrix {e.id!r} has unknown target {e.target!r}")
             if e.twisted:
                 bad("separatrix", e.id, "twist-unsupported",
                     f"separatrix {e.id!r} is twisted; twisted ribbons are not supported")
+            home[e.id, OUT] = (e.source, OUT)
+            home[e.id, IN] = (e.target, IN)
 
-        placements = {}
-        for s in self.saddles:
+        placed = {}  # dart -> saddle id, for the saddles read slot by slot
+        for s in saddles:
             if s.kind != "interior":
                 bad("saddle", s.id, "boundary-unsupported",
                     f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
@@ -172,41 +178,60 @@ class SaddleDiagram:
             if s.k < 0:
                 bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
                 continue
-            if len(s.rotation) != s.degree:
+            r = s.rotation
+            if len(r) != s.degree:
                 bad("saddle", s.id, "degree",
-                    f"saddle {s.id!r} has rotation length {len(s.rotation)}"
+                    f"saddle {s.id!r} has rotation length {len(r)}"
                     f" but degree {s.degree} (2k+2 with k={s.k})")
-            for pos, dart in enumerate(s.rotation):
+            elif unique:
+                # a saddle that reads as its own darts alternating is done;
+                # with a repeated id, the table holds the ends of one copy only
+                read = []
+                out, in_ = (s.id, OUT), (s.id, IN)
+                try:
+                    # ``+=`` keeps the darts taken before an unhashable slot
+                    read += map(home.pop, r, repeat(None))
+                    if read == [out, in_] * (s.k + 1) or \
+                            read == [in_, out] * (s.k + 1):
+                        continue
+                except TypeError:
+                    pass
+                home.update((d, got) for d, got in zip(r, read) if got is not None)
+            for pos, dart in enumerate(r):
                 if not (isinstance(dart, tuple) and len(dart) == 2):
                     bad("saddle", s.id, "unknown-dart",
                         f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
                     continue
                 sep, end = dart
-                if sep not in self.sep_by_id or end not in (OUT, IN):
+                try:
+                    unknown = sep not in self.sep_by_id or end not in (OUT, IN)
+                except TypeError:  # an unhashable id names no separatrix
+                    unknown = True
+                if unknown:
                     bad("saddle", s.id, "unknown-dart",
                         f"saddle {s.id!r} rotation slot {pos} references unknown dart {dart!r}")
                     continue
-                if dart in placements:
+                if home.pop(dart, None) is None:
                     bad("saddle", s.id, "dart-pairing",
                         f"dart {dart!r} appears more than once")
-                placements[dart] = s.id
-            n = len(s.rotation)
+                placed[dart] = s.id
+            n = len(r)
             for pos in range(n):
-                here, after = s.rotation[pos], s.rotation[(pos + 1) % n]
+                here, after = r[pos], r[(pos + 1) % n]
                 if len(here) == 2 and len(after) == 2 and here[1] == after[1]:
                     bad("saddle", s.id, "alternation",
                         f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
                         f" are consecutive {here[1]} darts")
 
-        for e in self.separatrices:
-            for dart, home in ((e.out_dart, e.source), (e.in_dart, e.target)):
-                where = placements.get(dart)
-                if where is None:
-                    bad("separatrix", e.id, "dart-pairing",
-                        f"dart {dart!r} does not occur in any rotation")
-                elif where != home:
-                    bad("separatrix", e.id, "source-label",
-                        f"dart {dart!r} sits at saddle {where!r} but belongs at {home!r}")
+        if home or placed:  # else every dart was read at its home saddle
+            for e in seps:
+                for dart, at in ((e.out_dart, e.source), (e.in_dart, e.target)):
+                    if dart in home:
+                        bad("separatrix", e.id, "dart-pairing",
+                            f"dart {dart!r} does not occur in any rotation")
+                    elif placed.get(dart, at) != at:
+                        bad("separatrix", e.id, "source-label",
+                            f"dart {dart!r} sits at saddle {placed[dart]!r} but belongs at {at!r}")
 
         return tuple(violations)
 
@@ -297,46 +322,6 @@ class SaddleDiagram:
         for f in self.faces:
             out.setdefault(f.component, []).append(f)
         return {comp: tuple(fs) for comp, fs in out.items()}
-
-
-def _accepts(d: SaddleDiagram) -> bool:
-    """True when ``d`` breaks none of the rules of
-    ``SaddleDiagram.violations``, by aggregate comparisons in one read of
-    it: the ids are unique by set size, no separatrix is twisted, every
-    saddle is interior with k >= 0 and a rotation of its degree 2k+2,
-    and each rotation reads, dart by dart, as its own saddle's out- and
-    in-darts alternating.  Each dart is taken from the table of
-    separatrix darts as it is read, so a repeat reads as no dart, and
-    the table must end empty.  A slot that cannot be looked up
-    (unhashable) fails the test, and the rules word it.
-    """
-    if len({s.id for s in d.saddles} | {e.id for e in d.separatrices}) != \
-            len(d.saddles) + len(d.separatrices):
-        return False
-    home = {}
-    for e in d.separatrices:
-        if e.twisted:
-            return False
-        home[e.id, OUT] = (e.source, OUT)
-        home[e.id, IN] = (e.target, IN)
-    try:
-        for s in d.saddles:
-            # the length first: the patterns below are 2k+2 long
-            if s.kind != "interior" or s.k < 0 or len(s.rotation) != s.degree:
-                return False
-            read = list(map(home.pop, s.rotation, repeat(None)))
-            out, in_ = (s.id, OUT), (s.id, IN)
-            if read != [out, in_] * (s.k + 1) and \
-                    read != [in_, out] * (s.k + 1):
-                return False
-    except TypeError:
-        return False
-    return not home
-
-
-def validate_diagram(d: SaddleDiagram) -> list:
-    """Check the diagram's structural rules; empty list means valid."""
-    return list(d.violations)
 
 
 def check_diagram(d: SaddleDiagram) -> None:

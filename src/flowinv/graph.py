@@ -80,26 +80,27 @@ class InvariantPair:
         vertices biject with diagram components, every attachment resolves,
         and the attachment matching is perfect.
 
-        A pair that passes ``_accepts`` has none; the rule loops below run
-        only for one that fails it, and they alone word a violation.
+        One read: the ids and the attachment points in use are compared
+        with what they must be, and worded one by one only where they differ.
         """
-        if _accepts(self):
-            return ()
         violations = list(self.diagram.violations)
 
         def bad(kind, subject, rule, message):
             violations.append(Violation(kind, subject, rule, message))
 
-        seen = set()
-        for v in self.vertices:
-            if v.id in seen:
-                bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
-            seen.add(v.id)
-        for a in self.annuli:
-            if a.id in seen:
-                bad("annulus", a.id, "unique-id",
-                    f"annulus id {a.id!r} collides with another id")
-            seen.add(a.id)
+        vertices, annuli = self.vertices, self.annuli
+        if len({v.id for v in vertices} | {a.id for a in annuli}) != \
+                len(vertices) + len(annuli):
+            seen = set()
+            for v in vertices:
+                if v.id in seen:
+                    bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
+                seen.add(v.id)
+            for a in annuli:
+                if a.id in seen:
+                    bad("annulus", a.id, "unique-id",
+                        f"annulus id {a.id!r} collides with another id")
+                seen.add(a.id)
 
         if not isinstance(self.tori, int) or self.tori < 0:
             bad("model", "", "tori", f"torus count {self.tori!r} must be a non-negative integer")
@@ -110,11 +111,8 @@ class InvariantPair:
         comp_ids = {c[0] for c in self.diagram.components}
         faces = self.diagram.faces_by_component
 
-        comp_vertex = {}
-        for v in self.vertices:
-            if v.label not in LABELS:
-                bad("vertex", v.id, "label", f"vertex {v.id!r} has unknown label {v.label!r}")
-                continue
+        comp_vertex, offered = {}, set()
+        for v in vertices:
             if v.label == D:
                 if v.component is None:
                     bad("vertex", v.id, "component-ref",
@@ -128,67 +126,73 @@ class InvariantPair:
                         f" {v.component!r} labels both {comp_vertex[v.component]!r} and {v.id!r}")
                 else:
                     comp_vertex[v.component] = v.id
+                    offered.update((v.id, i) for i in range(len(faces[v.component])))
+            elif v.label not in LABELS:
+                bad("vertex", v.id, "label", f"vertex {v.id!r} has unknown label {v.label!r}")
             elif v.component is not None:
                 bad("vertex", v.id, "component-ref",
                     f"vertex {v.id!r} has label {v.label!r} but names a component")
-        for comp_id in sorted(comp_ids - set(comp_vertex)):
-            bad("model", comp_id, "component-ref",
-                f"diagram component {comp_id!r} is the label of no vertex")
+            else:
+                offered.add((v.id, None))
+        if len(comp_vertex) != len(comp_ids):
+            for comp_id in sorted(comp_ids - comp_vertex.keys()):
+                bad("model", comp_id, "component-ref",
+                    f"diagram component {comp_id!r} is the label of no vertex")
 
         if violations:
             return tuple(violations)
 
-        # a local map, so a checked pair does not keep ``vertex_by_id``
-        vertex_by_id = {v.id: v for v in self.vertices}
-        use = {}  # attachment point key -> list of (annulus id, side)
-        for a in self.annuli:
-            for side, att in (("neg", a.neg), ("pos", a.pos)):
-                v = vertex_by_id.get(att.vertex)
-                if v is None:
-                    bad("annulus", a.id, "attachment",
-                        f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
-                    continue
-                if v.label == D:
-                    if att.face is None:
+        used = [(att.vertex, att.face) for a in annuli for att in (a.neg, a.pos)]
+        if len(used) != len(offered) or set(used) != offered:
+            use = {}  # attachment point key -> list of (annulus id, side)
+            for a in annuli:
+                for side, att in (("neg", a.neg), ("pos", a.pos)):
+                    v = self.vertex_by_id.get(att.vertex)
+                    if v is None:
                         bad("annulus", a.id, "attachment",
-                            f"annulus {a.id!r} {side} side attaches to polycycle"
-                            f" {v.id!r} without naming a face")
+                            f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
                         continue
-                    n_faces = len(faces.get(v.component, []))
-                    if not 0 <= att.face < n_faces:
+                    if v.label == D:
+                        if att.face is None:
+                            bad("annulus", a.id, "attachment",
+                                f"annulus {a.id!r} {side} side attaches to polycycle"
+                                f" {v.id!r} without naming a face")
+                            continue
+                        n_faces = len(faces[v.component])
+                        if not 0 <= att.face < n_faces:
+                            bad("annulus", a.id, "attachment",
+                                f"annulus {a.id!r} {side} side names face {att.face}"
+                                f" of component {v.component!r} which has {n_faces} faces")
+                            continue
+                    elif att.face is not None:
                         bad("annulus", a.id, "attachment",
-                            f"annulus {a.id!r} {side} side names face {att.face}"
-                            f" of component {v.component!r} which has {n_faces} faces")
+                            f"annulus {a.id!r} {side} side names a face on"
+                            f" non-polycycle vertex {v.id!r}")
                         continue
-                elif att.face is not None:
-                    bad("annulus", a.id, "attachment",
-                        f"annulus {a.id!r} {side} side names a face on"
-                        f" non-polycycle vertex {v.id!r}")
-                    continue
-                use.setdefault(att.key(), []).append((a.id, side))
+                    use.setdefault(att.key(), []).append((a.id, side))
 
-        for v in self.vertices:
-            if v.label == D:
-                for idx in range(len(faces.get(v.component, []))):
-                    users = use.get((v.id, idx), [])
+            for v in vertices:
+                if v.label == D:
+                    for idx in range(len(faces[v.component])):
+                        users = use.get((v.id, idx), [])
+                        if not users:
+                            bad("vertex", v.id, "matching",
+                                f"face {idx} of component {v.component!r} bounds no annulus")
+                        elif len(users) > 1:
+                            bad("vertex", v.id, "matching",
+                                f"face {idx} of component {v.component!r} bounds"
+                                f" {len(users)} annuli: {sorted(users)}")
+                else:
+                    users = use.get((v.id, None), [])
                     if not users:
                         bad("vertex", v.id, "matching",
-                            f"face {idx} of component {v.component!r} bounds no annulus")
+                            f"{v.label}-vertex {v.id!r} is attached to no annulus")
                     elif len(users) > 1:
                         bad("vertex", v.id, "matching",
-                            f"face {idx} of component {v.component!r} bounds"
-                            f" {len(users)} annuli: {sorted(users)}")
-            else:
-                users = use.get((v.id, None), [])
-                if not users:
-                    bad("vertex", v.id, "matching",
-                        f"{v.label}-vertex {v.id!r} is attached to no annulus")
-                elif len(users) > 1:
-                    bad("vertex", v.id, "matching",
-                        f"{v.label}-vertex {v.id!r} is attached to {len(users)}"
-                        f" annuli: {sorted(users)}")
+                            f"{v.label}-vertex {v.id!r} is attached to {len(users)}"
+                            f" annuli: {sorted(users)}")
 
-        if not self.vertices and not self.annuli and self.tori == 0:
+        if not vertices and not annuli and self.tori == 0:
             bad("model", "", "nonempty", "model has no cells at all")
 
         return tuple(violations)
@@ -240,41 +244,6 @@ class InvariantPair:
             annuli[group_of[a.neg.vertex]].append(a.id)
         return tuple((vids, frozenset(aids))
                      for vids, aids in zip(groups, annuli))
-
-
-def _accepts(p: InvariantPair) -> bool:
-    """True when ``p`` breaks none of the rules of
-    ``InvariantPair.violations``, by aggregate comparisons in one read of
-    it: the diagram is valid, the ids are unique by set size, the torus
-    count is a non-negative integer and the model is not empty, every
-    label is known and only polycycle vertices name a component, each
-    component labels exactly one vertex, and the attachment points in
-    use equal the offered points (each face of a polycycle vertex, and
-    the one circle of any other), each used once.
-    """
-    vertices, annuli = p.vertices, p.annuli
-    if p.diagram.violations \
-            or not isinstance(p.tori, int) or p.tori < 0 \
-            or not (vertices or annuli or p.tori) \
-            or len({v.id for v in vertices} | {a.id for a in annuli}) != \
-            len(vertices) + len(annuli):
-        return False
-    comps = p.diagram.components
-    faces = p.diagram.faces_by_component
-    labeled, offered = [], set()
-    for v in vertices:
-        if v.label == D:
-            labeled.append(v.component)
-            offered.update((v.id, i)
-                           for i in range(len(faces.get(v.component, ()))))
-        elif v.label in LABELS and v.component is None:
-            offered.add((v.id, None))
-        else:
-            return False
-    if len(labeled) != len(comps) or set(labeled) != {c[0] for c in comps}:
-        return False
-    used = [(att.vertex, att.face) for a in annuli for att in (a.neg, a.pos)]
-    return len(used) == len(offered) and set(used) == offered
 
 
 def validate_pair(p: InvariantPair) -> list:

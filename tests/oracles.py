@@ -8,7 +8,7 @@ permutation composition for faces, filtered set partitions for closures,
 pruning-free generation with pairwise isomorphism dedup for enumeration,
 the Burnside count of slot orbits for diagram classes, the stdlib's
 ``json.dumps`` of plain dicts for model documents, one loop per
-rule, with no accept test in front, for validation, and, for what the
+rule, each read in full, for validation, and, for what the
 canonical engine compiles, a face table looked up by polycycle and face
 index, shared cells and dense ranks read back off the initial coloring,
 and each assembly component filtered from the whole pair.  None of it shares

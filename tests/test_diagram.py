@@ -11,7 +11,6 @@ from flowinv.diagram import (
     diagram_multigraph,
     diagram_poset,
     trace_faces,
-    validate_diagram,
 )
 from flowinv.multigraph import multigraph_isomorphic
 from flowinv.topology import is_multigraph_like
@@ -28,14 +27,14 @@ class TestDegrees:
 
 class TestValidation:
     def test_figure_eight_valid(self):
-        assert validate_diagram(eight_diagram()) == []
+        assert eight_diagram().violations == ()
 
     def test_alternation_violation(self):
         bad = SaddleDiagram(
             (Saddle("s", 1, (("a", OUT), ("b", OUT), ("a", IN), ("b", IN))),),
             (Separatrix("a", "s", "s"), Separatrix("b", "s", "s")),
         )
-        rules = {v.rule for v in validate_diagram(bad)}
+        rules = {v.rule for v in bad.violations}
         assert "alternation" in rules
 
     def test_degree_mismatch(self):
@@ -43,7 +42,7 @@ class TestValidation:
             (Saddle("s", 1, (("a", OUT), ("a", IN))),),
             (Separatrix("a", "s", "s"),),
         )
-        rules = {v.rule for v in validate_diagram(bad)}
+        rules = {v.rule for v in bad.violations}
         assert "degree" in rules
 
     def test_boundary_saddle_rejected(self):
@@ -51,7 +50,7 @@ class TestValidation:
             (Saddle("s", 0, (("a", OUT), ("a", IN)), kind="boundary"),),
             (Separatrix("a", "s", "s"),),
         )
-        rules = {v.rule for v in validate_diagram(bad)}
+        rules = {v.rule for v in bad.violations}
         assert "boundary-unsupported" in rules
 
     def test_twisted_separatrix_rejected(self):
@@ -59,7 +58,7 @@ class TestValidation:
             (Saddle("s", 0, (("a", OUT), ("a", IN))),),
             (Separatrix("a", "s", "s", twisted=True),),
         )
-        rules = {v.rule for v in validate_diagram(bad)}
+        rules = {v.rule for v in bad.violations}
         assert "twist-unsupported" in rules
 
     def test_dart_used_twice(self):
@@ -67,7 +66,7 @@ class TestValidation:
             (Saddle("s", 1, (("a", OUT), ("a", IN), ("a", OUT), ("a", IN))),),
             (Separatrix("a", "s", "s"),),
         )
-        rules = {v.rule for v in validate_diagram(bad)}
+        rules = {v.rule for v in bad.violations}
         assert "dart-pairing" in rules
 
     def test_violations_name_subjects(self):
@@ -75,7 +74,7 @@ class TestValidation:
             (Saddle("s", 1, (("a", OUT), ("a", IN))),),
             (Separatrix("a", "s", "s"),),
         )
-        assert all(v.subject for v in validate_diagram(bad))
+        assert all(v.subject for v in bad.violations)
 
 
 class TestFaces:

@@ -12,7 +12,7 @@ import pytest
 
 import flowinv
 from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
-    ValidationError, faces_by_component, trace_faces
+    ValidationError, Violation, faces_by_component, trace_faces
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
     VertexNode, classify_separation, reduced_label, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, canonical_form, pair_isomorphic, \
@@ -271,7 +271,7 @@ def test_pair_validation_runs_once_per_pair_object(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the accept tests against the rule loops alone
+# the one validation pass against the rule loops alone
 
 
 def _unvalidated(text: str):
@@ -321,6 +321,20 @@ def _swap_across_saddles(p, rng):
     others = tuple(u for u in p.diagram.saddles if u not in (s, t))
     return _diagram(p, saddles=others + (replace(s, rotation=tuple(rs)),
                                          replace(t, rotation=tuple(rt))))
+
+
+def _copy_across_saddles(p, rng):
+    """One slot of a saddle overwritten by a dart of another saddle: that
+    dart is placed twice, at two saddles, and the one overwritten is
+    nowhere."""
+    if len(p.diagram.saddles) < 2:
+        return None
+    s, t = rng.sample(p.diagram.saddles, 2)
+    rotation = list(s.rotation)
+    rotation[rng.randrange(len(rotation))] = rng.choice(t.rotation)
+    return _diagram(p, saddles=tuple(
+        replace(u, rotation=tuple(rotation)) if u is s else u
+        for u in p.diagram.saddles))
 
 
 def _retarget(p, rng):
@@ -432,6 +446,24 @@ def _move_face(p, rng):
     return _annulus(p, replace(a, **{side: Attachment(att.vertex, face)}))
 
 
+def _repoint_attachment(p, rng):
+    """One annulus side moved to another vertex's attachment point: that
+    point is used twice and the one left is unused, while every
+    attachment still resolves."""
+    if p.violations or not p.annuli:
+        return None
+    a = rng.choice(p.annuli)
+    side = rng.choice(("neg", "pos"))
+    faces = p.diagram.faces_by_component
+    points = [Attachment(v.id, i) for v in p.vertices
+              if v.id != getattr(a, side).vertex
+              for i in (range(len(faces[v.component])) if v.label == "d"
+                        else (None,))]
+    if not points:
+        return None
+    return _annulus(p, replace(a, **{side: rng.choice(points)}))
+
+
 def _twin_polycycle(p, rng):
     """A second vertex labeled by a polycycle vertex's component, every
     face of it attached to a center of its own: only the rule that a
@@ -463,6 +495,7 @@ SINGLE_EDITS = {
     "drop-dart": lambda p, rng: _rotation(p, rng, _drop_dart),
     "swap-darts": lambda p, rng: _rotation(p, rng, _swap_darts),
     "swap-across-saddles": _swap_across_saddles,
+    "copy-across-saddles": _copy_across_saddles,
     "retarget-separatrix": _retarget,
     "twist-separatrix": _twist,
     "duplicate-separatrix": _duplicate_separatrix,
@@ -473,6 +506,7 @@ SINGLE_EDITS = {
     "duplicate-annulus": _duplicate_annulus,
     "drop-annulus": _drop_annulus,
     "move-face-index": _move_face,
+    "repoint-attachment": _repoint_attachment,
     "relabel-vertex": _relabel_vertex,
     "twin-polycycle": _twin_polycycle,
 }
@@ -521,3 +555,28 @@ def test_violations_equal_the_rule_loops():
                      "degree", "dart-pairing", "alternation", "source-label",
                      "label", "component-ref", "attachment", "matching",
                      "nonempty"}
+
+
+def test_unhashable_slot_is_an_unknown_dart():
+    d = SaddleDiagram((Saddle("s", 0, ((["a"], OUT), ("a", IN))),),
+                      (Separatrix("a", "s", "s"),))
+    assert d.violations == (
+        Violation("saddle", "s", "unknown-dart",
+                  "saddle 's' rotation slot 0 references unknown dart"
+                  " (['a'], 'out')"),
+        Violation("separatrix", "a", "dart-pairing",
+                  "dart ('a', 'out') does not occur in any rotation"),
+    )
+
+
+def test_repeated_separatrix_id_is_placed_at_each_copy_home():
+    """Two separatrices share an id, and each saddle's rotation alone
+    alternates its own darts: the copy whose ends the darts are not at
+    breaks source-label, as the rule loops say."""
+    d = SaddleDiagram(
+        (Saddle("s", 0, (("b", OUT), ("b", IN))),
+         Saddle("t", 0, (("a", OUT), ("a", IN)))),
+        (Separatrix("a", "s", "s"), Separatrix("a", "t", "t"),
+         Separatrix("b", "s", "s")))
+    assert {v.rule for v in d.violations} == {"unique-id", "source-label"}
+    assert d.violations == diagram_violations_oracle(d)
