@@ -21,7 +21,6 @@ from .diagram import (
     Violation,
     diagram_components,
     diagram_multigraph,
-    diagram_poset,
     faces_by_component,
     trace_faces,
 )
@@ -40,7 +39,6 @@ from .graph import (
     VertexNode,
     assembly_components,
     classify_separation,
-    reduced_label,
     to_extended_poset,
     underlying_multigraph,
     validate_pair,
@@ -64,8 +62,6 @@ from .topology import (
     FinSpace,
     NotT0Error,
     alexandroff_space,
-    is_connected_poset,
-    is_multigraph_like,
     separation_axioms,
     specialization_order,
 )

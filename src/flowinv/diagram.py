@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import attrgetter
 
 from .multigraph import Multigraph
-from .topology import FinPoset, connected_groups
+from .topology import connected_groups
 
 OUT = "out"
 IN = "in"
@@ -197,8 +197,9 @@ class SaddleDiagram:
                 except TypeError:
                     pass
                 home.update((d, got) for d, got in zip(r, read) if got is not None)
+            shaped = [isinstance(dart, tuple) and len(dart) == 2 for dart in r]
             for pos, dart in enumerate(r):
-                if not (isinstance(dart, tuple) and len(dart) == 2):
+                if not shaped[pos]:
                     bad("saddle", s.id, "unknown-dart",
                         f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
                     continue
@@ -218,7 +219,7 @@ class SaddleDiagram:
             n = len(r)
             for pos in range(n):
                 here, after = r[pos], r[(pos + 1) % n]
-                if len(here) == 2 and len(after) == 2 and here[1] == after[1]:
+                if shaped[pos] and shaped[(pos + 1) % n] and here[1] == after[1]:
                     bad("saddle", s.id, "alternation",
                         f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
                         f" are consecutive {here[1]} darts")
@@ -367,18 +368,6 @@ def faces_by_component(d: SaddleDiagram) -> dict:
     """
     check_diagram(d)
     return d.faces_by_component
-
-
-def diagram_poset(d: SaddleDiagram) -> FinPoset:
-    """Saddles at height 0, separatrices at height 1 over their endpoints."""
-    check_diagram(d)
-    elems = [("s", s.id) for s in d.saddles]
-    pairs = []
-    for e in d.separatrices:
-        elems.append(("e", e.id))
-        pairs.append((("s", e.source), ("e", e.id)))
-        pairs.append((("s", e.target), ("e", e.id)))
-    return FinPoset.from_pairs(elems, pairs)
 
 
 def diagram_multigraph(d: SaddleDiagram) -> Multigraph:

@@ -143,7 +143,9 @@ class InvariantPair:
             return tuple(violations)
 
         used = [(att.vertex, att.face) for a in annuli for att in (a.neg, a.pos)]
-        if len(used) != len(offered) or set(used) != offered:
+        # only an int names a face: 1.0 and True equal one, [0] is unhashable
+        if not all(f is None or type(f) is int for _, f in used) \
+                or len(used) != len(offered) or set(used) != offered:
             use = {}  # attachment point key -> list of (annulus id, side)
             for a in annuli:
                 for side, att in (("neg", a.neg), ("pos", a.pos)):
@@ -157,6 +159,11 @@ class InvariantPair:
                             bad("annulus", a.id, "attachment",
                                 f"annulus {a.id!r} {side} side attaches to polycycle"
                                 f" {v.id!r} without naming a face")
+                            continue
+                        if type(att.face) is not int:
+                            bad("annulus", a.id, "attachment",
+                                f"annulus {a.id!r} {side} side names face {att.face!r}"
+                                f" which is not a face index")
                             continue
                         n_faces = len(faces[v.component])
                         if not 0 <= att.face < n_faces:
@@ -271,12 +278,6 @@ def to_extended_poset(p: InvariantPair) -> FinPoset:
     for i in range(p.tori):
         elems.append(("t", i))
     return FinPoset.from_pairs(elems, pairs)
-
-
-def reduced_label(p: InvariantPair) -> dict:
-    """The unordered attachment pair of every annulus (order forgotten)."""
-    check_pair(p)
-    return {a.id: frozenset((a.neg.key(), a.pos.key())) for a in p.annuli}
 
 
 @dataclass(frozen=True)

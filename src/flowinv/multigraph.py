@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import FinPoset, _strict_downsets, connected_groups
+from .topology import FinPoset, connected_groups
 
 
 @dataclass(frozen=True)
@@ -44,42 +44,32 @@ class Multigraph:
         )
         return cls(frozenset(vertices), norm)
 
-    def degree(self, v) -> int:
-        """Degree with loops counted twice."""
-        d = 0
-        for _, ends in self.edges:
-            if v in ends:
-                d += 2 if len(ends) == 1 else 1
-        return d
-
-    def loop_count(self, v) -> int:
-        return sum(1 for _, ends in self.edges if ends == frozenset([v]))
-
     def is_connected(self) -> bool:
         """One connected piece; the empty graph is disconnected."""
         links = (tuple(ends) for _, ends in self.edges if len(ends) == 2)
         return len(connected_groups(self.vertices, links)) == 1
 
-    def to_poset(self) -> FinPoset:
-        """The multi-graph-like poset: vertices below their incident edges."""
-        elems = {("v", v) for v in self.vertices}
-        pairs = []
-        for eid, ends in self.edges:
-            elems.add(("e", eid))
-            for v in ends:
-                pairs.append((("v", v), ("e", eid)))
-        return FinPoset.from_pairs(elems, pairs)
-
     @classmethod
     def from_poset(cls, poset: FinPoset) -> "Multigraph":
         """Read a multi-graph off a multi-graph-like poset, in one pass
-        over its up-sets: an element with nothing below it is a vertex,
-        any other an edge whose ends are the elements below it."""
-        below, (ok, witness) = _strict_downsets(poset)
-        if not ok:
-            raise ValueError(f"poset is not multi-graph-like at {witness!r}")
-        return cls.build((x for x, bx in below.items() if not bx),
-                         ((x, bx) for x, bx in below.items() if bx))
+        over its up-sets: an element with nothing strictly below it is a
+        vertex, and one with one or two vertices below it is an edge on
+        them.  Any other element breaks "height <= 1 and |downset| <= 3";
+        the ``ValueError`` names the least such by ``repr`` as witness,
+        and only a failure reads ``repr``.
+        """
+        below = {x: [] for x in poset.elements}
+        for x, ux in poset.upsets.items():
+            for y in ux:
+                if y != x:
+                    below[y].append(x)
+        vertices = {x for x, bx in below.items() if not bx}
+        bad = [x for x, bx in below.items()
+               if len(bx) > 2 or not vertices.issuperset(bx)]
+        if bad:
+            raise ValueError(
+                f"poset is not multi-graph-like at {min(bad, key=repr)!r}")
+        return cls.build(vertices, ((x, bx) for x, bx in below.items() if bx))
 
 
 def _neighbours(g: Multigraph) -> tuple:

@@ -11,16 +11,15 @@ one ``FinPoset`` or ``FinSpace`` has already passed reach the other
 through ``_checked`` unread, in a dict of the receiver's own, and
 ``FinPoset.from_pairs``, whose search closes its sets by construction,
 checks only antisymmetry.  So building either, turning one into the
-other, and reading closures, specialization order and separation axioms
-all cost about the size of the order relation.  Only ``FinSpace.opens``
+other, and reading the specialization order and separation axioms all
+cost about the size of the order relation.  Only ``FinSpace.opens``
 enumerates the opens, which are exponential in the poset's width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Hashable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class NotT0Error(ValueError):
@@ -139,86 +138,8 @@ class FinPoset:
         _check_antisymmetric(upsets)
         return _checked(cls, elems, upsets)
 
-    @cached_property
-    def _down(self) -> dict:
-        down = {x: set() for x in self.elements}
-        for x, ux in self.upsets.items():
-            for y in ux:
-                down[y].add(x)
-        return {x: frozenset(s) for x, s in down.items()}
-
     def leq(self, a, b) -> bool:
         return b in self.upsets.get(a, ())
-
-    def up(self, x) -> frozenset:
-        """The upset of x: all y with x <= y."""
-        return self.upsets[x]
-
-    def down(self, x) -> frozenset:
-        """The downset of x: all y with y <= x."""
-        return self._down[x]
-
-    @cached_property
-    def heights(self) -> dict:
-        """Height of every element: longest chain ending there.  What lies
-        strictly below x has a smaller downset, so taking the elements by
-        downset size finds every lower height first."""
-        h = {}
-        for x in sorted(self.elements, key=lambda x: len(self._down[x])):
-            h[x] = max((h[y] + 1 for y in self._down[x] if y != x), default=0)
-        return h
-
-    def height(self) -> int | None:
-        """Height of the poset; None for the empty poset (undefined)."""
-        if not self.elements:
-            return None
-        return max(self.heights.values())
-
-    def level(self, k: int) -> frozenset:
-        """All elements of height exactly k."""
-        return frozenset(x for x, h in self.heights.items() if h == k)
-
-
-class MultigraphLikeness(NamedTuple):
-    ok: bool
-    witness: Hashable | None
-
-
-def _strict_downsets(poset: FinPoset) -> tuple:
-    """Each element's strict down-set, inverted from the up-sets in one
-    pass, and the poset's ``MultigraphLikeness`` read off that table.
-
-    An element with nothing below it is a vertex; one with 1 or 2 below
-    it, all of them minimal, is an edge.  Any other element breaks the
-    rule, which is "height <= 1 and |downset| <= 3" without heights.
-    """
-    below = {x: [] for x in poset.elements}
-    for x, ux in poset.upsets.items():
-        for y in ux:
-            if y != x:
-                below[y].append(x)
-    minimal = {x for x, bx in below.items() if not bx}
-    bad = [x for x, bx in below.items()
-           if len(bx) > 2 or not minimal.issuperset(bx)]
-    if not bad:
-        return below, MultigraphLikeness(True, None)
-    return below, MultigraphLikeness(False, min(bad, key=repr))
-
-
-def is_multigraph_like(poset: FinPoset) -> MultigraphLikeness:
-    """Check height <= 1 and |downset| <= 3 everywhere, on the strict
-    down-sets alone, without heights or the cached downsets.
-
-    On failure the witness is the offending element least by ``repr``;
-    only a failure reads ``repr``.
-    """
-    return _strict_downsets(poset)[1]
-
-
-def is_connected_poset(poset: FinPoset) -> bool:
-    """Connectivity of the comparability graph; the empty poset is disconnected."""
-    links = ((x, y) for x, ux in poset.upsets.items() for y in ux)
-    return len(connected_groups(poset.elements, links)) == 1
 
 
 def connected_groups(points: Iterable, links: Iterable) -> list:
@@ -266,34 +187,6 @@ class FinSpace:
         object.__setattr__(self, "minimal_opens", _check_up_closed(
             self.points, self.minimal_opens, TopologyError, _BASIS_WORDING))
 
-    @classmethod
-    def from_opens(cls, points: frozenset, opens: frozenset) -> "FinSpace":
-        """The space with the opens ``opens``, checked in
-        O(|opens| * |points|) to be a topology: the empty and whole sets
-        are open, every minimal open U_x is open ("intersection"), and so
-        is every open joined with any U_x ("union").  That is enough: O,
-        O | O' and O & O' are unions of the U_x of their points, so each
-        is reached from O or the empty set by joining one U_x at a time.
-        """
-        for o in opens:
-            if not o <= points:
-                raise TopologyError(f"open {set(o)!r} is not a subset of the points")
-        family = set(opens)
-        if len(family) != len(opens):
-            raise TopologyError("duplicate opens")
-        if frozenset() not in family:
-            raise TopologyError("the empty set is not open")
-        if points not in family:
-            raise TopologyError("the whole set is not open")
-        minimal = {x: points.intersection(*(o for o in family if x in o))
-                   for x in points}
-        if not family.issuperset(minimal.values()):
-            raise TopologyError("opens are not closed under intersection")
-        if not family.issuperset(o | ux for ux in set(minimal.values())
-                                 for o in family):
-            raise TopologyError("opens are not closed under union")
-        return cls(points, minimal)
-
     @property
     def opens(self) -> frozenset:
         """Every open: each union of minimal opens, built on demand and
@@ -302,12 +195,6 @@ class FinSpace:
         for ux in set(self.minimal_opens.values()):
             opens |= {o | ux for o in opens}
         return frozenset(opens)
-
-    def closure(self, subset: frozenset) -> frozenset:
-        """Smallest closed set containing ``subset``: the points x whose
-        least neighbourhood U_x meets it."""
-        return frozenset(x for x, ux in self.minimal_opens.items()
-                         if not ux.isdisjoint(subset))
 
 
 class SeparationAxioms(NamedTuple):

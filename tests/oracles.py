@@ -2,9 +2,9 @@
 
 Everything here recomputes results by brute force or by a different
 route than the library: chain enumeration for heights, the poset's
-levels and downsets for reading a multi-graph back, subset filtering
-for upsets, a bitmask union closure for Alexandroff opens, explicit
-permutation composition for faces, filtered set partitions for closures,
+levels and downsets by ``leq`` for reading a multi-graph back, subset
+filtering for upsets, a bitmask union closure for Alexandroff opens,
+explicit permutation composition for faces, filtered set partitions for closures,
 pruning-free generation with pairwise isomorphism dedup for enumeration,
 the Burnside count of slot orbits for diagram classes, the stdlib's
 ``json.dumps`` of plain dicts for model documents, one loop per
@@ -14,7 +14,8 @@ index, shared cells and dense ranks read back off the initial coloring,
 and each assembly component filtered from the whole pair.  None of it shares
 code with the paths it checks, except that the slot orbits are counted
 under the library's own slot symmetries: that count checks the stream's
-orbit-least filter, not the group.
+orbit-least filter, not the group.  Two builders here only tests need:
+a space from a checked family of opens, and the poset of a multi-graph.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from flowinv.graph import (
 from flowinv.isomorphism import pair_isomorphic, relabel_pair, reverse_diagram
 from flowinv.model_io import FORMAT_VERSION
 from flowinv.multigraph import Multigraph
-from flowinv.topology import FinPoset
+from flowinv.topology import FinPoset, FinSpace, TopologyError
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +67,7 @@ def upsets_oracle(poset: FinPoset) -> set:
     for size in range(len(elems) + 1):
         for combo in combinations(elems, size):
             subset = frozenset(combo)
-            if all(poset.up(x) <= subset for x in subset):
+            if all(poset.upsets[x] <= subset for x in subset):
                 out.add(subset)
     return out
 
@@ -172,16 +173,58 @@ def multigraph_likeness_oracle(poset: FinPoset) -> tuple:
 
 
 def multigraph_by_levels(poset: FinPoset) -> Multigraph:
-    """The multi-graph read off the poset's levels: vertices at height 0,
-    each height-1 element an edge on what lies strictly below it, after
-    the same check by ``heights`` and ``down``, with the same error."""
-    bad = [x for x in poset.elements
-           if poset.heights[x] > 1 or len(poset.down(x)) > 3]
-    if bad:
-        raise ValueError(
-            f"poset is not multi-graph-like at {min(bad, key=repr)!r}")
+    """The multi-graph read off the poset's levels: vertices at chain
+    height 0, each height-1 element an edge on what lies strictly below
+    it by ``leq``, after ``multigraph_likeness_oracle``, with the error of
+    ``Multigraph.from_poset``."""
+    ok, witness = multigraph_likeness_oracle(poset)
+    if not ok:
+        raise ValueError(f"poset is not multi-graph-like at {witness!r}")
+    height = {x: chain_height_oracle(poset, x) for x in poset.elements}
     return Multigraph.build(
-        poset.level(0), {e: poset.down(e) - {e} for e in poset.level(1)})
+        (x for x, h in height.items() if h == 0),
+        {e: {x for x in poset.elements if x != e and poset.leq(x, e)}
+         for e, h in height.items() if h == 1})
+
+
+def multigraph_poset(g: Multigraph) -> FinPoset:
+    """The multi-graph-like poset of ``g``: vertices below their incident
+    edges."""
+    elems = {("v", v) for v in g.vertices}
+    pairs = []
+    for eid, ends in g.edges:
+        elems.add(("e", eid))
+        for v in ends:
+            pairs.append((("v", v), ("e", eid)))
+    return FinPoset.from_pairs(elems, pairs)
+
+
+def space_from_opens(points: frozenset, opens: frozenset) -> FinSpace:
+    """The space with the opens ``opens``, checked in
+    O(|opens| * |points|) to be a topology: the empty and whole sets are
+    open, every minimal open U_x is open ("intersection"), and so is
+    every open joined with any U_x ("union").  That is enough: O, O | O'
+    and O & O' are unions of the U_x of their points, so each is reached
+    from O or the empty set by joining one U_x at a time.
+    """
+    for o in opens:
+        if not o <= points:
+            raise TopologyError(f"open {set(o)!r} is not a subset of the points")
+    family = set(opens)
+    if len(family) != len(opens):
+        raise TopologyError("duplicate opens")
+    if frozenset() not in family:
+        raise TopologyError("the empty set is not open")
+    if points not in family:
+        raise TopologyError("the whole set is not open")
+    minimal = {x: points.intersection(*(o for o in family if x in o))
+               for x in points}
+    if not family.issuperset(minimal.values()):
+        raise TopologyError("opens are not closed under intersection")
+    if not family.issuperset(o | ux for ux in set(minimal.values())
+                             for o in family):
+        raise TopologyError("opens are not closed under union")
+    return FinSpace(points, minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +509,10 @@ def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
             bad("saddle", s.id, "degree",
                 f"saddle {s.id!r} has rotation length {len(s.rotation)}"
                 f" but degree {s.degree} (2k+2 with k={s.k})")
+        shaped = [isinstance(dart, tuple) and len(dart) == 2
+                  for dart in s.rotation]
         for pos, dart in enumerate(s.rotation):
-            if not (isinstance(dart, tuple) and len(dart) == 2):
+            if not shaped[pos]:
                 bad("saddle", s.id, "unknown-dart",
                     f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
                 continue
@@ -483,7 +528,7 @@ def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
         n = len(s.rotation)
         for pos in range(n):
             here, after = s.rotation[pos], s.rotation[(pos + 1) % n]
-            if len(here) == 2 and len(after) == 2 and here[1] == after[1]:
+            if shaped[pos] and shaped[(pos + 1) % n] and here[1] == after[1]:
                 bad("saddle", s.id, "alternation",
                     f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
                     f" are consecutive {here[1]} darts")
@@ -576,6 +621,11 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
                     bad("annulus", a.id, "attachment",
                         f"annulus {a.id!r} {side} side attaches to polycycle"
                         f" {v.id!r} without naming a face")
+                    continue
+                if type(att.face) is not int:
+                    bad("annulus", a.id, "attachment",
+                        f"annulus {a.id!r} {side} side names face {att.face!r}"
+                        f" which is not a face index")
                     continue
                 count = n_faces.get(v.component, 0)
                 if not 0 <= att.face < count:

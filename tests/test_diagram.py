@@ -9,11 +9,9 @@ from flowinv.diagram import (
     ValidationError,
     diagram_components,
     diagram_multigraph,
-    diagram_poset,
     trace_faces,
 )
 from flowinv.multigraph import multigraph_isomorphic
-from flowinv.topology import is_multigraph_like
 
 from conftest import eight_diagram, loop_diagram
 from oracles import face_count_oracle
@@ -170,32 +168,6 @@ class TestComponents:
         assert len(diagram_components(SaddleDiagram.empty())) == 0
 
 
-class TestDiagramPoset:
-    def test_figure_eight_poset(self):
-        p = diagram_poset(eight_diagram())
-        assert p.level(0) == {("s", "s")}
-        assert p.level(1) == {("e", "a"), ("e", "b")}
-        for e in p.level(1):
-            assert len(p.down(e)) == 2  # loop: the edge and one vertex
-
-    def test_two_endpoint_separatrix(self):
-        d = SaddleDiagram(
-            (Saddle("s1", 0, (("a", OUT), ("b", IN))),
-             Saddle("s2", 0, (("b", OUT), ("a", IN)))),
-            (Separatrix("a", "s1", "s2"), Separatrix("b", "s2", "s1")),
-        )
-        p = diagram_poset(d)
-        assert len(p.down(("e", "a"))) == 3
-
-    def test_empty(self):
-        p = diagram_poset(SaddleDiagram.empty())
-        assert not p.elements
-
-    def test_always_multigraph_like(self):
-        for d in (eight_diagram(), loop_diagram()):
-            assert is_multigraph_like(diagram_poset(d)).ok
-
-
 class TestDiagramMultigraph:
     def test_eight_variants_same_multigraph(self):
         g1 = diagram_multigraph(eight_diagram())
@@ -204,4 +176,4 @@ class TestDiagramMultigraph:
 
     def test_loop_count(self):
         g = diagram_multigraph(eight_diagram())
-        assert g.loop_count("s") == 2
+        assert [ends for _, ends in g.edges] == [frozenset("s")] * 2

@@ -5,14 +5,12 @@ from flowinv.graph import (
     VertexNode,
     assembly_components,
     classify_separation,
-    reduced_label,
     to_extended_poset,
     underlying_multigraph,
     validate_pair,
 )
 from flowinv.diagram import SaddleDiagram
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
-from flowinv.topology import is_multigraph_like
 
 from conftest import eight_diagram, leaf_pair, torus_pair
 
@@ -86,13 +84,13 @@ class TestValidatePair:
 
 class TestExtendedPoset:
     def test_sphere_rotation(self, sphere):
-        p = to_extended_poset(sphere)
-        assert len(p.level(0)) == 2 and len(p.level(1)) == 1
+        g = Multigraph.from_poset(to_extended_poset(sphere))
+        assert len(g.vertices) == 2 and len(g.edges) == 1
 
     def test_torus_isolated_point(self):
         p = to_extended_poset(torus_pair())
         assert p.elements == {("t", 0)}
-        assert p.heights[("t", 0)] == 0
+        assert p.upsets[("t", 0)] == {("t", 0)}
 
     def test_loop_annulus_downset(self):
         pair = InvariantPair(
@@ -101,11 +99,12 @@ class TestExtendedPoset:
             (AnnulusEdge("u0", Attachment("x"), Attachment("p", 1)),
              AnnulusEdge("u1", Attachment("p", 0), Attachment("p", 2))),
         )
-        poset = to_extended_poset(pair)
-        assert len(poset.down(("a", "u1"))) == 2
+        g = Multigraph.from_poset(to_extended_poset(pair))
+        assert dict(g.edges)[("a", "u1")] == {("v", "p")}
 
     def test_always_multigraph_like(self, three_eight):
-        assert is_multigraph_like(to_extended_poset(three_eight)).ok
+        g = Multigraph.from_poset(to_extended_poset(three_eight))
+        assert len(g.edges) == len(three_eight.annuli)
 
     def test_attachment_counting_identity(self, three_eight):
         from flowinv.diagram import faces_by_component
@@ -115,34 +114,6 @@ class TestExtendedPoset:
             len(fs) for fs in faces_by_component(p.diagram).values()
         ) + sum(1 for v in p.vertices if v.label != "d")
         assert slots == 2 * len(p.annuli)
-
-
-class TestReducedLabel:
-    def test_forgets_order(self, sphere):
-        swapped = InvariantPair(
-            sphere.diagram,
-            sphere.vertices,
-            (AnnulusEdge("u", Attachment("c2"), Attachment("c1")),),
-        )
-        assert reduced_label(sphere) == reduced_label(swapped)
-
-    def test_loop_edge_keeps_faces(self):
-        pair = InvariantPair(
-            eight_diagram(),
-            (VertexNode("p", "d", "s"), VertexNode("x", "c")),
-            (AnnulusEdge("u0", Attachment("x"), Attachment("p", 1)),
-             AnnulusEdge("u1", Attachment("p", 0), Attachment("p", 2))),
-        )
-        assert reduced_label(pair)["u1"] == frozenset({("p", 0), ("p", 2)})
-
-    def test_ordered_label_not_swap_invariant(self):
-        asym = leaf_pair("c", "n")
-        swapped = InvariantPair(
-            asym.diagram, asym.vertices,
-            (AnnulusEdge("u", Attachment("v2"), Attachment("v1")),),
-        )
-        assert asym != swapped
-        assert reduced_label(asym) == reduced_label(swapped)
 
 
 class TestSeparation:

