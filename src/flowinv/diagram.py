@@ -175,6 +175,10 @@ class SaddleDiagram:
                 bad("saddle", s.id, "boundary-unsupported",
                     f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
                 continue
+            if type(s.k) is not int:  # True and 1.0 would pass for 1
+                bad("saddle", s.id, "degree",
+                    f"saddle {s.id!r} has k {s.k!r}, which is not an integer")
+                continue
             if s.k < 0:
                 bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
                 continue

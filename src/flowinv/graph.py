@@ -102,7 +102,7 @@ class InvariantPair:
                         f"annulus id {a.id!r} collides with another id")
                 seen.add(a.id)
 
-        if not isinstance(self.tori, int) or self.tori < 0:
+        if type(self.tori) is not int or self.tori < 0:  # True is no count
             bad("model", "", "tori", f"torus count {self.tori!r} must be a non-negative integer")
 
         if violations:
@@ -144,12 +144,19 @@ class InvariantPair:
 
         used = [(att.vertex, att.face) for a in annuli for att in (a.neg, a.pos)]
         # only an int names a face: 1.0 and True equal one, [0] is unhashable
-        if not all(f is None or type(f) is int for _, f in used) \
-                or len(used) != len(offered) or set(used) != offered:
+        try:
+            matched = all(f is None or type(f) is int for _, f in used) \
+                and len(used) == len(offered) and set(used) == offered
+        except TypeError:  # an unhashable vertex: it names no vertex
+            matched = False
+        if not matched:
             use = {}  # attachment point key -> list of (annulus id, side)
             for a in annuli:
                 for side, att in (("neg", a.neg), ("pos", a.pos)):
-                    v = self.vertex_by_id.get(att.vertex)
+                    try:
+                        v = self.vertex_by_id.get(att.vertex)
+                    except TypeError:
+                        v = None
                     if v is None:
                         bad("annulus", a.id, "attachment",
                             f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")

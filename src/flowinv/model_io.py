@@ -21,6 +21,11 @@ the failing key path into a line and column.
 Writing is one pass over the pair: ``serialize_model`` fills one template
 per record with the line openers of its depth, and its text equals
 ``json.dumps`` of the document in the indented or the compact layout.
+The ``"diagram"`` object's text is written once per diagram object and
+layout and kept in the diagram's instance dict, the way a
+``cached_property`` keeps its value: the classes ``enumerate_pairs``
+builds from one diagram share that object, so each further document on
+it writes only its graph part.
 """
 
 from __future__ import annotations
@@ -479,10 +484,12 @@ def parse_graph(text: str) -> Multigraph:
         walker.fail(("edges",), "graph", str(exc))
 
 
-# the line opener at each nesting depth and the key separator of the
-# indented and of the compact layout
-_INDENTED = tuple("\n" + "  " * depth for depth in range(7)), ": "
-_COMPACT = ("",) * 7, ":"
+# the instance-dict key under which a diagram keeps its text, the line
+# opener at each nesting depth and the key separator of the indented and
+# of the compact layout
+_INDENTED = ("indented_text", tuple("\n" + "  " * depth for depth in range(7)),
+             ": ")
+_COMPACT = "compact_text", ("",) * 7, ":"
 
 
 def serialize_model(p: InvariantPair, compact: bool = False) -> str:
@@ -493,20 +500,21 @@ def serialize_model(p: InvariantPair, compact: bool = False) -> str:
     straight from the pair by one template per record.  Object lists are
     ordered by id (the pair stores them that way), so serializing equal
     pairs yields byte-identical text.
+
+    The ``"diagram"`` object's text depends on the diagram alone, so the
+    diagram keeps it in its instance dict under ``indented_text`` or
+    ``compact_text``, one per layout it was written in; models are
+    immutable, so it stays right.  Pairs that share a diagram object,
+    as the classes enumerated from one diagram do, each write only the
+    version, the graph part and the tori around it.
     """
-    (n0, n1, n2, n3, n4, n5, n6), c = _COMPACT if compact else _INDENTED
+    key, (n0, n1, n2, n3, n4, n5, _), c = layout = \
+        _COMPACT if compact else _INDENTED
+    kept = p.diagram.__dict__
+    diagram = kept.get(key)
+    if diagram is None:
+        diagram = kept[key] = _diagram_text(p.diagram, layout)
     q = encode_basestring_ascii
-    saddles = []
-    for s in p.diagram.saddles:
-        rotation = _array([f'{{{n6}"sep"{c}{q(sep)},{n6}"end"{c}{q(to)}{n5}}}'
-                           for sep, to in s.rotation], n5, n4)
-        saddles.append(f'{{{n4}"id"{c}{q(s.id)},{n4}"kind"{c}{q(s.kind)},'
-                       f'{n4}"k"{c}{s.k},{n4}"rotation"{c}{rotation}{n3}}}')
-    twisted = f',{n4}"twisted"{c}true'
-    separatrices = [
-        f'{{{n4}"id"{c}{q(e.id)},{n4}"source"{c}{q(e.source)},'
-        f'{n4}"target"{c}{q(e.target)}{twisted if e.twisted else ""}{n3}}}'
-        for e in p.diagram.separatrices]
     vertices = [
         f'{{{n4}"id"{c}{q(v.id)},{n4}"label"{c}"polycycle",'
         f'{n4}"component"{c}{q(v.component)}{n3}}}' if v.label == "d" else
@@ -517,12 +525,29 @@ def serialize_model(p: InvariantPair, compact: bool = False) -> str:
         f'{n4}"pos"{c}{_attachment(a.pos, n5, n4, c)}{n3}}}'
         for a in p.annuli]
     # n0 also ends the text: a newline when indented, nothing when compact
-    return (f'{{{n1}"version"{c}{FORMAT_VERSION},'
-            f'{n1}"diagram"{c}{{{n2}"saddles"{c}{_array(saddles, n3, n2)},'
-            f'{n2}"separatrices"{c}{_array(separatrices, n3, n2)}{n1}}},'
+    return (f'{{{n1}"version"{c}{FORMAT_VERSION},{n1}"diagram"{c}{diagram},'
             f'{n1}"graph"{c}{{{n2}"vertices"{c}{_array(vertices, n3, n2)},'
             f'{n2}"annuli"{c}{_array(annuli, n3, n2)},'
             f'{n2}"tori"{c}{p.tori}{n1}}}{n0}}}{n0}')
+
+
+def _diagram_text(d: SaddleDiagram, layout: tuple) -> str:
+    """The text of the document's ``"diagram"`` object in ``layout``."""
+    _, (_, n1, n2, n3, n4, n5, n6), c = layout
+    q = encode_basestring_ascii
+    saddles = []
+    for s in d.saddles:
+        rotation = _array([f'{{{n6}"sep"{c}{q(sep)},{n6}"end"{c}{q(to)}{n5}}}'
+                           for sep, to in s.rotation], n5, n4)
+        saddles.append(f'{{{n4}"id"{c}{q(s.id)},{n4}"kind"{c}{q(s.kind)},'
+                       f'{n4}"k"{c}{s.k},{n4}"rotation"{c}{rotation}{n3}}}')
+    twisted = f',{n4}"twisted"{c}true'
+    separatrices = [
+        f'{{{n4}"id"{c}{q(e.id)},{n4}"source"{c}{q(e.source)},'
+        f'{n4}"target"{c}{q(e.target)}{twisted if e.twisted else ""}{n3}}}'
+        for e in d.separatrices]
+    return (f'{{{n2}"saddles"{c}{_array(saddles, n3, n2)},'
+            f'{n2}"separatrices"{c}{_array(separatrices, n3, n2)}{n1}}}')
 
 
 def _array(items: list, inner: str, outer: str) -> str:

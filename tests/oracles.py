@@ -502,6 +502,10 @@ def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
             bad("saddle", s.id, "boundary-unsupported",
                 f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
             continue
+        if type(s.k) is not int:
+            bad("saddle", s.id, "degree",
+                f"saddle {s.id!r} has k {s.k!r}, which is not an integer")
+            continue
         if s.k < 0:
             bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
             continue
@@ -568,7 +572,7 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
                 f"annulus id {a.id!r} collides with another id")
         seen.add(a.id)
 
-    if not isinstance(p.tori, int) or p.tori < 0:
+    if type(p.tori) is not int or p.tori < 0:
         bad("model", "", "tori", f"torus count {p.tori!r} must be a non-negative integer")
 
     if violations:
@@ -611,7 +615,10 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
     use = {}
     for a in p.annuli:
         for side, att in (("neg", a.neg), ("pos", a.pos)):
-            v = vertex_by_id.get(att.vertex)
+            try:
+                v = vertex_by_id.get(att.vertex)
+            except TypeError:  # an unhashable vertex names no vertex
+                v = None
             if v is None:
                 bad("annulus", a.id, "attachment",
                     f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -31,6 +32,7 @@ from conftest import (
     eight_torus_pair,
     fixture_path,
     fixture_text,
+    own_state,
     sphere_rotation,
     three_centers_eight,
     torus_pair,
@@ -456,6 +458,40 @@ class TestSerialize:
             assert serialize_model(p) == json.dumps(doc, indent=2) + "\n"
             assert serialize_model(p, compact=True) == \
                 json.dumps(doc, separators=(",", ":"))
+
+    def test_shared_diagram_keeps_one_text_per_layout(self):
+        """Pairs on one diagram object, written compact, indented, then
+        compact again, each time in a new order, are each ``json.dumps``
+        of their document.  Each diagram keeps one text per layout it was
+        written in, and writing further pairs on it keeps nothing more."""
+        pairs = list(enumerate_pairs(EnumBounds(
+            max_saddles=1, max_k_sum=1, max_centers=2, max_n=1, max_b=1,
+            max_annuli=2, max_tori=1)))
+        p = three_centers_eight()
+        pairs += [p, replace(eight_torus_pair(), diagram=p.diagram)]
+        diagrams = {id(q.diagram): q.diagram for q in pairs}.values()
+        assert len(diagrams) < len(pairs) - 1
+        rng = random.Random(30)
+        written = set()
+        for compact in (True, False, True):
+            rng.shuffle(pairs)
+            for q in pairs:
+                doc = document_of(q)
+                assert serialize_model(q, compact=compact) == (
+                    json.dumps(doc, separators=(",", ":")) if compact
+                    else json.dumps(doc, indent=2) + "\n")
+            written.add("compact_text" if compact else "indented_text")
+            for d in diagrams:
+                assert set(d.__dict__) - own_state(SaddleDiagram) == written
+        kept = dict(p.diagram.__dict__)
+        for q in (replace(p, tori=2), replace(p, vertices=tuple(
+                replace(v, label="n") if v.id == "x" else v
+                for v in p.vertices))):
+            serialize_model(q)
+            serialize_model(q, compact=True)
+        assert p.diagram.__dict__.keys() == kept.keys()
+        assert all(p.diagram.__dict__[key] is text
+                   for key, text in kept.items())
 
     def test_realized_path_writes_in_linear_time(self):
         """Realizing a path-8000 and writing it in both layouts is linear

@@ -123,6 +123,9 @@ BROKEN_RULES = {
     "negative-tori": (
         lambda p: replace(p, tori=-1),
         ("model", "", "tori"), "must be a non-negative integer"),
+    "bool-tori": (
+        lambda p: replace(p, tori=True),
+        ("model", "", "tori"), "torus count True must be a non-negative integer"),
     "unknown-label": (
         lambda p: _vertex(p, VertexNode("y", "q")),
         ("vertex", "y", "label"), "unknown label 'q'"),
@@ -139,6 +142,10 @@ BROKEN_RULES = {
         lambda p: _annulus(p, AnnulusEdge("uy", Attachment("w"),
                                           Attachment("p", 0))),
         ("annulus", "uy", "attachment"), "references unknown vertex 'w'"),
+    "unhashable-attachment-vertex": (
+        lambda p: _annulus(p, AnnulusEdge("uy", Attachment(["y"]),
+                                          Attachment("p", 0))),
+        ("annulus", "uy", "attachment"), "references unknown vertex ['y']"),
     "polycycle-attachment-without-face": (
         lambda p: _annulus(p, AnnulusEdge("uy", Attachment("y"),
                                           Attachment("p"))),
@@ -363,7 +370,8 @@ def _change_saddle(p, rng):
     s = rng.choice(p.diagram.saddles)
     changed = rng.choice([replace(s, kind="boundary"), replace(s, k=s.k + 1),
                           replace(s, k=s.k - 1), replace(s, k=-1),
-                          replace(s, k=2 ** 62)])
+                          replace(s, k=2 ** 62), replace(s, k="1"),
+                          replace(s, k=1.0), replace(s, k=True)])
     return _diagram(p, saddles=tuple(
         changed if t is s else t for t in p.diagram.saddles))
 
