@@ -101,14 +101,12 @@ class SaddleDiagram:
     separatrices: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "saddles", tuple(sorted(self.saddles, key=lambda s: s.id))
-        )
-        object.__setattr__(
-            self,
-            "separatrices",
-            tuple(sorted(self.separatrices, key=lambda e: e.id)),
-        )
+        for name in "saddles", "separatrices":
+            try:  # records whose ids do not sort stay as given for ``_misfits``
+                object.__setattr__(self, name, tuple(sorted(
+                    getattr(self, name), key=attrgetter("id"))))
+            except (TypeError, AttributeError):
+                pass
 
     @classmethod
     def empty(cls) -> "SaddleDiagram":
@@ -131,10 +129,14 @@ class SaddleDiagram:
         once with the out-dart at the separatrix source and the in-dart at
         its target, and strict out/in alternation around each saddle.
 
+        The shape pass (``_misfits``) comes first: while a value is of a
+        Python type the rules cannot read, its misfits are the violations.
         One read: a rule is worded slot by slot only where an aggregate
         comparison finds it broken.
         """
-        violations = []
+        violations = _misfits(self, _SHAPE)
+        if violations:
+            return tuple(violations)
 
         def bad(kind, subject, rule, message):
             violations.append(Violation(kind, subject, rule, message))
@@ -175,10 +177,6 @@ class SaddleDiagram:
                 bad("saddle", s.id, "boundary-unsupported",
                     f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
                 continue
-            if type(s.k) is not int:  # True and 1.0 would pass for 1
-                bad("saddle", s.id, "degree",
-                    f"saddle {s.id!r} has k {s.k!r}, which is not an integer")
-                continue
             if s.k < 0:
                 bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
                 continue
@@ -190,29 +188,14 @@ class SaddleDiagram:
             elif unique:
                 # a saddle that reads as its own darts alternating is done;
                 # with a repeated id, the table holds the ends of one copy only
-                read = []
+                read = [*map(home.pop, r, repeat(None))]
                 out, in_ = (s.id, OUT), (s.id, IN)
-                try:
-                    # ``+=`` keeps the darts taken before an unhashable slot
-                    read += map(home.pop, r, repeat(None))
-                    if read == [out, in_] * (s.k + 1) or \
-                            read == [in_, out] * (s.k + 1):
-                        continue
-                except TypeError:
-                    pass
-                home.update((d, got) for d, got in zip(r, read) if got is not None)
-            shaped = [isinstance(dart, tuple) and len(dart) == 2 for dart in r]
-            for pos, dart in enumerate(r):
-                if not shaped[pos]:
-                    bad("saddle", s.id, "unknown-dart",
-                        f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
+                if read == [out, in_] * (s.k + 1) or read == [in_, out] * (s.k + 1):
                     continue
+                home.update((d, got) for d, got in zip(r, read) if got is not None)
+            for pos, dart in enumerate(r):
                 sep, end = dart
-                try:
-                    unknown = sep not in self.sep_by_id or end not in (OUT, IN)
-                except TypeError:  # an unhashable id names no separatrix
-                    unknown = True
-                if unknown:
+                if sep not in self.sep_by_id or end not in (OUT, IN):
                     bad("saddle", s.id, "unknown-dart",
                         f"saddle {s.id!r} rotation slot {pos} references unknown dart {dart!r}")
                     continue
@@ -223,7 +206,7 @@ class SaddleDiagram:
             n = len(r)
             for pos in range(n):
                 here, after = r[pos], r[(pos + 1) % n]
-                if shaped[pos] and shaped[(pos + 1) % n] and here[1] == after[1]:
+                if here[1] == after[1]:
                     bad("saddle", s.id, "alternation",
                         f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
                         f" are consecutive {here[1]} darts")
@@ -327,6 +310,71 @@ class SaddleDiagram:
         for f in self.faces:
             out.setdefault(f.component, []).append(f)
         return {comp: tuple(fs) for comp, fs in out.items()}
+
+
+def _misfits(model, shape) -> list:
+    """The shape pass that opens both ``violations``: a ``Violation`` for
+    each value of ``model`` of a Python type its rules cannot read, a
+    pair's after its diagram's.  ``shape`` gives each tuple of records of
+    ``model`` as ``(field, kind, record class, ((name, types, what they
+    are), ...))``, and a rotation holds ``(str, str)`` darts.  A misfit
+    that a rule once worded keeps that rule and wording; any other is
+    rule ``"type"``."""
+    misfits = []
+
+    def misfit(kind, subject, rule, message):
+        subject = subject if type(subject) is str else repr(subject)
+        misfits.append(Violation(kind, subject, rule, message))
+
+    if type(model) is not SaddleDiagram:  # a pair: its diagram and torus count first
+        if type(model.diagram) is not SaddleDiagram:
+            misfit("model", "", "type", f"diagram {model.diagram!r} is not a SaddleDiagram")
+        elif model.diagram.violations:  # a diagram with misfits has no other violations
+            misfits += _misfits(model.diagram, _SHAPE)
+        if type(model.tori) is not int:
+            misfit("model", "", "tori",
+                   f"torus count {model.tori!r} must be a non-negative integer")
+    for field, kind, cls, typed in shape:
+        records = getattr(model, field)
+        if type(records) is not tuple:
+            misfit("model", "", "type", f"{field} {records!r} is not a tuple")
+            continue
+        for r in records:
+            if type(r) is not cls:
+                misfit(kind, "", "type", f"{field} holds {r!r}, which is of class"
+                       f" {type(r).__name__}, not {cls.__name__}")
+                continue
+            for name, types, what in typed:
+                value = getattr(r, name)
+                if type(value) not in types:
+                    misfit(kind, r.id, "degree" if name == "k" else "type",
+                           f"{kind} {r.id!r} has {name} {value!r}, which is not {what}")
+                elif name == "rotation":
+                    for pos, dart in enumerate(value):
+                        if type(dart) is not tuple or len(dart) != 2:
+                            misfit(kind, r.id, "unknown-dart", f"saddle {r.id!r}"
+                                   f" rotation slot {pos} is not a dart: {dart!r}")
+                        elif type(dart[0]) is not str or type(dart[1]) is not str:
+                            misfit(kind, r.id, "unknown-dart", f"saddle {r.id!r}"
+                                   f" rotation slot {pos} references unknown dart {dart!r}")
+                elif name in ("neg", "pos"):  # an annulus side's Attachment
+                    if type(value.vertex) is not str:
+                        misfit(kind, r.id, "attachment", f"annulus {r.id!r} {name} side"
+                               f" references unknown vertex {value.vertex!r}")
+                    if value.face is not None and type(value.face) is not int:
+                        misfit(kind, r.id, "attachment", f"annulus {r.id!r} {name} side"
+                               f" names face {value.face!r} which is not a face index")
+    return misfits
+
+
+_TEXT = (str,), "a string"
+_SHAPE = (
+    ("saddles", "saddle", Saddle, (
+        ("id", *_TEXT), ("k", (int,), "an integer"), ("rotation", (tuple,), "a tuple"),
+        ("kind", *_TEXT))),
+    ("separatrices", "separatrix", Separatrix, (
+        ("id", *_TEXT), ("source", *_TEXT), ("target", *_TEXT), ("twisted", (bool,), "a bool"))),
+)
 
 
 def check_diagram(d: SaddleDiagram) -> None:

@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 from .diagram import (
+    _TEXT,
     SaddleDiagram,
     ValidationError,
     Violation,
+    _misfits,
     faces_by_component,
 )
 from .multigraph import Multigraph
@@ -40,9 +43,6 @@ class Attachment:
     vertex: str
     face: int | None = None  # face index within the component, only for "d" vertices
 
-    def key(self) -> tuple:
-        return (self.vertex, self.face)
-
 
 @dataclass(frozen=True)
 class AnnulusEdge:
@@ -61,12 +61,12 @@ class InvariantPair:
     tori: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", tuple(sorted(self.vertices, key=lambda v: v.id))
-        )
-        object.__setattr__(
-            self, "annuli", tuple(sorted(self.annuli, key=lambda a: a.id))
-        )
+        for name in "vertices", "annuli":
+            try:  # records whose ids do not sort stay as given for ``_misfits``
+                object.__setattr__(self, name, tuple(sorted(
+                    getattr(self, name), key=attrgetter("id"))))
+            except (TypeError, AttributeError):
+                pass
 
     @cached_property
     def vertex_by_id(self) -> dict:
@@ -80,10 +80,16 @@ class InvariantPair:
         vertices biject with diagram components, every attachment resolves,
         and the attachment matching is perfect.
 
-        One read: the ids and the attachment points in use are compared
-        with what they must be, and worded one by one only where they differ.
+        The shape pass (``diagram._misfits``) comes first, over the
+        diagram and then the pair's own fields: while a value is of a Python
+        type the rules cannot read, its misfits are the violations.  One
+        read: the ids and the attachment points in use are compared with
+        what they must be, and worded one by one only where they differ.
         """
-        violations = list(self.diagram.violations)
+        violations = _misfits(self, _SHAPE)
+        if violations:
+            return tuple(violations)
+        violations += self.diagram.violations
 
         def bad(kind, subject, rule, message):
             violations.append(Violation(kind, subject, rule, message))
@@ -102,7 +108,7 @@ class InvariantPair:
                         f"annulus id {a.id!r} collides with another id")
                 seen.add(a.id)
 
-        if type(self.tori) is not int or self.tori < 0:  # True is no count
+        if self.tori < 0:
             bad("model", "", "tori", f"torus count {self.tori!r} must be a non-negative integer")
 
         if violations:
@@ -143,20 +149,11 @@ class InvariantPair:
             return tuple(violations)
 
         used = [(att.vertex, att.face) for a in annuli for att in (a.neg, a.pos)]
-        # only an int names a face: 1.0 and True equal one, [0] is unhashable
-        try:
-            matched = all(f is None or type(f) is int for _, f in used) \
-                and len(used) == len(offered) and set(used) == offered
-        except TypeError:  # an unhashable vertex: it names no vertex
-            matched = False
-        if not matched:
+        if len(used) != len(offered) or set(used) != offered:
             use = {}  # attachment point key -> list of (annulus id, side)
             for a in annuli:
                 for side, att in (("neg", a.neg), ("pos", a.pos)):
-                    try:
-                        v = self.vertex_by_id.get(att.vertex)
-                    except TypeError:
-                        v = None
+                    v = self.vertex_by_id.get(att.vertex)
                     if v is None:
                         bad("annulus", a.id, "attachment",
                             f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
@@ -166,11 +163,6 @@ class InvariantPair:
                             bad("annulus", a.id, "attachment",
                                 f"annulus {a.id!r} {side} side attaches to polycycle"
                                 f" {v.id!r} without naming a face")
-                            continue
-                        if type(att.face) is not int:
-                            bad("annulus", a.id, "attachment",
-                                f"annulus {a.id!r} {side} side names face {att.face!r}"
-                                f" which is not a face index")
                             continue
                         n_faces = len(faces[v.component])
                         if not 0 <= att.face < n_faces:
@@ -183,7 +175,7 @@ class InvariantPair:
                             f"annulus {a.id!r} {side} side names a face on"
                             f" non-polycycle vertex {v.id!r}")
                         continue
-                    use.setdefault(att.key(), []).append((a.id, side))
+                    use.setdefault((att.vertex, att.face), []).append((a.id, side))
 
             for v in vertices:
                 if v.label == D:
@@ -258,6 +250,15 @@ class InvariantPair:
             annuli[group_of[a.neg.vertex]].append(a.id)
         return tuple((vids, frozenset(aids))
                      for vids, aids in zip(groups, annuli))
+
+
+_SHAPE = (
+    ("vertices", "vertex", VertexNode, (
+        ("id", *_TEXT), ("label", *_TEXT), ("component", (str, type(None)), "a string or None"))),
+    ("annuli", "annulus", AnnulusEdge, (
+        ("id", *_TEXT), ("neg", (Attachment,), "an Attachment"),
+        ("pos", (Attachment,), "an Attachment"))),
+)
 
 
 def validate_pair(p: InvariantPair) -> list:

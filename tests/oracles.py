@@ -25,7 +25,8 @@ from collections import Counter
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
-from flowinv.diagram import IN, OUT, SaddleDiagram, Violation
+from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
+    Violation
 from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram, \
     _slot_symmetries
 from flowinv.graph import (
@@ -464,9 +465,93 @@ def ordered_cells(col: list) -> list:
 # validation: the rule loops alone, each rule read in full
 
 
+def _shape_misfits_oracle(model) -> list:
+    """The misfits of the shape pass that opens ``violations``, written out
+    record class by record class: a diagram's records, or a pair's
+    diagram, torus count and own records, each value of a Python type the
+    rules cannot read."""
+    misfits = []
+
+    def misfit(kind, subject, rule, message):
+        if type(subject) is not str:
+            subject = repr(subject)
+        misfits.append(Violation(kind, subject, rule, message))
+
+    def field(kind, r, name, allowed, what, rule="type"):
+        value = getattr(r, name)
+        fits = any(type(value) is t for t in allowed)
+        if not fits:
+            misfit(kind, r.id, rule,
+                   f"{kind} {r.id!r} has {name} {value!r}, which is not {what}")
+        return fits
+
+    def records(name, cls, kind):
+        held = getattr(model, name)
+        if type(held) is not tuple:
+            misfit("model", "", "type", f"{name} {held!r} is not a tuple")
+            return []
+        for r in held:
+            if type(r) is not cls:
+                misfit(kind, "", "type", f"{name} holds {r!r}, which is of"
+                       f" class {type(r).__name__}, not {cls.__name__}")
+        return [r for r in held if type(r) is cls]
+
+    if isinstance(model, SaddleDiagram):
+        for s in records("saddles", Saddle, "saddle"):
+            field("saddle", s, "id", (str,), "a string")
+            field("saddle", s, "k", (int,), "an integer", "degree")
+            if field("saddle", s, "rotation", (tuple,), "a tuple"):
+                for pos, dart in enumerate(s.rotation):
+                    if not (type(dart) is tuple and len(dart) == 2):
+                        misfit("saddle", s.id, "unknown-dart",
+                               f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
+                    elif not all(type(x) is str for x in dart):
+                        misfit("saddle", s.id, "unknown-dart",
+                               f"saddle {s.id!r} rotation slot {pos} references"
+                               f" unknown dart {dart!r}")
+            field("saddle", s, "kind", (str,), "a string")
+        for e in records("separatrices", Separatrix, "separatrix"):
+            field("separatrix", e, "id", (str,), "a string")
+            field("separatrix", e, "source", (str,), "a string")
+            field("separatrix", e, "target", (str,), "a string")
+            field("separatrix", e, "twisted", (bool,), "a bool")
+        return misfits
+
+    if isinstance(model.diagram, SaddleDiagram):
+        misfits += _shape_misfits_oracle(model.diagram)
+    else:
+        misfit("model", "", "type",
+               f"diagram {model.diagram!r} is not a SaddleDiagram")
+    if type(model.tori) is not int:
+        misfit("model", "", "tori",
+               f"torus count {model.tori!r} must be a non-negative integer")
+    for v in records("vertices", VertexNode, "vertex"):
+        field("vertex", v, "id", (str,), "a string")
+        field("vertex", v, "label", (str,), "a string")
+        field("vertex", v, "component", (str, type(None)), "a string or None")
+    for a in records("annuli", AnnulusEdge, "annulus"):
+        field("annulus", a, "id", (str,), "a string")
+        for side in ("neg", "pos"):
+            if not field("annulus", a, side, (Attachment,), "an Attachment"):
+                continue
+            att = getattr(a, side)
+            if type(att.vertex) is not str:
+                misfit("annulus", a.id, "attachment",
+                       f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
+            if not (att.face is None or type(att.face) is int):
+                misfit("annulus", a.id, "attachment",
+                       f"annulus {a.id!r} {side} side names face {att.face!r}"
+                       f" which is not a face index")
+    return misfits
+
+
 def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
     """The violations of ``d``, in the order and wording of
-    ``SaddleDiagram.violations``, by running every rule loop."""
+    ``SaddleDiagram.violations``, by running every rule loop once the
+    shape pass finds no misfit."""
+    misfits = _shape_misfits_oracle(d)
+    if misfits:
+        return tuple(misfits)
     violations = []
     saddle_by_id = {s.id: s for s in d.saddles}
     sep_by_id = {e.id: e for e in d.separatrices}
@@ -502,10 +587,6 @@ def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
             bad("saddle", s.id, "boundary-unsupported",
                 f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
             continue
-        if type(s.k) is not int:
-            bad("saddle", s.id, "degree",
-                f"saddle {s.id!r} has k {s.k!r}, which is not an integer")
-            continue
         if s.k < 0:
             bad("saddle", s.id, "degree", f"saddle {s.id!r} has negative k")
             continue
@@ -513,13 +594,7 @@ def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
             bad("saddle", s.id, "degree",
                 f"saddle {s.id!r} has rotation length {len(s.rotation)}"
                 f" but degree {s.degree} (2k+2 with k={s.k})")
-        shaped = [isinstance(dart, tuple) and len(dart) == 2
-                  for dart in s.rotation]
         for pos, dart in enumerate(s.rotation):
-            if not shaped[pos]:
-                bad("saddle", s.id, "unknown-dart",
-                    f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
-                continue
             sep, end = dart
             if sep not in sep_by_id or end not in (OUT, IN):
                 bad("saddle", s.id, "unknown-dart",
@@ -532,7 +607,7 @@ def diagram_violations_oracle(d: SaddleDiagram) -> tuple:
         n = len(s.rotation)
         for pos in range(n):
             here, after = s.rotation[pos], s.rotation[(pos + 1) % n]
-            if shaped[pos] and shaped[(pos + 1) % n] and here[1] == after[1]:
+            if here[1] == after[1]:
                 bad("saddle", s.id, "alternation",
                     f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
                     f" are consecutive {here[1]} darts")
@@ -555,7 +630,11 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
     ``InvariantPair.violations``, by running every rule loop.  The
     components and their face counts of a valid diagram come from
     ``face_points_oracle``: every saddle has darts there, so each
-    component owns at least one face point."""
+    component owns at least one face point.  The shape pass comes first,
+    and its misfits, if any, are all the violations."""
+    misfits = _shape_misfits_oracle(p)
+    if misfits:
+        return tuple(misfits)
     violations = list(diagram_violations_oracle(p.diagram))
 
     def bad(kind, subject, rule, message):
@@ -572,7 +651,7 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
                 f"annulus id {a.id!r} collides with another id")
         seen.add(a.id)
 
-    if type(p.tori) is not int or p.tori < 0:
+    if p.tori < 0:
         bad("model", "", "tori", f"torus count {p.tori!r} must be a non-negative integer")
 
     if violations:
@@ -615,10 +694,7 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
     use = {}
     for a in p.annuli:
         for side, att in (("neg", a.neg), ("pos", a.pos)):
-            try:
-                v = vertex_by_id.get(att.vertex)
-            except TypeError:  # an unhashable vertex names no vertex
-                v = None
+            v = vertex_by_id.get(att.vertex)
             if v is None:
                 bad("annulus", a.id, "attachment",
                     f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
@@ -628,11 +704,6 @@ def pair_violations_oracle(p: InvariantPair) -> tuple:
                     bad("annulus", a.id, "attachment",
                         f"annulus {a.id!r} {side} side attaches to polycycle"
                         f" {v.id!r} without naming a face")
-                    continue
-                if type(att.face) is not int:
-                    bad("annulus", a.id, "attachment",
-                        f"annulus {a.id!r} {side} side names face {att.face!r}"
-                        f" which is not a face index")
                     continue
                 count = n_faces.get(v.component, 0)
                 if not 0 <= att.face < count:

@@ -5,8 +5,11 @@ valid fixtures.  Each is relabeled with every rotation word stored from a
 drawn dart, and optionally reversed twice; the canonical form, the
 witnesses of the isomorphism search and the file round trip must not
 see the difference.  Realized cycles of seven to ten one-loop flowers
-join the pool.
+join the pool.  One arbitrary Python value put into one record field or
+tuple slot of a pool model must end as violations, never an exception.
 """
+
+from dataclasses import fields, is_dataclass, replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +30,7 @@ from flowinv.model_io import parse_graph, parse_model, serialize_model
 from flowinv.reconstruction import realize_multigraph
 
 from conftest import FIXTURES, fixture_text
-from oracles import cycle_graph
+from oracles import cycle_graph, pair_violations_oracle
 
 BOUNDS = EnumBounds(max_saddles=2, max_k_sum=2, max_centers=2, max_n=1,
                     max_b=1, max_annuli=2, max_tori=1)
@@ -96,3 +99,60 @@ def test_found_witnesses_verify(models):
 def test_file_round_trip(models):
     _, q = models
     assert parse_model(serialize_model(q)) == q
+
+
+def _slots(obj, path=()):
+    """The path of every record field and tuple slot below ``obj``."""
+    if is_dataclass(obj):
+        children = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+    elif isinstance(obj, tuple):
+        children = list(enumerate(obj))
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _slots(child, path + (key,))
+
+
+def _put(obj, path, value):
+    """``obj`` with what ``path`` names replaced by ``value``, each record
+    on the way built again."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        return obj[:key] + (_put(obj[key], rest, value),) + obj[key + 1:]
+    return replace(obj, **{key: _put(getattr(obj, key), rest, value)})
+
+
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2, 3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=1), st.integers(0, 2), max_size=1),
+    st.tuples(st.tuples(st.sampled_from(["a", "e0"]), st.sampled_from(["in", "out"]))),
+    st.text(alphabet="\u00fc\u03b1\u2192", min_size=1, max_size=2),
+)
+
+
+@st.composite
+def one_odd_value(draw):
+    p = draw(st.sampled_from(POOL))
+    path = draw(st.sampled_from(list(_slots(p))))
+    return p, path, draw(ODD_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=one_odd_value())
+def test_any_value_in_any_slot_ends_as_violations(case):
+    p, path, value = case
+    q = _put(p, path, value)
+    found = q.violations
+    assert found == pair_violations_oracle(q)
+    assert all(type(text) is str for v in found
+               for text in (v.kind, v.subject, v.rule, v.message))
+    if not found:
+        hash(q)
+        back = parse_model(serialize_model(q))
+        assert back == q
+        for mode in (ORIENTED, REVERSIBLE):
+            assert canonical_form(back, mode).blob == canonical_form(q, mode).blob
