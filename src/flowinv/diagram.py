@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from operator import attrgetter
 
 from .multigraph import Multigraph
@@ -130,9 +129,9 @@ class SaddleDiagram:
         its target, and strict out/in alternation around each saddle.
 
         The shape pass (``_misfits``) comes first: while a value is of a
-        Python type the rules cannot read, its misfits are the violations.
-        One read: a rule is worded slot by slot only where an aggregate
-        comparison finds it broken.
+        Python type the rules cannot read, its misfits, all of rule
+        ``"type"``, are the violations.  Then each rule is read once, record
+        by record, and no rule is worded ``"type"``.
         """
         violations = _misfits(self, _SHAPE)
         if violations:
@@ -141,24 +140,19 @@ class SaddleDiagram:
         def bad(kind, subject, rule, message):
             violations.append(Violation(kind, subject, rule, message))
 
-        saddles, seps = self.saddles, self.separatrices
-        unique = len({s.id for s in saddles} | {e.id for e in seps}) == \
-            len(saddles) + len(seps)
-        if not unique:
-            seen = set()
-            for s in saddles:
-                if s.id in seen:
-                    bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
-                seen.add(s.id)
-            for e in seps:
-                if e.id in seen:
-                    bad("separatrix", e.id, "unique-id",
-                        f"separatrix id {e.id!r} collides with another id")
-                seen.add(e.id)
+        seen = set()
+        for s in self.saddles:
+            if s.id in seen:
+                bad("saddle", s.id, "unique-id", f"duplicate saddle id {s.id!r}")
+            seen.add(s.id)
+        for e in self.separatrices:
+            if e.id in seen:
+                bad("separatrix", e.id, "unique-id",
+                    f"separatrix id {e.id!r} collides with another id")
+            seen.add(e.id)
 
         known = self.saddle_by_id
-        home = {}  # dart not yet placed -> (its home saddle, its end)
-        for e in seps:
+        for e in self.separatrices:
             if e.source not in known:
                 bad("separatrix", e.id, "dangling-endpoint",
                     f"separatrix {e.id!r} has unknown source {e.source!r}")
@@ -168,11 +162,9 @@ class SaddleDiagram:
             if e.twisted:
                 bad("separatrix", e.id, "twist-unsupported",
                     f"separatrix {e.id!r} is twisted; twisted ribbons are not supported")
-            home[e.id, OUT] = (e.source, OUT)
-            home[e.id, IN] = (e.target, IN)
 
-        placed = {}  # dart -> saddle id, for the saddles read slot by slot
-        for s in saddles:
+        sep_by_id, placed = self.sep_by_id, {}  # dart -> the saddle it is read at
+        for s in self.saddles:
             if s.kind != "interior":
                 bad("saddle", s.id, "boundary-unsupported",
                     f"saddle {s.id!r} has kind {s.kind!r}; only interior saddles are supported")
@@ -185,41 +177,31 @@ class SaddleDiagram:
                 bad("saddle", s.id, "degree",
                     f"saddle {s.id!r} has rotation length {len(r)}"
                     f" but degree {s.degree} (2k+2 with k={s.k})")
-            elif unique:
-                # a saddle that reads as its own darts alternating is done;
-                # with a repeated id, the table holds the ends of one copy only
-                read = [*map(home.pop, r, repeat(None))]
-                out, in_ = (s.id, OUT), (s.id, IN)
-                if read == [out, in_] * (s.k + 1) or read == [in_, out] * (s.k + 1):
-                    continue
-                home.update((d, got) for d, got in zip(r, read) if got is not None)
             for pos, dart in enumerate(r):
                 sep, end = dart
-                if sep not in self.sep_by_id or end not in (OUT, IN):
+                if sep not in sep_by_id or end not in (OUT, IN):
                     bad("saddle", s.id, "unknown-dart",
                         f"saddle {s.id!r} rotation slot {pos} references unknown dart {dart!r}")
                     continue
-                if home.pop(dart, None) is None:
+                if dart in placed:
                     bad("saddle", s.id, "dart-pairing",
                         f"dart {dart!r} appears more than once")
                 placed[dart] = s.id
-            n = len(r)
-            for pos in range(n):
-                here, after = r[pos], r[(pos + 1) % n]
+            for pos, (here, after) in enumerate(zip(r, r[1:] + r[:1])):
                 if here[1] == after[1]:
                     bad("saddle", s.id, "alternation",
-                        f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % n}"
+                        f"saddle {s.id!r} rotation slots {pos},{(pos + 1) % len(r)}"
                         f" are consecutive {here[1]} darts")
 
-        if home or placed:  # else every dart was read at its home saddle
-            for e in seps:
-                for dart, at in ((e.out_dart, e.source), (e.in_dart, e.target)):
-                    if dart in home:
-                        bad("separatrix", e.id, "dart-pairing",
-                            f"dart {dart!r} does not occur in any rotation")
-                    elif placed.get(dart, at) != at:
-                        bad("separatrix", e.id, "source-label",
-                            f"dart {dart!r} sits at saddle {placed[dart]!r} but belongs at {at!r}")
+        for e in self.separatrices:
+            for dart, home in ((e.out_dart, e.source), (e.in_dart, e.target)):
+                at = placed.get(dart)
+                if at is None:
+                    bad("separatrix", e.id, "dart-pairing",
+                        f"dart {dart!r} does not occur in any rotation")
+                elif at != home:
+                    bad("separatrix", e.id, "source-label",
+                        f"dart {dart!r} sits at saddle {at!r} but belongs at {home!r}")
 
         return tuple(violations)
 
@@ -313,57 +295,50 @@ class SaddleDiagram:
 
 
 def _misfits(model, shape) -> list:
-    """The shape pass that opens both ``violations``: a ``Violation`` for
-    each value of ``model`` of a Python type its rules cannot read, a
-    pair's after its diagram's.  ``shape`` gives each tuple of records of
-    ``model`` as ``(field, kind, record class, ((name, types, what they
-    are), ...))``, and a rotation holds ``(str, str)`` darts.  A misfit
-    that a rule once worded keeps that rule and wording; any other is
-    rule ``"type"``."""
+    """The shape pass that opens both ``violations``: a ``Violation`` of
+    rule ``"type"`` for each value of ``model`` of a Python type its rules
+    cannot read.  ``shape`` gives each tuple of records of ``model`` as
+    ``(field, kind, record class, ((name, types, what they are), ...))``.
+    A pair's misfits follow its diagram's, which are the diagram's
+    violations when the first is of rule ``"type"``: no rule words it."""
     misfits = []
 
-    def misfit(kind, subject, rule, message):
+    def misfit(kind, subject, message):
         subject = subject if type(subject) is str else repr(subject)
-        misfits.append(Violation(kind, subject, rule, message))
+        misfits.append(Violation(kind, subject, "type", message))
 
     if type(model) is not SaddleDiagram:  # a pair: its diagram and torus count first
         if type(model.diagram) is not SaddleDiagram:
-            misfit("model", "", "type", f"diagram {model.diagram!r} is not a SaddleDiagram")
-        elif model.diagram.violations:  # a diagram with misfits has no other violations
-            misfits += _misfits(model.diagram, _SHAPE)
+            misfit("model", "", f"diagram {model.diagram!r} is not a SaddleDiagram")
+        elif model.diagram.violations and model.diagram.violations[0].rule == "type":
+            misfits += model.diagram.violations
         if type(model.tori) is not int:
-            misfit("model", "", "tori",
-                   f"torus count {model.tori!r} must be a non-negative integer")
+            misfit("model", "", f"torus count {model.tori!r} is not an integer")
     for field, kind, cls, typed in shape:
         records = getattr(model, field)
         if type(records) is not tuple:
-            misfit("model", "", "type", f"{field} {records!r} is not a tuple")
+            misfit("model", "", f"{field} {records!r} is not a tuple")
             continue
         for r in records:
             if type(r) is not cls:
-                misfit(kind, "", "type", f"{field} holds {r!r}, which is of class"
+                misfit(kind, "", f"{field} holds {r!r}, which is of class"
                        f" {type(r).__name__}, not {cls.__name__}")
                 continue
             for name, types, what in typed:
                 value = getattr(r, name)
                 if type(value) not in types:
-                    misfit(kind, r.id, "degree" if name == "k" else "type",
-                           f"{kind} {r.id!r} has {name} {value!r}, which is not {what}")
+                    misfit(kind, r.id, f"{kind} {r.id!r} has {name} {value!r}, which is not {what}")
                 elif name == "rotation":
                     for pos, dart in enumerate(value):
-                        if type(dart) is not tuple or len(dart) != 2:
-                            misfit(kind, r.id, "unknown-dart", f"saddle {r.id!r}"
-                                   f" rotation slot {pos} is not a dart: {dart!r}")
-                        elif type(dart[0]) is not str or type(dart[1]) is not str:
-                            misfit(kind, r.id, "unknown-dart", f"saddle {r.id!r}"
-                                   f" rotation slot {pos} references unknown dart {dart!r}")
-                elif name in ("neg", "pos"):  # an annulus side's Attachment
-                    if type(value.vertex) is not str:
-                        misfit(kind, r.id, "attachment", f"annulus {r.id!r} {name} side"
-                               f" references unknown vertex {value.vertex!r}")
-                    if value.face is not None and type(value.face) is not int:
-                        misfit(kind, r.id, "attachment", f"annulus {r.id!r} {name} side"
-                               f" names face {value.face!r} which is not a face index")
+                        if not (type(dart) is tuple and len(dart) == 2
+                                and type(dart[0]) is str and type(dart[1]) is str):
+                            misfit(kind, r.id, f"saddle {r.id!r} rotation slot {pos}"
+                                   f" holds {dart!r}, which is not a dart")
+                elif name in ("neg", "pos") and (type(value.vertex) is not str or (
+                        value.face is not None and type(value.face) is not int)):
+                    misfit(kind, r.id, f"annulus {r.id!r} {name} side has vertex"
+                           f" {value.vertex!r} and face {value.face!r}, which are not"
+                           " a string and an integer or None")
     return misfits
 
 

@@ -82,9 +82,10 @@ class InvariantPair:
 
         The shape pass (``diagram._misfits``) comes first, over the
         diagram and then the pair's own fields: while a value is of a Python
-        type the rules cannot read, its misfits are the violations.  One
-        read: the ids and the attachment points in use are compared with
-        what they must be, and worded one by one only where they differ.
+        type the rules cannot read, its misfits (rule ``"type"``) are the
+        violations.  Each rule is read once; the attachment points in use
+        are compared with those offered as a whole, and worded one by one
+        only where they differ.
         """
         violations = _misfits(self, _SHAPE)
         if violations:
@@ -95,18 +96,16 @@ class InvariantPair:
             violations.append(Violation(kind, subject, rule, message))
 
         vertices, annuli = self.vertices, self.annuli
-        if len({v.id for v in vertices} | {a.id for a in annuli}) != \
-                len(vertices) + len(annuli):
-            seen = set()
-            for v in vertices:
-                if v.id in seen:
-                    bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
-                seen.add(v.id)
-            for a in annuli:
-                if a.id in seen:
-                    bad("annulus", a.id, "unique-id",
-                        f"annulus id {a.id!r} collides with another id")
-                seen.add(a.id)
+        seen = set()
+        for v in vertices:
+            if v.id in seen:
+                bad("vertex", v.id, "unique-id", f"duplicate vertex id {v.id!r}")
+            seen.add(v.id)
+        for a in annuli:
+            if a.id in seen:
+                bad("annulus", a.id, "unique-id",
+                    f"annulus id {a.id!r} collides with another id")
+            seen.add(a.id)
 
         if self.tori < 0:
             bad("model", "", "tori", f"torus count {self.tori!r} must be a non-negative integer")
@@ -140,10 +139,9 @@ class InvariantPair:
                     f"vertex {v.id!r} has label {v.label!r} but names a component")
             else:
                 offered.add((v.id, None))
-        if len(comp_vertex) != len(comp_ids):
-            for comp_id in sorted(comp_ids - comp_vertex.keys()):
-                bad("model", comp_id, "component-ref",
-                    f"diagram component {comp_id!r} is the label of no vertex")
+        for comp_id in sorted(comp_ids - comp_vertex.keys()):
+            bad("model", comp_id, "component-ref",
+                f"diagram component {comp_id!r} is the label of no vertex")
 
         if violations:
             return tuple(violations)
@@ -269,6 +267,14 @@ def validate_pair(p: InvariantPair) -> list:
 def check_pair(p: InvariantPair) -> None:
     if p.violations:
         raise ValidationError(p.violations)
+
+
+def _check_types(p: InvariantPair) -> None:
+    """Reject a pair with misfits; one that only breaks rules passes.  A
+    pair not yet validated gets the shape pass alone."""
+    v = p.__dict__["violations"] if "violations" in p.__dict__ else _misfits(p, _SHAPE)
+    if v and v[0].rule == "type":
+        raise ValidationError(v)
 
 
 def to_extended_poset(p: InvariantPair) -> FinPoset:

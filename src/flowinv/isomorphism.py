@@ -63,6 +63,7 @@ from .graph import (
     Attachment,
     InvariantPair,
     VertexNode,
+    _check_types,
     check_pair,
 )
 from .topology import connected_groups
@@ -157,7 +158,8 @@ def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
 
 def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
                  vertices: dict, annuli: dict) -> InvariantPair:
-    """Rename every object; component references and face indices follow."""
+    """Rename every object of a valid pair; component references and face indices follow."""
+    check_pair(p)
     new_diagram = SaddleDiagram(
         tuple(
             Saddle(saddles[s.id], s.k,
@@ -231,6 +233,7 @@ def reverse_pair(p: InvariantPair) -> InvariantPair:
     The canonical search does not call this: it labels the reversal in
     place (see ``_CanonicalEngine``).
     """
+    _check_types(p)
     new_annuli = tuple(AnnulusEdge(a.id, a.pos, a.neg) for a in p.annuli)
     return InvariantPair(reverse_diagram(p.diagram), p.vertices, new_annuli,
                          p.tori)
@@ -419,6 +422,7 @@ def verify_witness(p1: InvariantPair, p2: InvariantPair, w: PairWitness) -> bool
     from any starting dart.  Face indices depend only on the cyclic
     successor, so the annuli compare as they are.
     """
+    _check_types(p2)
     source = reverse_pair(p1) if w.reversed_orientation else p1
     image = relabel_pair(source, w.saddles, w.separatrices,
                          w.vertices, w.annuli)

@@ -42,6 +42,7 @@ from .graph import (
     Attachment,
     InvariantPair,
     VertexNode,
+    _check_types,
     validate_pair,
 )
 from .multigraph import Multigraph
@@ -506,8 +507,9 @@ def serialize_model(p: InvariantPair, compact: bool = False) -> str:
     ``compact_text``, one per layout it was written in; models are
     immutable, so it stays right.  Pairs that share a diagram object,
     as the classes enumerated from one diagram do, each write only the
-    version, the graph part and the tori around it.
+    version, the graph part and the tori around it.  Misfits raise ``ValidationError``.
     """
+    _check_types(p)
     key, (n0, n1, n2, n3, n4, n5, _), c = layout = \
         _COMPACT if compact else _INDENTED
     kept = p.diagram.__dict__
@@ -517,7 +519,8 @@ def serialize_model(p: InvariantPair, compact: bool = False) -> str:
     q = encode_basestring_ascii
     vertices = [
         f'{{{n4}"id"{c}{q(v.id)},{n4}"label"{c}"polycycle",'
-        f'{n4}"component"{c}{q(v.component)}{n3}}}' if v.label == "d" else
+        f'{n4}"component"{c}{"null" if v.component is None else q(v.component)}{n3}}}'
+        if v.label == "d" else
         f'{{{n4}"id"{c}{q(v.id)},{n4}"label"{c}{q(v.label)}{n3}}}'
         for v in p.vertices]
     annuli = [
@@ -572,6 +575,7 @@ def _dot_quote(s: str) -> str:
 
 def export_dot(p: InvariantPair, which: str = "graph") -> str:
     """Graphviz text for the labeled graph or the saddle diagram."""
+    _check_types(p)
     if which == "graph":
         lines = ["graph invariant {"]
         for v in p.vertices:

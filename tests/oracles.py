@@ -469,46 +469,44 @@ def _shape_misfits_oracle(model) -> list:
     """The misfits of the shape pass that opens ``violations``, written out
     record class by record class: a diagram's records, or a pair's
     diagram, torus count and own records, each value of a Python type the
-    rules cannot read."""
+    rules cannot read, all under rule ``"type"``."""
     misfits = []
 
-    def misfit(kind, subject, rule, message):
+    def misfit(kind, subject, message):
         if type(subject) is not str:
             subject = repr(subject)
-        misfits.append(Violation(kind, subject, rule, message))
+        misfits.append(Violation(kind, subject, "type", message))
 
-    def field(kind, r, name, allowed, what, rule="type"):
+    def field(kind, r, name, allowed, what):
         value = getattr(r, name)
         fits = any(type(value) is t for t in allowed)
         if not fits:
-            misfit(kind, r.id, rule,
+            misfit(kind, r.id,
                    f"{kind} {r.id!r} has {name} {value!r}, which is not {what}")
         return fits
 
     def records(name, cls, kind):
         held = getattr(model, name)
         if type(held) is not tuple:
-            misfit("model", "", "type", f"{name} {held!r} is not a tuple")
+            misfit("model", "", f"{name} {held!r} is not a tuple")
             return []
         for r in held:
             if type(r) is not cls:
-                misfit(kind, "", "type", f"{name} holds {r!r}, which is of"
+                misfit(kind, "", f"{name} holds {r!r}, which is of"
                        f" class {type(r).__name__}, not {cls.__name__}")
         return [r for r in held if type(r) is cls]
 
     if isinstance(model, SaddleDiagram):
         for s in records("saddles", Saddle, "saddle"):
             field("saddle", s, "id", (str,), "a string")
-            field("saddle", s, "k", (int,), "an integer", "degree")
+            field("saddle", s, "k", (int,), "an integer")
             if field("saddle", s, "rotation", (tuple,), "a tuple"):
                 for pos, dart in enumerate(s.rotation):
-                    if not (type(dart) is tuple and len(dart) == 2):
-                        misfit("saddle", s.id, "unknown-dart",
-                               f"saddle {s.id!r} rotation slot {pos} is not a dart: {dart!r}")
-                    elif not all(type(x) is str for x in dart):
-                        misfit("saddle", s.id, "unknown-dart",
-                               f"saddle {s.id!r} rotation slot {pos} references"
-                               f" unknown dart {dart!r}")
+                    if not (type(dart) is tuple and len(dart) == 2
+                            and all(type(x) is str for x in dart)):
+                        misfit("saddle", s.id,
+                               f"saddle {s.id!r} rotation slot {pos} holds {dart!r},"
+                               f" which is not a dart")
             field("saddle", s, "kind", (str,), "a string")
         for e in records("separatrices", Separatrix, "separatrix"):
             field("separatrix", e, "id", (str,), "a string")
@@ -520,11 +518,9 @@ def _shape_misfits_oracle(model) -> list:
     if isinstance(model.diagram, SaddleDiagram):
         misfits += _shape_misfits_oracle(model.diagram)
     else:
-        misfit("model", "", "type",
-               f"diagram {model.diagram!r} is not a SaddleDiagram")
+        misfit("model", "", f"diagram {model.diagram!r} is not a SaddleDiagram")
     if type(model.tori) is not int:
-        misfit("model", "", "tori",
-               f"torus count {model.tori!r} must be a non-negative integer")
+        misfit("model", "", f"torus count {model.tori!r} is not an integer")
     for v in records("vertices", VertexNode, "vertex"):
         field("vertex", v, "id", (str,), "a string")
         field("vertex", v, "label", (str,), "a string")
@@ -535,13 +531,12 @@ def _shape_misfits_oracle(model) -> list:
             if not field("annulus", a, side, (Attachment,), "an Attachment"):
                 continue
             att = getattr(a, side)
-            if type(att.vertex) is not str:
-                misfit("annulus", a.id, "attachment",
-                       f"annulus {a.id!r} {side} side references unknown vertex {att.vertex!r}")
-            if not (att.face is None or type(att.face) is int):
-                misfit("annulus", a.id, "attachment",
-                       f"annulus {a.id!r} {side} side names face {att.face!r}"
-                       f" which is not a face index")
+            if type(att.vertex) is not str or not (att.face is None
+                                                   or type(att.face) is int):
+                misfit("annulus", a.id,
+                       f"annulus {a.id!r} {side} side has vertex {att.vertex!r}"
+                       f" and face {att.face!r}, which are not a string and an"
+                       f" integer or None")
     return misfits
 
 

@@ -453,6 +453,7 @@ class TestSerialize:
         boundary = tuple(replace(s, kind="boundary") for s in d.saddles)
         pairs.append(replace(p, diagram=replace(d, saddles=boundary)))
         pairs.append(replace(p, tori=3))
+        pairs.append(replace(p, vertices=(VertexNode("p", "d"),) + p.vertices[1:]))
         for p in pairs:
             doc = document_of(p)
             assert serialize_model(p) == json.dumps(doc, indent=2) + "\n"

@@ -6,7 +6,9 @@ drawn dart, and optionally reversed twice; the canonical form, the
 witnesses of the isomorphism search and the file round trip must not
 see the difference.  Realized cycles of seven to ten one-loop flowers
 join the pool.  One arbitrary Python value put into one record field or
-tuple slot of a pool model must end as violations, never an exception.
+tuple slot of a pool model must end as violations, never an exception,
+and the readers that write, reverse or rename a model must reject it
+with ``ValidationError`` when a value is of the wrong type.
 """
 
 from dataclasses import fields, is_dataclass, replace
@@ -14,7 +16,7 @@ from dataclasses import fields, is_dataclass, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowinv.diagram import Saddle, SaddleDiagram
+from flowinv.diagram import Saddle, SaddleDiagram, ValidationError
 from flowinv.enumeration import EnumBounds, enumerate_pairs
 from flowinv.graph import InvariantPair
 from flowinv.isomorphism import (
@@ -26,7 +28,8 @@ from flowinv.isomorphism import (
     reverse_pair,
     verify_witness,
 )
-from flowinv.model_io import parse_graph, parse_model, serialize_model
+from flowinv.model_io import export_dot, parse_graph, parse_model, \
+    serialize_model
 from flowinv.reconstruction import realize_multigraph
 
 from conftest import FIXTURES, fixture_text
@@ -141,6 +144,23 @@ def one_odd_value(draw):
     return p, path, draw(ODD_VALUES)
 
 
+class _Same(dict):
+    """The identity map: every id to itself."""
+
+    def __missing__(self, key):
+        return key
+
+
+READERS = {
+    "serialize_model": serialize_model,
+    "serialize_model compact": lambda p: serialize_model(p, compact=True),
+    "export_dot graph": export_dot,
+    "export_dot diagram": lambda p: export_dot(p, "diagram"),
+    "reverse_pair": reverse_pair,
+    "relabel_pair": lambda p: relabel_pair(p, _Same(), _Same(), _Same(), _Same()),
+}
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=one_odd_value())
 def test_any_value_in_any_slot_ends_as_violations(case):
@@ -150,6 +170,12 @@ def test_any_value_in_any_slot_ends_as_violations(case):
     assert found == pair_violations_oracle(q)
     assert all(type(text) is str for v in found
                for text in (v.kind, v.subject, v.rule, v.message))
+    for name, read in READERS.items() if found else ():
+        try:
+            read(q)
+        except ValidationError:
+            continue
+        assert found[0].rule != "type", f"{name} read a misfit"
     if not found:
         hash(q)
         back = parse_model(serialize_model(q))

@@ -16,10 +16,10 @@ from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
 from flowinv.graph import AnnulusEdge, Attachment, InvariantPair, \
     VertexNode, classify_separation, to_extended_poset
 from flowinv.isomorphism import REVERSIBLE, canonical_form, pair_isomorphic, \
-    reverse_pair
+    relabel_pair, reverse_pair, verify_witness
 from flowinv.enumeration import enumerate_pairs
 from flowinv.model_io import ParseError, SchemaError, _decode, _Walker, \
-    _read_model, parse_model
+    _read_model, export_dot, parse_model, serialize_model
 from flowinv.reconstruction import build_cell_model, chi_cells, \
     realize_multigraph, reconstruct
 
@@ -109,10 +109,10 @@ BROKEN_RULES = {
         ("saddle", "s", "degree"), "has negative k"),
     "slot-not-a-dart": (
         lambda p: _saddle(p, rotation=("a",) + p.diagram.saddles[0].rotation[1:]),
-        ("saddle", "s", "unknown-dart"), "rotation slot 0 is not a dart"),
+        ("saddle", "s", "type"), "rotation slot 0 holds 'a', which is not a dart"),
     "slot-without-length": (
         lambda p: _saddle(p, rotation=(5,) + p.diagram.saddles[0].rotation[1:]),
-        ("saddle", "s", "unknown-dart"), "rotation slot 0 is not a dart: 5"),
+        ("saddle", "s", "type"), "rotation slot 0 holds 5, which is not a dart"),
     "duplicate-vertex-id": (
         lambda p: replace(p, vertices=p.vertices + (VertexNode("y", "c"),)),
         ("vertex", "y", "unique-id"), "duplicate vertex id"),
@@ -125,7 +125,7 @@ BROKEN_RULES = {
         ("model", "", "tori"), "must be a non-negative integer"),
     "bool-tori": (
         lambda p: replace(p, tori=True),
-        ("model", "", "tori"), "torus count True must be a non-negative integer"),
+        ("model", "", "type"), "torus count True is not an integer"),
     "unknown-label": (
         lambda p: _vertex(p, VertexNode("y", "q")),
         ("vertex", "y", "label"), "unknown label 'q'"),
@@ -145,7 +145,7 @@ BROKEN_RULES = {
     "unhashable-attachment-vertex": (
         lambda p: _annulus(p, AnnulusEdge("uy", Attachment(["y"]),
                                           Attachment("p", 0))),
-        ("annulus", "uy", "attachment"), "references unknown vertex ['y']"),
+        ("annulus", "uy", "type"), "neg side has vertex ['y'] and face None, which"),
     "polycycle-attachment-without-face": (
         lambda p: _annulus(p, AnnulusEdge("uy", Attachment("y"),
                                           Attachment("p"))),
@@ -153,11 +153,11 @@ BROKEN_RULES = {
     "unhashable-face": (
         lambda p: _annulus(p, AnnulusEdge("ux", Attachment("p", [0]),
                                           Attachment("x"))),
-        ("annulus", "ux", "attachment"), "face [0] which is not a face index"),
+        ("annulus", "ux", "type"), "has vertex 'p' and face [0], which are not"),
     "float-face": (
         lambda p: _annulus(p, AnnulusEdge("ux", Attachment("p", 1.0),
                                           Attachment("x"))),
-        ("annulus", "ux", "attachment"), "face 1.0 which is not a face index"),
+        ("annulus", "ux", "type"), "has vertex 'p' and face 1.0, which are not"),
     "list-saddle-id": (
         lambda p: _saddle(p, id=["t"]),
         ("saddle", "['t']", "type"), "saddle ['t'] has id ['t'], which is not a string"),
@@ -272,6 +272,23 @@ def test_no_dead_private_helper():
     dead = sorted(f"{where} {name}" for name, where in defined.items()
                   if name not in named)
     assert not dead, f"never used: {dead}"
+
+
+def test_readers_reject_a_misfit():
+    """A rotation of the wrong type is rejected by every reader that
+    writes, reverses or renames a model, not met with a ``TypeError``."""
+    p = three_centers_eight()
+    q = _saddle(p, rotation=None)
+    same = {x: x for x in ("s", "a", "b", "x", "y", "z", "p", "ux", "uy", "uz")}
+    witness = pair_isomorphic(p, p)
+    for read in (serialize_model, export_dot, lambda m: export_dot(m, "diagram"),
+                 reverse_pair, lambda m: relabel_pair(m, same, same, same, same),
+                 lambda m: verify_witness(m, p, witness),
+                 lambda m: verify_witness(p, m, witness)):
+        with pytest.raises(ValidationError) as err:
+            read(q)
+        assert err.value.violations == list(q.violations)
+        assert q.violations[0].rule == "type"
 
 
 def test_reversing_an_invalid_pair_traces_no_faces():
@@ -608,13 +625,13 @@ def test_violations_equal_the_rule_loops():
                      "nonempty"}
 
 
-def test_unhashable_slot_is_an_unknown_dart():
+def test_unhashable_slot_is_a_type_misfit():
     d = SaddleDiagram((Saddle("s", 0, ((["a"], OUT), ("a", IN))),),
                       (Separatrix("a", "s", "s"),))
     assert d.violations == (
-        Violation("saddle", "s", "unknown-dart",
-                  "saddle 's' rotation slot 0 references unknown dart"
-                  " (['a'], 'out')"),
+        Violation("saddle", "s", "type",
+                  "saddle 's' rotation slot 0 holds (['a'], 'out'),"
+                  " which is not a dart"),
     )
 
 
