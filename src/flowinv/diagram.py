@@ -32,6 +32,21 @@ class FlowIncoherentFaceError(ValueError):
     """
 
 
+class _cached_property(cached_property):
+    """``functools.cached_property`` without the lock that Python 3.11
+    takes on every first read (3.12 dropped it): the value is stored in
+    the instance dict on a miss.  The values are pure functions of
+    immutable models, so a race can only compute an equal value twice."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None or self.attrname is None:
+            return super().__get__(instance, owner)
+        cache = instance.__dict__
+        if self.attrname not in cache:
+            cache[self.attrname] = self.func(instance)
+        return cache[self.attrname]
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str      # "saddle" | "separatrix" | "vertex" | "annulus" | "model"
@@ -111,15 +126,15 @@ class SaddleDiagram:
     def empty(cls) -> "SaddleDiagram":
         return cls((), ())
 
-    @cached_property
+    @_cached_property
     def saddle_by_id(self) -> dict:
         return {s.id: s for s in self.saddles}
 
-    @cached_property
+    @_cached_property
     def sep_by_id(self) -> dict:
         return {e.id: e for e in self.separatrices}
 
-    @cached_property
+    @_cached_property
     def violations(self) -> tuple:
         """Structural rule violations; empty when the diagram is valid.
 
@@ -205,7 +220,7 @@ class SaddleDiagram:
 
         return tuple(violations)
 
-    @cached_property
+    @_cached_property
     def components(self) -> tuple:
         """Connected components (polycycles), each keyed by its least saddle id.
 
@@ -227,7 +242,7 @@ class SaddleDiagram:
             for saddle_ids, ids in zip(groups, sep_ids)
         )
 
-    @cached_property
+    @_cached_property
     def component_of(self) -> dict:
         """Each saddle id and separatrix id -> its component id."""
         out = {}
@@ -238,7 +253,7 @@ class SaddleDiagram:
                 out[eid] = comp_id
         return out
 
-    @cached_property
+    @_cached_property
     def faces(self) -> tuple:
         """Face cycles sorted by (component, least dart), traced without a
         validity check (``trace_faces`` checks first).
@@ -285,7 +300,7 @@ class SaddleDiagram:
         faces.sort(key=attrgetter("component"))
         return tuple(faces)
 
-    @cached_property
+    @_cached_property
     def faces_by_component(self) -> dict:
         """Component id -> tuple of its FaceCycles in face-index order."""
         out = {}

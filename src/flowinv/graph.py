@@ -13,7 +13,6 @@ circle of every polycycle bounds exactly one periodic annulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 
 from .diagram import (
@@ -21,11 +20,12 @@ from .diagram import (
     SaddleDiagram,
     ValidationError,
     Violation,
+    _cached_property,
     _misfits,
     faces_by_component,
 )
 from .multigraph import Multigraph
-from .topology import FinPoset, connected_groups
+from .topology import FinPoset, _check_antisymmetric, _checked, connected_groups
 
 C, N, B, D = "c", "n", "b", "d"
 LABELS = (C, N, B, D)
@@ -68,11 +68,11 @@ class InvariantPair:
             except (TypeError, AttributeError):
                 pass
 
-    @cached_property
+    @_cached_property
     def vertex_by_id(self) -> dict:
         return {v.id: v for v in self.vertices}
 
-    @cached_property
+    @_cached_property
     def violations(self) -> tuple:
         """Rule violations of the whole model; empty when it is valid.
 
@@ -201,7 +201,7 @@ class InvariantPair:
 
         return tuple(violations)
 
-    @cached_property
+    @_cached_property
     def profile(self) -> tuple:
         """A cheap isomorphism invariant; the first gate of the iso search."""
         faces = faces_by_component(self.diagram)
@@ -230,18 +230,23 @@ class InvariantPair:
             )),
         )
 
-    @cached_property
+    @_cached_property
     def assembly(self) -> tuple:
         """Connected pieces of the model's cells, one per surface component
         other than a periodic torus: ``(vertex_ids, annulus_ids)`` pairs
         sorted by least vertex id.  The tori are the other ``tori``
         components; consumers read that count, so a model with many tori
-        costs no more than one with a few.
+        costs no more than one with a few.  An annulus side at an unknown
+        vertex raises ``ValidationError``; an invalid pair whose sides all
+        resolve still gets its assembly.
         """
-        groups = connected_groups(
-            (v.id for v in self.vertices),
-            ((a.neg.vertex, a.pos.vertex) for a in self.annuli),
-        )
+        try:
+            groups = connected_groups(
+                (v.id for v in self.vertices),
+                ((a.neg.vertex, a.pos.vertex) for a in self.annuli),
+            )
+        except KeyError:  # a side names no vertex: rule ``attachment``
+            raise ValidationError(self.violations) from None
         group_of = {vid: i for i, vids in enumerate(groups) for vid in vids}
         annuli = [[] for _ in groups]
         for a in self.annuli:
@@ -280,18 +285,29 @@ def _check_types(p: InvariantPair) -> None:
 def to_extended_poset(p: InvariantPair) -> FinPoset:
     """Vertices at height 0, annuli above their endpoint vertices.
 
-    Each periodic torus contributes one isolated height-0 point.
+    Each periodic torus contributes one isolated height-0 point.  The
+    poset has height at most one, so each up-set is written from that
+    definition: a vertex's holds it and the annuli at it, an annulus's or
+    a torus's holds it alone.  Each element is one object, shared by its
+    key and every up-set that holds it.  Sets so written are up-closed,
+    so only antisymmetry is checked.
     """
     check_pair(p)
-    elems = [("v", v.id) for v in p.vertices]
-    pairs = []
+    upsets = {}
+    for v in p.vertices:
+        x = ("v", v.id)
+        upsets[x] = [x]
     for a in p.annuli:
-        elems.append(("a", a.id))
-        pairs.append((("v", a.neg.vertex), ("a", a.id)))
-        pairs.append((("v", a.pos.vertex), ("a", a.id)))
+        x = ("a", a.id)
+        upsets[("v", a.neg.vertex)].append(x)
+        upsets[("v", a.pos.vertex)].append(x)
+        upsets[x] = (x,)
     for i in range(p.tori):
-        elems.append(("t", i))
-    return FinPoset.from_pairs(elems, pairs)
+        x = ("t", i)
+        upsets[x] = (x,)
+    upsets = {x: frozenset(up) for x, up in upsets.items()}
+    _check_antisymmetric(upsets)
+    return _checked(FinPoset, frozenset(upsets), upsets)
 
 
 @dataclass(frozen=True)

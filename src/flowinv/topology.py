@@ -9,11 +9,12 @@ Alexandroff space the two are equal.  One check, ``_check_up_closed``,
 serves both public constructors.  Each set is checked once: sets that
 one ``FinPoset`` or ``FinSpace`` has already passed reach the other
 through ``_checked`` unread, in a dict of the receiver's own, and
-``FinPoset.from_pairs``, whose search closes its sets by construction,
-checks only antisymmetry.  So building either, turning one into the
-other, and reading the specialization order and separation axioms all
-cost about the size of the order relation.  Only ``FinSpace.opens``
-enumerates the opens, which are exponential in the poset's width.
+``graph.to_extended_poset``, which writes its height-one up-sets from
+their definition, checks only antisymmetry.  So building either,
+turning one into the other, and reading the specialization order and
+separation axioms all cost about the size of the order relation.  Only
+``FinSpace.opens`` enumerates the opens, which are exponential in the
+poset's width.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ class FinPoset:
     """A finite poset: opaque elements plus the up-set up(x) of each
     element x, every y with x <= y.  Construction rejects anything that
     is not reflexive, transitive (the up-sets are up-closed, the check a
-    ``FinSpace`` basis passes) and antisymmetric.  ``from_pairs`` and
-    ``specialization_order`` check only what their sets may still break.
+    ``FinSpace`` basis passes) and antisymmetric.  ``specialization_order``
+    and ``graph.to_extended_poset`` check only what their sets may still
+    break.
     """
 
     elements: frozenset
@@ -110,33 +112,6 @@ class FinPoset:
         object.__setattr__(self, "upsets", _check_up_closed(
             self.elements, self.upsets, PosetError, _ORDER_WORDING))
         _check_antisymmetric(self.upsets)
-
-    @classmethod
-    def from_pairs(cls, elements: Iterable, pairs: Iterable) -> "FinPoset":
-        """Build a poset from generating strict/weak pairs.
-
-        Takes the reflexive-transitive closure of ``pairs``, one search
-        per element.  The closure gives each element an up-closed set
-        inside the elements that holds it, so only antisymmetry is
-        checked.
-        """
-        elems = frozenset(elements)
-        succ = {x: [] for x in elems}
-        for a, b in pairs:
-            if a not in elems or b not in elems:
-                raise PosetError(f"pair ({a!r}, {b!r}) uses unknown elements")
-            succ[a].append(b)
-        upsets = {}
-        for x in elems:
-            seen, todo = {x}, [x]
-            while todo:
-                for y in succ[todo.pop()]:
-                    if y not in seen:
-                        seen.add(y)
-                        todo.append(y)
-            upsets[x] = frozenset(seen)
-        _check_antisymmetric(upsets)
-        return _checked(cls, elems, upsets)
 
     def leq(self, a, b) -> bool:
         return b in self.upsets.get(a, ())

@@ -14,8 +14,11 @@ index, shared cells and dense ranks read back off the initial coloring,
 and each assembly component filtered from the whole pair.  None of it shares
 code with the paths it checks, except that the slot orbits are counted
 under the library's own slot symmetries: that count checks the stream's
-orbit-least filter, not the group.  Two builders here only tests need:
-a space from a checked family of opens, and the poset of a multi-graph.
+orbit-least filter, not the group.  Three builders here only tests
+need: a poset from generating pairs, a space from a checked family of
+opens, and the poset of a multi-graph.  Built from generating pairs, the
+extended orbit poset is the oracle for the one the library writes from
+its height-one definition.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from flowinv.graph import (
     InvariantPair,
     VertexNode,
     assembly_components,
+    check_pair,
     validate_pair,
 )
 from flowinv.isomorphism import pair_isomorphic, relabel_pair, reverse_diagram
 from flowinv.model_io import FORMAT_VERSION
 from flowinv.multigraph import Multigraph
-from flowinv.topology import FinPoset, FinSpace, TopologyError
+from flowinv.topology import FinPoset, FinSpace, PosetError, TopologyError, \
+    _check_antisymmetric, _checked
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,47 @@ def _extend_poset(up, m):
             yield new
 
 
+def poset_from_pairs(elements, pairs) -> FinPoset:
+    """Build a poset from generating strict/weak pairs.
+
+    Takes the reflexive-transitive closure of ``pairs``, one search per
+    element.  The closure gives each element an up-closed set inside the
+    elements that holds it, so only antisymmetry is checked.
+    """
+    elems = frozenset(elements)
+    succ = {x: [] for x in elems}
+    for a, b in pairs:
+        if a not in elems or b not in elems:
+            raise PosetError(f"pair ({a!r}, {b!r}) uses unknown elements")
+        succ[a].append(b)
+    upsets = {}
+    for x in elems:
+        seen, todo = {x}, [x]
+        while todo:
+            for y in succ[todo.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        upsets[x] = frozenset(seen)
+    _check_antisymmetric(upsets)
+    return _checked(FinPoset, elems, upsets)
+
+
+def extended_poset_oracle(p: InvariantPair) -> FinPoset:
+    """The extended orbit poset of ``p`` as the closure of its generating
+    pairs: each annulus above its two side vertices."""
+    check_pair(p)
+    elems = [("v", v.id) for v in p.vertices]
+    pairs = []
+    for a in p.annuli:
+        elems.append(("a", a.id))
+        pairs.append((("v", a.neg.vertex), ("a", a.id)))
+        pairs.append((("v", a.pos.vertex), ("a", a.id)))
+    for i in range(p.tori):
+        elems.append(("t", i))
+    return poset_from_pairs(elems, pairs)
+
+
 def poset_from_upmasks(up: list) -> FinPoset:
     n = len(up)
     return FinPoset(frozenset(range(n)),
@@ -197,7 +243,7 @@ def multigraph_poset(g: Multigraph) -> FinPoset:
         elems.add(("e", eid))
         for v in ends:
             pairs.append((("v", v), ("e", eid)))
-    return FinPoset.from_pairs(elems, pairs)
+    return poset_from_pairs(elems, pairs)
 
 
 def space_from_opens(points: frozenset, opens: frozenset) -> FinSpace:

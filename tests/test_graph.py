@@ -1,3 +1,9 @@
+from dataclasses import replace
+
+import pytest
+
+from flowinv.diagram import SaddleDiagram, ValidationError
+from flowinv.enumeration import EnumBounds, enumerate_pairs
 from flowinv.graph import (
     AnnulusEdge,
     Attachment,
@@ -9,10 +15,31 @@ from flowinv.graph import (
     underlying_multigraph,
     validate_pair,
 )
-from flowinv.diagram import SaddleDiagram
+from flowinv.isomorphism import ORIENTED, REVERSIBLE
+from flowinv.model_io import parse_model
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
+from flowinv.reconstruction import realize_multigraph
 
-from conftest import eight_diagram, leaf_pair, torus_pair
+from conftest import FIXTURES, eight_diagram, leaf_pair, three_centers_eight, \
+    torus_pair
+from oracles import extended_poset_oracle
+
+
+def _extended_poset_pool() -> list:
+    """Every fixture model, the classes enumerated at small bounds with
+    up to two tori in both modes, a realized graph with a loop and two
+    parallel edges, and three tori alone."""
+    models = [parse_model(path.read_text(encoding="utf-8"))
+              for path in sorted(FIXTURES.glob("*.json"))
+              if path.name != "star_graph.json" and not path.name.startswith("bad_")]
+    for mode in (ORIENTED, REVERSIBLE):
+        models += enumerate_pairs(EnumBounds(
+            max_saddles=1, max_k_sum=2, max_centers=3, max_n=1, max_b=1,
+            max_annuli=3, max_tori=2, mode=mode))
+    models.append(realize_multigraph(Multigraph.build(
+        "ab", {"loop": "a", "e1": "ab", "e2": "ab"})))
+    models.append(InvariantPair(SaddleDiagram.empty(), (), (), 3))
+    return models
 
 
 class TestValidatePair:
@@ -106,6 +133,19 @@ class TestExtendedPoset:
         g = Multigraph.from_poset(to_extended_poset(three_eight))
         assert len(g.edges) == len(three_eight.annuli)
 
+    def test_matches_closure_of_generating_pairs(self):
+        """The up-sets written from the height-one definition are the
+        closure of the generating pairs, and every up-set member is the
+        very object that keys its element's up-set."""
+        pool = _extended_poset_pool()
+        assert len(pool) > 1000
+        for pair in pool:
+            p = to_extended_poset(pair)
+            assert p == extended_poset_oracle(pair)
+            key = {x: x for x in p.upsets}
+            assert all(y is key[y] for up in p.upsets.values() for y in up)
+            assert all(x is key[x] for x in p.elements)
+
     def test_attachment_counting_identity(self, three_eight):
         from flowinv.diagram import faces_by_component
 
@@ -162,6 +202,27 @@ class TestAssemblyAndStripping:
         assert comps == ((frozenset({"c1", "c2"}), frozenset({"u0"})),
                          (frozenset({"c3", "c4"}), frozenset({"u1"})))
         assert p.tori == 1  # the third component, counted, not listed
+
+    def test_side_at_unknown_vertex_raises_validation_error(self):
+        p = three_centers_eight()
+        moved = InvariantPair(p.diagram, p.vertices, tuple(
+            replace(a, pos=Attachment("w")) if a.id == "uy" else a
+            for a in p.annuli))
+        with pytest.raises(ValidationError) as err:
+            assembly_components(moved)
+        assert ("annulus", "uy", "attachment") in {
+            (v.kind, v.subject, v.rule) for v in err.value.violations}
+
+    def test_invalid_pair_whose_sides_resolve_gets_its_assembly(self):
+        p = InvariantPair(
+            SaddleDiagram.empty(),
+            (VertexNode("c1", "c"), VertexNode("c2", "c")),
+            (AnnulusEdge("u0", Attachment("c1"), Attachment("c2")),
+             AnnulusEdge("u1", Attachment("c1"), Attachment("c2"))),
+        )
+        assert validate_pair(p)
+        assert assembly_components(p) == (
+            (frozenset({"c1", "c2"}), frozenset({"u0", "u1"})),)
 
     def test_underlying_multigraph_of_three_eight(self, three_eight):
         g = underlying_multigraph(three_eight)

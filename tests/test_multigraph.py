@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
-from flowinv.topology import FinPoset
 
 from conftest import within_budget
 from oracles import (
@@ -13,6 +12,7 @@ from oracles import (
     multigraph_by_levels,
     multigraph_poset,
     path_graph,
+    poset_from_pairs,
     poset_from_upmasks,
     random_graph,
 )
@@ -55,8 +55,8 @@ class TestPosetCorrespondence:
         assert [ends for _, ends in back.edges] == [back.vertices]
 
     @pytest.mark.parametrize("poset, witness", [
-        (FinPoset.from_pairs(range(3), [(0, 1), (1, 2)]), 2),
-        (FinPoset.from_pairs("e123", [("1", "e"), ("2", "e"), ("3", "e")]),
+        (poset_from_pairs(range(3), [(0, 1), (1, 2)]), 2),
+        (poset_from_pairs("e123", [("1", "e"), ("2", "e"), ("3", "e")]),
          "e"),
     ], ids=["3-chain", "three-below"])
     def test_rejects_with_witness(self, poset, witness):

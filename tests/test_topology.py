@@ -22,6 +22,7 @@ from oracles import (
     all_labeled_posets,
     broken_topology_rules,
     path_graph,
+    poset_from_pairs,
     poset_from_upmasks,
     space_from_opens,
     star_graph,
@@ -52,11 +53,11 @@ def indiscrete(points: str) -> FinSpace:
 
 
 def chain(n: int) -> FinPoset:
-    return FinPoset.from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
+    return poset_from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def edge_poset() -> FinPoset:
-    return FinPoset.from_pairs(["v1", "v2", "e"], [("v1", "e"), ("v2", "e")])
+    return poset_from_pairs(["v1", "v2", "e"], [("v1", "e"), ("v2", "e")])
 
 
 class TestFinPoset:
@@ -66,7 +67,7 @@ class TestFinPoset:
 
     def test_rejects_cycle(self):
         with pytest.raises(PosetError, match="antisymmetric"):
-            FinPoset.from_pairs("ab", [("a", "b"), ("b", "a")])
+            poset_from_pairs("ab", [("a", "b"), ("b", "a")])
 
     def test_rejects_missing_transitivity(self):
         upsets = {"a": {"a", "b"}, "b": {"b", "c"}, "c": {"c"}}
@@ -86,7 +87,7 @@ class TestFinPoset:
                          for i in range(n)]
                 covers = [(i, j) for i in range(n) for j in above[i]
                           if not any(j in above[k] for k in above[i])]
-                assert FinPoset.from_pairs(range(n), covers) \
+                assert poset_from_pairs(range(n), covers) \
                     == poset_from_upmasks(up)
 
 
@@ -100,7 +101,7 @@ class TestMultigraphLike:
         assert g == Multigraph.build(["v1", "v2"], {"e": ["v1", "v2"]})
 
     def test_fat_downset_fails(self):
-        p = FinPoset.from_pairs(
+        p = poset_from_pairs(
             "e123", [("1", "e"), ("2", "e"), ("3", "e")]
         )
         with pytest.raises(ValueError, match="multi-graph-like at 'e'$"):
@@ -193,13 +194,13 @@ class TestSpaces:
 
 class TestAlexandroff:
     def test_chain_opens(self):
-        space = alexandroff_space(FinPoset.from_pairs("ab", [("a", "b")]))
+        space = alexandroff_space(poset_from_pairs("ab", [("a", "b")]))
         assert space.opens == frozenset(
             {frozenset(), frozenset("b"), frozenset("ab")}
         )
 
     def test_antichain_discrete(self):
-        space = alexandroff_space(FinPoset.from_pairs("ab", []))
+        space = alexandroff_space(poset_from_pairs("ab", []))
         assert len(space.opens) == 4
 
     def test_edge_poset_open_count_matches_upset_oracle(self):
@@ -298,11 +299,11 @@ class TestCheckedOnce:
         return calls
 
     def test_realize_read_back_checks_each_set_once(self, monkeypatch):
-        """One read-back of a realized model: ``from_pairs`` closes its
-        sets, so it scans for twins alone; the space takes the poset's
-        checked sets, and the order read off the space scans for twins
-        once, as the separation axioms do.  Nothing runs the up-closure
-        check."""
+        """One read-back of a realized model: ``to_extended_poset`` writes
+        its up-sets from their definition, so it scans for twins alone;
+        the space takes the poset's checked sets, and the order read off
+        the space scans for twins once, as the separation axioms do.
+        Nothing runs the up-closure check."""
         pair = realize_multigraph(star_graph(4))
         pair.violations
         closed = self._counting(monkeypatch, "_check_up_closed")
@@ -328,12 +329,12 @@ class TestCheckedOnce:
         assert order.upsets == before
 
     def test_long_chain_reads_back_in_its_order_size(self):
-        """``from_pairs`` of a chain-1 500 closes about 10^6 pairs; with
-        each set checked once the read-back costs that, not the cube."""
+        """``poset_from_pairs`` of a chain-1 500 closes about 10^6 pairs;
+        with each set checked once the read-back costs that, not the cube."""
         n = 1500
 
         def read_back():
-            p = FinPoset.from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
+            p = poset_from_pairs(range(n), [(i, i + 1) for i in range(n - 1)])
             return p, specialization_order(alexandroff_space(p))
 
         p, order = within_budget(read_back, seconds=1)
