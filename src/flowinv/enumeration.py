@@ -56,10 +56,17 @@ class EnumBounds:
     mode: IsoMode = ORIENTED
 
     def __post_init__(self):
+        """Each bound is a non-negative ``int`` (``bool`` is not, as in the
+        shape pass) and ``mode`` an ``IsoMode``; otherwise ``ValueError``
+        names the field."""
         for name in ("max_saddles", "max_k_sum", "max_centers", "max_n",
                      "max_b", "max_annuli", "max_tori"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(
+                    f"{name} is {value!r}, which is not a non-negative integer")
+        if not isinstance(self.mode, IsoMode):
+            raise ValueError(f"mode is {self.mode!r}, which is not an IsoMode")
 
 
 def _degree_multisets(max_saddles: int, max_k_sum: int):
@@ -227,8 +234,13 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
     ``Attachment`` per face point.  All pairs share one leaf vertex
     and its ``Attachment`` per kind and index up to the leaf budgets, the
     annulus ids, and the set of the first ``n`` of them for each ``n``.
-    Each closure's pair is handed its one-component ``assembly``
-    (``_assemble``), and ``offer`` still runs ``check_pair`` on it.
+    Beside ``blocks``, the loop over one diagram's closures holds a table
+    of ``parts`` (``_assemble``): one ``AnnulusEdge`` per distinct
+    annulus and one ``assembly`` value per distinct set of vertices and
+    annuli among those closures, so equal pieces of the diagram's pairs
+    are one object.  The table goes with the loop; no two calls share a
+    part.  Each closure's pair is handed its one-component ``assembly``,
+    and ``offer`` still runs ``check_pair`` on it.
     """
     found = []
     leaves = {kind: [(VertexNode(f"{kind}{i}", kind), Attachment(f"{kind}{i}"))
@@ -266,10 +278,10 @@ def enumerate_pairs(bounds: EnumBounds, rng: random.Random | None = None):
                  for face_map, reverses in _symmetries(diagram, image, group)
                  if reverses or any(face_map[p] != p for p in face_map)]
 
-        blocks = {}
+        blocks, parts = {}, {}
         for closure in _closures(comps, list(face_att), moves, bounds):
             offer(_assemble(diagram, d_vertices, face_att, leaves,
-                            annulus_ids, annulus_sets, closure), blocks)
+                            annulus_ids, annulus_sets, closure, parts), blocks)
 
     # every offer is a class of its own, so no key repeats
     for _, pair in sorted(found, key=lambda item: item[0]):
@@ -342,34 +354,52 @@ def _orbit_least(closure: tuple, moves: list) -> bool:
 
 
 def _assemble(diagram, d_vertices, face_att, leaves, annulus_ids,
-              annulus_sets, closure) -> InvariantPair:
+              annulus_sets, closure, parts) -> InvariantPair:
     """Build the pair of one directed closure of the diagram from shared
     parts: ``face_att`` maps each face point to its ``Attachment``,
     ``leaves[kind][i]`` is the ``i``-th leaf of that kind with its
     ``Attachment``, and ``annulus_sets[n]`` is the set of the first ``n``
-    of ``annulus_ids``.  The closure joins every component and each leaf
-    annulus ties its leaf to a face, so the pair is handed its
-    one-component ``assembly``, stored the way ``cached_property`` stores
-    it.  Its ``violations`` are not handed: ``offer`` checks each pair in
-    full."""
+    of ``annulus_ids``.  ``parts`` is the diagram's table of the pieces
+    its closures have in common, filled here and dropped with the loop
+    over its closures: one ``AnnulusEdge`` per ``(annulus index, neg
+    face, pos face)`` or ``(annulus index, face, leaf kind, leaf index,
+    leaf on the negative side)``, and one ``assembly`` value per ``(leaf
+    count per kind, annulus count)``.  The closure joins every component
+    and each leaf annulus ties its leaf to a face, so the pair is handed
+    its one-component ``assembly``, stored the way ``cached_property``
+    stores it.  Its ``violations`` are not handed: ``offer`` checks each
+    pair in full."""
     vertices = list(d_vertices)
     annuli = []
     used = dict.fromkeys(leaves, 0)
     directed, singles = closure
     for neg, pos in directed:
-        annuli.append(AnnulusEdge(annulus_ids[len(annuli)], face_att[neg],
-                                  face_att[pos]))
+        n = len(annuli)
+        key = n, neg, pos
+        annulus = parts.get(key)
+        if annulus is None:
+            annulus = parts[key] = AnnulusEdge(annulus_ids[n], face_att[neg],
+                                               face_att[pos])
+        annuli.append(annulus)
     for point, kind, leaf_neg in singles:
-        vertex, a = leaves[kind][used[kind]]
+        n, i = len(annuli), used[kind]
+        vertex, a = leaves[kind][i]
         used[kind] += 1
         vertices.append(vertex)
-        b = face_att[point]
-        if not leaf_neg:
-            a, b = b, a
-        annuli.append(AnnulusEdge(annulus_ids[len(annuli)], a, b))
+        key = n, point, kind, i, leaf_neg
+        annulus = parts.get(key)
+        if annulus is None:
+            b = face_att[point]
+            annulus = parts[key] = AnnulusEdge(
+                annulus_ids[n], *((a, b) if leaf_neg else (b, a)))
+        annuli.append(annulus)
     pair = InvariantPair(diagram, tuple(vertices), tuple(annuli), 0)
-    pair.__dict__["assembly"] = ((frozenset(v.id for v in vertices),
+    key = tuple(used.values()), len(annuli)
+    assembly = parts.get(key)
+    if assembly is None:
+        assembly = parts[key] = ((frozenset(v.id for v in vertices),
                                   annulus_sets[len(annuli)]),)
+    pair.__dict__["assembly"] = assembly
     return pair
 
 

@@ -136,6 +136,14 @@ class TestPairs:
         )
         assert labels == ["cc", "cn", "nn"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_saddles", 1.5), ("max_saddles", "1"), ("max_saddles", True),
+        ("max_annuli", None), ("max_tori", -1), ("max_k_sum", -2),
+        ("mode", "x"), ("mode", None)])
+    def test_ill_typed_or_negative_bounds_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} is {value!r}, which"):
+            EnumBounds(**{field: value})
+
     def test_empty_bounds_empty_stream(self):
         assert list(enumerate_pairs(EnumBounds())) == []
 
@@ -503,6 +511,40 @@ def test_shared_blocks_give_fresh_bytes(bounds, mode):
             assert kept.get("reversed_blob", reversed_blob) == reversed_blob
             assert canonical_form(p, mode).blob == min(oriented,
                                                        reversed_blob)
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=["small", "two-saddle"])
+def test_closures_of_a_diagram_share_equal_parts(bounds, mode):
+    """Within one diagram's closures, equal annuli are one object and so
+    are equal handed assemblies; pairs on different diagrams share
+    neither."""
+    emitted = list(enumerate_pairs(replace(bounds, mode=mode)))
+    annuli = [(p.diagram, a) for p in emitted for a in p.annuli]
+    assert len({id(a) for _, a in annuli}) == len(
+        {(id(d), a) for d, a in annuli})
+    handed = [(p.diagram, p.__dict__["assembly"])
+              for p in emitted if p.diagram.saddles]
+    assert len({id(a) for _, a in handed}) == len(
+        {(id(d), a) for d, a in handed}) < len(handed)
+
+
+@pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
+                         ids=["oriented", "reversible"])
+@pytest.mark.parametrize("bounds", SMALL_BOUNDS, ids=["small", "two-saddle"])
+def test_calls_share_no_parts(bounds, mode):
+    """The table of shared parts lives in one diagram's closure loop: two
+    calls share no annulus and no handed assembly."""
+    def parts(pairs):
+        return ({id(a) for p in pairs for a in p.annuli}
+                | {id(p.__dict__["assembly"]) for p in pairs
+                   if p.diagram.saddles})
+
+    bounds = replace(bounds, mode=mode)
+    first, second = list(enumerate_pairs(bounds)), list(enumerate_pairs(bounds))
+    assert first == second
+    assert parts(first).isdisjoint(parts(second))
 
 
 @pytest.mark.parametrize("mode", [ORIENTED, REVERSIBLE],
