@@ -25,7 +25,7 @@ from .diagram import (
     faces_by_component,
 )
 from .multigraph import Multigraph
-from .topology import FinPoset, _check_antisymmetric, _checked, connected_groups
+from .topology import FinPoset, _checked, connected_groups
 
 C, N, B, D = "c", "n", "b", "d"
 LABELS = (C, N, B, D)
@@ -236,10 +236,11 @@ class InvariantPair:
         other than a periodic torus: ``(vertex_ids, annulus_ids)`` pairs
         sorted by least vertex id.  The tori are the other ``tori``
         components; consumers read that count, so a model with many tori
-        costs no more than one with a few.  An annulus side at an unknown
-        vertex raises ``ValidationError``; an invalid pair whose sides all
-        resolve still gets its assembly.
+        costs no more than one with a few.  A misfit, or an annulus side at
+        an unknown vertex, raises ``ValidationError``; an invalid pair whose
+        sides all resolve still gets its assembly.
         """
+        _check_types(self)
         try:
             groups = connected_groups(
                 (v.id for v in self.vertices),
@@ -289,8 +290,9 @@ def to_extended_poset(p: InvariantPair) -> FinPoset:
     poset has height at most one, so each up-set is written from that
     definition: a vertex's holds it and the annuli at it, an annulus's or
     a torus's holds it alone.  Each element is one object, shared by its
-    key and every up-set that holds it.  Sets so written are up-closed,
-    so only antisymmetry is checked.
+    key and every up-set that holds it.  Sets so written form a poset,
+    so none is checked: they are up-closed, and with every id unique no
+    two elements lie in each other's up-set.
     """
     check_pair(p)
     upsets = {}
@@ -306,7 +308,6 @@ def to_extended_poset(p: InvariantPair) -> FinPoset:
         x = ("t", i)
         upsets[x] = (x,)
     upsets = {x: frozenset(up) for x, up in upsets.items()}
-    _check_antisymmetric(upsets)
     return _checked(FinPoset, frozenset(upsets), upsets)
 
 

@@ -31,16 +31,17 @@ orientation; the pair keeps the framed bytes of each orientation in its
 instance dict, and nothing else, so no cache outlives it.
 
 An engine starts from a ``_DiagramBlock``: the compiled diagram part of
-its component, with that part's first refinement round, and the
-diagram's part of the leaf text for each saddle and separatrix coloring
-a leaf has had.  The caller of ``_canonical_blob`` owns the table of
-blocks: a pair labeled on its own gets a table for that call alone,
-and ``enumerate_pairs`` keeps one per diagram for its closure loop.
+its component, and the diagram's part of the leaf text for each saddle
+and separatrix coloring a leaf has had.  The caller of
+``_canonical_blob`` owns the table of blocks: a pair labeled on its own
+gets a table for that call alone, and ``enumerate_pairs`` keeps one per
+diagram for its closure loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
@@ -85,29 +86,23 @@ REVERSIBLE = IsoMode(allow_reversal=True)
 
 class CyclicWitness(NamedTuple):
     shift: int
-    reflected: bool
 
 
-def cyclic_equivalent(w1, w2, allow_reflection: bool = False) -> CyclicWitness | None:
-    """Shift (and reflection) carrying w1 onto w2, or None.
+def cyclic_equivalent(w1, w2) -> CyclicWitness | None:
+    """The shift carrying w1 onto w2, or None.
 
-    ``CyclicWitness(shift, reflected)`` means: reverse w1 first when
-    ``reflected``, then rotate left by ``shift`` to obtain w2.
+    ``CyclicWitness(shift)`` means: rotate w1 left by ``shift`` to obtain
+    w2.
     """
     w1, w2 = tuple(w1), tuple(w2)
     if len(w1) != len(w2):
         return None
     n = len(w1)
     if n == 0:
-        return CyclicWitness(0, False)
+        return CyclicWitness(0)
     for shift in range(n):
         if all(w1[(i + shift) % n] == w2[i] for i in range(n)):
-            return CyclicWitness(shift, False)
-    if allow_reflection:
-        rev = w1[::-1]
-        for shift in range(n):
-            if all(rev[(i + shift) % n] == w2[i] for i in range(n)):
-                return CyclicWitness(shift, True)
+            return CyclicWitness(shift)
     return None
 
 
@@ -418,14 +413,27 @@ def pair_isomorphic(p1: InvariantPair, p2: InvariantPair,
 def verify_witness(p1: InvariantPair, p2: InvariantPair, w: PairWitness) -> bool:
     """Apply a witness and compare the result with the second pair.
 
-    Rotation words are compared up to cyclic shift: a word may be stored
-    from any starting dart.  Face indices depend only on the cyclic
-    successor, so the annuli compare as they are.
+    The witness holds only if each of its maps is a bijection from the
+    first pair's ids of its kind onto the second's.  With
+    ``reversed_orientation`` the relabeled pair is then reversed: the two
+    rewrites commute.  Rotation words are compared up to cyclic shift: a
+    word may be stored from any starting dart.  Face indices depend only
+    on the cyclic successor, so the annuli compare as they are.
     """
+    check_pair(p1)
     _check_types(p2)
-    source = reverse_pair(p1) if w.reversed_orientation else p1
-    image = relabel_pair(source, w.saddles, w.separatrices,
-                         w.vertices, w.annuli)
+    d1, d2 = p1.diagram, p2.diagram
+    for m, objs1, objs2 in ((w.saddles, d1.saddles, d2.saddles),
+                            (w.separatrices, d1.separatrices, d2.separatrices),
+                            (w.vertices, p1.vertices, p2.vertices),
+                            (w.annuli, p1.annuli, p2.annuli)):
+        ids2 = {x.id for x in objs2}
+        if (len(objs1) != len(ids2) or m.keys() != {x.id for x in objs1}
+                or {y for y in m.values() if isinstance(y, str)} != ids2):
+            return False
+    image = relabel_pair(p1, w.saddles, w.separatrices, w.vertices, w.annuli)
+    if w.reversed_orientation:
+        image = reverse_pair(image)
     return _least_rotations(image) == _least_rotations(p2)
 
 
@@ -474,21 +482,18 @@ class _DiagramBlock:
     (see ``_CanonicalEngine``): an object's initial color is the index of
     the first occurrence of its key in the sorted keys.  Besides the index
     arrays the block keeps those initial colors, their dense ranks
-    (``ranks``, which the orientation byte reads), the first face object
-    of each polycycle (``face_start``), the shared initial cells and, by
-    cell start, the signatures of their members in the first refinement
-    round at the root.  They read only initial colors, except for the
-    annulus end of a glued face: ``root_round`` holds them as if no face
-    were glued.  Initial keys of the diagram's objects carry the type tags
-    0-2 and so sort before every vertex and annulus key: their colors and
-    ranks are the same in every engine.
+    (``ranks``, which the orientation byte reads) and the first face
+    object of each polycycle (``face_start``).  Initial keys of the
+    diagram's objects carry the type tags 0-2 and so sort before every
+    vertex and annulus key: their colors and ranks are the same in every
+    engine.
 
     ``texts`` keeps the diagram's part of the leaf text (``text``) by the
-    saddle and separatrix colors of the leaf, and ``vertex_cells`` the
-    initial colors, ranks and shared cells of the engines' vertices by
-    their labels.  Both live exactly as long as the block: one
-    ``_canonical_blob`` call on a pair from outside, or one diagram's
-    closure loop in ``enumerate_pairs``.
+    saddle and separatrix colors of the leaf, and ``vertex_colors`` the
+    initial colors and ranks of the engines' vertices by their labels.
+    Both live exactly as long as the block: one ``_canonical_blob`` call
+    on a pair from outside, or one diagram's closure loop in
+    ``enumerate_pairs``.
     """
 
     def __init__(self, diagram: SaddleDiagram, comps):
@@ -545,35 +550,10 @@ class _DiagramBlock:
                 + [(1, e.source == e.target) for e in seps]
                 + [(2, len(face.sides), face.flow_positive)
                    for face in faces])
-        self.initial, self.ranks, self.root_cells = _initial_cells(keys, 0)
+        self.initial, self.ranks = _initial_colors(keys, 0)
         self.key_count = max(self.ranks, default=-1) + 1
-        no_att = [None] * len(faces)
-        self.root_round = {c: self.signatures(self.initial, no_att, members)
-                           for c, members in self.root_cells}
         self.texts = {}
-        self.vertex_cells = {}
-
-    def signatures(self, col: list, face_att: list, resign: list) -> list:
-        """One refinement round's signatures under ``col`` of the objects
-        ``resign``, the members of one cell, which lie in one type block;
-        ``face_att[j]`` is the ``(annulus, side)`` end glued to face ``j``,
-        or None.  No other object is signed."""
-        if resign[0] < self.sep_base:
-            words = self.sad_words
-            return [_least_rotation(tuple([(end, col[e])
-                                           for end, e in words[i]]))
-                    for i in resign]
-        if resign[0] < self.face_base:
-            base, links = self.sep_base, self.sep_links
-            return [[col[x] for x in links[i - base]] for i in resign]
-        sigs = []
-        for i in resign:
-            j = i - self.face_base
-            w = tuple([(end, col[e]) for end, e in self.face_words[j]])
-            att = face_att[j]
-            sigs.append((_least_rotation(w),
-                         (col[att[0]], att[1]) if att else ()))
-        return sigs
+        self.vertex_colors = {}
 
     def text(self, col: list) -> tuple:
         """The ``k:``, ``r:`` and ``e:`` parts of a leaf's text under the
@@ -614,22 +594,17 @@ class _DiagramBlock:
         return kept
 
 
-def _initial_cells(keys: list, base: int) -> tuple:
+def _initial_colors(keys: list, base: int) -> tuple:
     """The initial coloring of the objects ``base, base + 1, ...`` whose
     keys are ``keys``: each object's color, the start of its key's cell
-    (``base`` plus the number of smaller keys); each object's dense rank
-    among the distinct keys; and the shared cells ``(start, members)``,
-    the members in index order and the cells in order of their first."""
-    cells = {}
-    for i, key in enumerate(keys, base):
-        cells.setdefault(key, []).append(i)
+    (``base`` plus the number of objects with smaller keys), and each
+    object's dense rank among the distinct keys."""
+    sizes = Counter(keys)
     start, rank, c = {}, {}, base
-    for r, key in enumerate(sorted(cells)):
+    for r, key in enumerate(sorted(sizes)):
         start[key], rank[key] = c, r
-        c += len(cells[key])
-    return ([start[key] for key in keys], [rank[key] for key in keys],
-            [(start[key], members) for key, members in cells.items()
-             if len(members) > 1])
+        c += sizes[key]
+    return [start[key] for key in keys], [rank[key] for key in keys]
 
 
 def _shared_cells(col: list) -> list:
@@ -670,9 +645,7 @@ class _CanonicalEngine:
     object's color.  Refinement
     splits the shared cells in place until none splits (see ``refine``);
     the lexicographically least serialization over all discrete branch
-    colorings is canonical.  The root's first round takes the diagram's
-    signatures from the block and builds only the annulus end of each
-    face and the signatures of vertices and annuli.
+    colorings is canonical.
 
     A separatrix's signature sees, at both ends, the dart's neighbours in
     the rotation word and the face the dart lies on.  Position thus
@@ -728,18 +701,14 @@ class _CanonicalEngine:
 
         self.labels = labels = [v.label for v in vertices]
         key = tuple(labels)
-        kept = block.vertex_cells.get(key)
+        kept = block.vertex_colors.get(key)
         if kept is None:
-            colors, ranks, cells = _initial_cells(labels, vertex_base)
-            kept = block.vertex_cells[key] = (
-                colors, [block.key_count + r for r in ranks], cells)
-        v_colors, v_ranks, v_cells = kept
+            colors, ranks = _initial_colors(labels, vertex_base)
+            kept = block.vertex_colors[key] = (
+                colors, [block.key_count + r for r in ranks])
+        v_colors, v_ranks = kept
         self.initial = (block.initial + v_colors
                         + [annulus_base] * len(annuli))
-        self.root_cells = block.root_cells + v_cells
-        if len(annuli) > 1:
-            self.root_cells.append((annulus_base,
-                                    list(range(annulus_base, self.n))))
         # vertex id -> (object, first face object of its polycycle, rank)
         face_start, members = block.face_start, block.members
         at = {v.id: (vertex_base + i, face_start.get(v.component), rank)
@@ -776,7 +745,7 @@ class _CanonicalEngine:
         self.bounds = (0, block.sep_base, face_base, vertex_base,
                        annulus_base, self.n)
 
-    def refine(self, col: list, root: bool = False) -> list:
+    def refine(self, col: list) -> list:
         """Split the shared cells of ``col`` until no cell splits or none is
         shared; the shared cells left, ``(start, members)`` with the
         members in index order, stay in ``shared`` for ``_search``.
@@ -786,16 +755,12 @@ class _CanonicalEngine:
         cell by signature and splits it in place: a group of equal
         signatures is colored with the cell's start plus the group's
         offset in it.  Cells never move, so the colors stay cell starts.
-        At the ``root`` the coloring is ``initial``, whose shared cells
-        are compiled (``root_cells``), and the first round reads the
-        diagram's signatures off the block.
         """
         col = list(col)
-        shared = self.root_cells if root else _shared_cells(col)
+        shared = _shared_cells(col)
         while shared:
-            signed = [self._signatures(col, c, members, root)
+            signed = [self._signatures(col, c, members)
                       for c, members in shared]
-            root = False
             kept, split = [], False
             for (start, members), sigs in zip(shared, signed):
                 if sigs.count(sigs[0]) == len(sigs):
@@ -818,11 +783,11 @@ class _CanonicalEngine:
         self.shared = shared
         return col
 
-    def _signatures(self, col: list, start: int, members: list,
-                    root: bool) -> list:
-        """The signatures of the cell ``members`` that starts at ``start``;
-        at the ``root`` the diagram's come from the block's root round,
-        each glued face given its end."""
+    def _signatures(self, col: list, start: int, members: list) -> list:
+        """One refinement round's signatures under ``col`` of the cell
+        ``members`` that starts at ``start``, which lies in one type
+        block.  A face's signature holds its rotation word and the
+        ``(annulus, side)`` end glued to it, if any."""
         if start >= self.annulus_base:
             base, ends = self.annulus_base, self.ann_ends
             return [[(col[v], col[f] if f >= 0 else -1)
@@ -832,15 +797,22 @@ class _CanonicalEngine:
             return [(sorted([(col[a], side) for a, side in atts[i - base]]),
                      sorted([col[s] for s in self.vertex_members[i - base]]))
                     for i in members]
-        if not root:
-            return self.block.signatures(col, self.face_att, members)
-        sigs = self.block.root_round[start]
-        if start < self.face_base:
+        block = self.block
+        if start >= self.face_base:
+            base, words = self.face_base, block.face_words
+            sigs = []
+            for i in members:
+                w = tuple([(end, col[e]) for end, e in words[i - base]])
+                att = self.face_att[i - base]
+                sigs.append((_least_rotation(w),
+                             (col[att[0]], att[1]) if att else ()))
             return sigs
-        face_att, base = self.face_att, self.face_base
-        return [(sig[0], (col[att[0]], att[1])) if att else sig
-                for sig, att in zip(sigs, (face_att[i - base]
-                                           for i in members))]
+        if start >= block.sep_base:
+            base, links = block.sep_base, block.sep_links
+            return [[col[x] for x in links[i - base]] for i in members]
+        words = block.sad_words
+        return [_least_rotation(tuple([(end, col[e]) for end, e in words[i]]))
+                for i in members]
 
     def individualize(self, col: list, i: int) -> list:
         """``col`` with object ``i`` alone at the end of its type block: the
@@ -882,7 +854,7 @@ class _CanonicalEngine:
         ``fixed`` lists the objects individualized on the way here; only
         the root has none.
         """
-        col = self.refine(col, root=not fixed)
+        col = self.refine(col)
         if not self.shared:  # discrete
             self._leaf(col)
             return

@@ -10,9 +10,9 @@ serves both public constructors.  Each set is checked once: sets that
 one ``FinPoset`` or ``FinSpace`` has already passed reach the other
 through ``_checked`` unread, in a dict of the receiver's own, and
 ``graph.to_extended_poset``, which writes its height-one up-sets from
-their definition, checks only antisymmetry.  So building either,
-turning one into the other, and reading the specialization order and
-separation axioms all cost about the size of the order relation.  Only
+their definition, checks none.  So building either, turning one into
+the other, and reading the specialization order and separation axioms
+all cost about the size of the order relation.  Only
 ``FinSpace.opens`` enumerates the opens, which are exponential in the
 poset's width.
 """
@@ -79,14 +79,6 @@ def _checked(cls, points: frozenset, sets: dict):
     return obj
 
 
-def _check_antisymmetric(upsets: dict) -> None:
-    """Raise ``PosetError`` on the least two distinct elements each above
-    the other."""
-    pair = _indistinguishable_pair(upsets)
-    if pair is not None:
-        raise PosetError("order is not antisymmetric on %r, %r" % pair)
-
-
 _ORDER_WORDING = {
     "missing": "element {x!r} has no up-set",
     "own": "order is not reflexive at {x!r}",
@@ -101,8 +93,8 @@ class FinPoset:
     element x, every y with x <= y.  Construction rejects anything that
     is not reflexive, transitive (the up-sets are up-closed, the check a
     ``FinSpace`` basis passes) and antisymmetric.  ``specialization_order``
-    and ``graph.to_extended_poset`` check only what their sets may still
-    break.
+    checks only what its sets may still break, and
+    ``graph.to_extended_poset`` writes sets that can break nothing.
     """
 
     elements: frozenset
@@ -111,7 +103,9 @@ class FinPoset:
     def __post_init__(self):
         object.__setattr__(self, "upsets", _check_up_closed(
             self.elements, self.upsets, PosetError, _ORDER_WORDING))
-        _check_antisymmetric(self.upsets)
+        pair = _indistinguishable_pair(self.upsets)
+        if pair is not None:
+            raise PosetError("order is not antisymmetric on %r, %r" % pair)
 
     def leq(self, a, b) -> bool:
         return b in self.upsets.get(a, ())

@@ -32,6 +32,22 @@ def own_state(cls) -> set:
                if isinstance(value, cached_property)})
 
 
+def counting_runs(monkeypatch, name: str) -> list:
+    """From now on, list every pair whose cached property ``name`` runs
+    its body."""
+    body = InvariantPair.__dict__[name].func
+    ran = []
+
+    def counting(self):
+        ran.append(self)  # keeps each object alive, so ids stay unique
+        return body(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(InvariantPair, name)
+    monkeypatch.setattr(InvariantPair, name, prop)
+    return ran
+
+
 def within_budget(fn, *args, seconds: float = 10.0, **kwargs):
     """``fn(*args, **kwargs)``, failing the test if the call runs over ``seconds``.
 

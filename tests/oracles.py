@@ -45,7 +45,7 @@ from flowinv.isomorphism import pair_isomorphic, relabel_pair, reverse_diagram
 from flowinv.model_io import FORMAT_VERSION
 from flowinv.multigraph import Multigraph
 from flowinv.topology import FinPoset, FinSpace, PosetError, TopologyError, \
-    _check_antisymmetric, _checked
+    _checked, _indistinguishable_pair
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,8 @@ def poset_from_pairs(elements, pairs) -> FinPoset:
 
     Takes the reflexive-transitive closure of ``pairs``, one search per
     element.  The closure gives each element an up-closed set inside the
-    elements that holds it, so only antisymmetry is checked.
+    elements that holds it, so only antisymmetry is checked: the full
+    check costs the cube of a long chain's length.
     """
     elems = frozenset(elements)
     succ = {x: [] for x in elems}
@@ -184,7 +185,9 @@ def poset_from_pairs(elements, pairs) -> FinPoset:
                     seen.add(y)
                     todo.append(y)
         upsets[x] = frozenset(seen)
-    _check_antisymmetric(upsets)
+    pair = _indistinguishable_pair(upsets)
+    if pair is not None:
+        raise PosetError("order is not antisymmetric on %r, %r" % pair)
     return _checked(FinPoset, elems, upsets)
 
 
@@ -421,16 +424,6 @@ def full_refine(engine, col: list) -> list:
         if len(rank) == len(set(col)):
             return new
         col = new
-
-
-def shared_cells_oracle(col: list, lo: int = 0) -> list:
-    """``(start, members)`` of each cell of ``col`` with more than one
-    member among the objects from ``lo`` on, in order of first member:
-    the root cells read off a compiled initial coloring."""
-    cells = {}
-    for i in range(lo, len(col)):
-        cells.setdefault(col[i], []).append(i)
-    return [(c, members) for c, members in cells.items() if len(members) > 1]
 
 
 def dense_ranks(col: list) -> list:

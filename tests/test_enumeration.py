@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from functools import cached_property
 from hashlib import sha256
 from itertools import islice, permutations
 
@@ -26,7 +25,7 @@ from flowinv.isomorphism import (
 from flowinv.model_io import serialize_model
 from flowinv.reconstruction import reconstruct
 
-from conftest import own_state
+from conftest import counting_runs, own_state
 from oracles import brute_force_pairs, diagram_automorphisms_oracle, \
     diagram_candidates, diagram_class_count, directed_closures_oracle
 from test_acceptance import SMALL_CONFIGS
@@ -271,22 +270,6 @@ def _rebuilt(p: InvariantPair) -> InvariantPair:
         p.vertices, p.annuli, p.tori)
 
 
-def _counting(monkeypatch, name: str) -> list:
-    """From now on, list every pair whose cached property ``name`` runs
-    its body."""
-    body = InvariantPair.__dict__[name].func
-    ran = []
-
-    def counting(self):
-        ran.append(self)  # keeps each object alive, so ids stay unique
-        return body(self)
-
-    prop = cached_property(counting)
-    prop.__set_name__(InvariantPair, name)
-    monkeypatch.setattr(InvariantPair, name, prop)
-    return ran
-
-
 def _watch_offers(monkeypatch) -> list:
     """From now on, list every candidate ``enumerate_pairs`` offers, and
     fail on any canonical key it computes twice."""
@@ -468,8 +451,8 @@ def test_handed_assembly_matches_fresh_pair(monkeypatch, bounds, mode):
     ran, and the same pair built afresh is valid and has that assembly.
     Validation resolves attachments through a map of its own, so no
     emitted pair keeps ``vertex_by_id``."""
-    validated = _counting(monkeypatch, "violations")
-    assembled = _counting(monkeypatch, "assembly")
+    validated = counting_runs(monkeypatch, "violations")
+    assembled = counting_runs(monkeypatch, "assembly")
     emitted = list(enumerate_pairs(replace(bounds, mode=mode)))
     assert any(p.diagram.saddles for p in emitted)
     checked = {id(q) for q in validated}

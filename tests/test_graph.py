@@ -19,6 +19,7 @@ from flowinv.isomorphism import ORIENTED, REVERSIBLE
 from flowinv.model_io import parse_model
 from flowinv.multigraph import Multigraph, multigraph_isomorphic
 from flowinv.reconstruction import realize_multigraph
+from flowinv.topology import FinPoset
 
 from conftest import FIXTURES, eight_diagram, leaf_pair, three_centers_eight, \
     torus_pair
@@ -135,13 +136,15 @@ class TestExtendedPoset:
 
     def test_matches_closure_of_generating_pairs(self):
         """The up-sets written from the height-one definition are the
-        closure of the generating pairs, and every up-set member is the
-        very object that keys its element's up-set."""
+        closure of the generating pairs and pass ``FinPoset``'s full
+        check, and every up-set member is the very object that keys its
+        element's up-set."""
         pool = _extended_poset_pool()
         assert len(pool) > 1000
         for pair in pool:
             p = to_extended_poset(pair)
             assert p == extended_poset_oracle(pair)
+            assert FinPoset(p.elements, p.upsets) == p
             key = {x: x for x in p.upsets}
             assert all(y is key[y] for up in p.upsets.values() for y in up)
             assert all(x is key[x] for x in p.elements)

@@ -31,6 +31,7 @@ from flowinv.reconstruction import realize_multigraph
 
 from conftest import (
     FIXTURES,
+    counting_runs,
     disk_flow,
     eight_torus_pair,
     fixture_text,
@@ -45,7 +46,7 @@ from oracles import (
     annulus_ends_oracle, component_groups_oracle, cycle_graph, dense_ranks,
     end_ranks_oracle, engine_initial_oracle, full_refine, ordered_cells,
     orientation_oracle, path_graph, random_graph, random_relabel,
-    shared_cells_oracle, star_graph)
+    star_graph)
 
 MODELS = [
     sphere_rotation,
@@ -63,22 +64,19 @@ MODELS = [
 class TestCyclicEquivalent:
     def test_shift_found(self):
         w = cyclic_equivalent("abc", "bca")
-        assert w == (1, False)
+        assert w == (1,)
 
-    def test_reflection_only_when_allowed(self):
+    def test_reflection_is_no_shift(self):
         assert cyclic_equivalent("abc", "acb") is None
-        w = cyclic_equivalent("abc", "acb", allow_reflection=True)
-        assert w is not None and w.reflected
 
     def test_length_mismatch(self):
         assert cyclic_equivalent("ab", "abc") is None
 
     def test_witness_applies(self):
         w1, w2 = ("x", "y", "z", "y"), ("z", "y", "x", "y")
-        witness = cyclic_equivalent(w1, w2, allow_reflection=True)
-        base = w1[::-1] if witness.reflected else w1
+        witness = cyclic_equivalent(w1, w2)
         shifted = tuple(
-            base[(i + witness.shift) % len(base)] for i in range(len(base))
+            w1[(i + witness.shift) % len(w1)] for i in range(len(w1))
         )
         assert shifted == w2
 
@@ -193,6 +191,27 @@ class TestPairIsomorphic:
         assert canonical_form(shifted).blob == canonical_form(p).blob
         w = pair_isomorphic(p, shifted, ORIENTED)
         assert w is not None and verify_witness(p, shifted, w)
+
+    def test_witness_that_is_no_bijection_fails(self):
+        """A witness with no saddle entry, or one that sends both
+        separatrices to one id, is no isomorphism: the answer is False."""
+        p = three_centers_eight()
+        w = pair_isomorphic(p, p)
+        assert verify_witness(p, p, w)
+        assert not verify_witness(p, p, replace(w, saddles={}))
+        assert not verify_witness(p, p, replace(
+            w, separatrices={"a": "same", "b": "same"}))
+
+    def test_reversed_witness_validates_nothing_again(self, monkeypatch):
+        """A reversed witness between two validated pairs relabels the
+        first and reverses the image, so no pair is validated anew."""
+        p = three_centers_eight()
+        q = random_relabel(reverse_pair(p), random.Random(5))
+        w = pair_isomorphic(p, q, REVERSIBLE)
+        assert w is not None and w.reversed_orientation
+        validated = counting_runs(monkeypatch, "violations")
+        assert verify_witness(p, q, w)
+        assert validated == []
 
 
 class TestReversal:
@@ -705,8 +724,8 @@ class TestEngineShortcuts:
         at every first-level individualization, in both orientations.  An
         object individualized at the end of its type block refines as one
         given the color n, the rule of the dense ranks."""
-        def check(engine, col, root=False):
-            out = engine.refine(col, root)
+        def check(engine, col):
+            out = engine.refine(col)
             cells = ordered_cells(out)
             assert cells == ordered_cells(full_refine(engine, col))
             start = 0
@@ -721,7 +740,7 @@ class TestEngineShortcuts:
         models += enumerate_pairs(replace(SMALL_CLASSES, mode=REVERSIBLE))
         for p in models:
             for engine in _engines(p) + _engines(reverse_pair(p)):
-                root = check(engine, engine.initial, root=True)
+                root = check(engine, engine.initial)
                 if not engine.shared:
                     continue
                 for i in min(engine.shared)[1]:
@@ -763,10 +782,10 @@ class TestEngineShortcuts:
 
     def test_compiled_engines_match_oracles(self):
         """What the block and the engine compile in one pass: the
-        diagram's dense ranks, the root cells, each annulus end's face
-        object, the end ranks the orientation byte compares, and the
-        grouping of the pair by assembly component, which gives the
-        engines over the filtered components in order."""
+        diagram's dense ranks, each annulus end's face object, the end
+        ranks the orientation byte compares, and the grouping of the pair
+        by assembly component, which gives the engines over the filtered
+        components in order."""
         pairs = list(enumerate_pairs(SMALL_CLASSES))
         models = pairs + list(enumerate_pairs(
             replace(SMALL_CLASSES, mode=REVERSIBLE)))
@@ -788,10 +807,7 @@ class TestEngineShortcuts:
                     b = e.block
                     polycycles += len(b.face_start) > 1
                     assert b.ranks == dense_ranks(b.initial)
-                    assert b.root_cells == shared_cells_oracle(b.initial)
                     assert e.initial == engine_initial_oracle(e)
-                    assert e.root_cells == b.root_cells + shared_cells_oracle(
-                        e.initial, e.vertex_base)
                     assert e.ann_ends == annulus_ends_oracle(
                         e, d, vertices, annuli, reversal)
                     assert e.end_ranks == end_ranks_oracle(e)
@@ -821,7 +837,7 @@ def _multi_component_models() -> list:
 def _compiled(engine) -> tuple:
     """Every array the engine compiles."""
     e = engine
-    return (e.n, e.bounds, e.labels, e.initial, e.root_cells, e.face_att,
+    return (e.n, e.bounds, e.labels, e.initial, e.face_att,
             e.vertex_atts, e.ann_ends, e.end_ranks, e.vertex_members,
             e.vertex_names)
 

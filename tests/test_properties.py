@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from flowinv.diagram import Saddle, SaddleDiagram, ValidationError
 from flowinv.enumeration import EnumBounds, enumerate_pairs
-from flowinv.graph import InvariantPair
+from flowinv.graph import InvariantPair, assembly_components
 from flowinv.isomorphism import (
     ORIENTED,
     REVERSIBLE,
@@ -158,6 +158,7 @@ READERS = {
     "export_dot diagram": lambda p: export_dot(p, "diagram"),
     "reverse_pair": reverse_pair,
     "relabel_pair": lambda p: relabel_pair(p, _Same(), _Same(), _Same(), _Same()),
+    "assembly_components": assembly_components,
 }
 
 

@@ -300,10 +300,10 @@ class TestCheckedOnce:
 
     def test_realize_read_back_checks_each_set_once(self, monkeypatch):
         """One read-back of a realized model: ``to_extended_poset`` writes
-        its up-sets from their definition, so it scans for twins alone;
-        the space takes the poset's checked sets, and the order read off
-        the space scans for twins once, as the separation axioms do.
-        Nothing runs the up-closure check."""
+        its up-sets from their definition and checks none; the space takes
+        the poset's sets, and the order read off the space scans for twins
+        once, as the separation axioms do.  Nothing runs the up-closure
+        check."""
         pair = realize_multigraph(star_graph(4))
         pair.violations
         closed = self._counting(monkeypatch, "_check_up_closed")
@@ -313,7 +313,7 @@ class TestCheckedOnce:
         space = alexandroff_space(p)
         assert specialization_order(space) == p
         assert separation_axioms(space) == (True, False, False)
-        assert (len(closed), len(twins)) == (0, 3)
+        assert (len(closed), len(twins)) == (0, 2)
 
     def test_sides_share_no_dict(self):
         """Changing the up-sets of a poset after taking its space, or the
