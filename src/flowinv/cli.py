@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .enumeration import EnumBounds, enumerate_pairs
 from .graph import classify_separation
@@ -35,6 +36,9 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 64
+
+# the enumeration bounds, one ``--max-*`` flag each
+_BOUNDS = tuple(f.name for f in fields(EnumBounds) if f.name != "mode")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,13 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph_file")
 
     p = sub.add_parser("enumerate", help="stream model classes within bounds")
-    p.add_argument("--max-saddles", type=_bound, default=0)
-    p.add_argument("--max-k-sum", type=_bound, default=0)
-    p.add_argument("--max-centers", type=_bound, default=0)
-    p.add_argument("--max-n", type=_bound, default=0)
-    p.add_argument("--max-b", type=_bound, default=0)
-    p.add_argument("--max-annuli", type=_bound, default=0)
-    p.add_argument("--max-tori", type=_bound, default=0)
+    for name in _BOUNDS:
+        p.add_argument("--" + name.replace("_", "-"), type=_bound, default=0)
     with_reversal(p)
 
     p = sub.add_parser("export-dot", help="Graphviz view of a model")
@@ -153,12 +152,8 @@ def _cmd_iso(args) -> int:
 def _cmd_classify(args) -> int:
     report = classify_separation(_load(args.file))
 
-    def flag(value):
-        return "true" if value else "false"
-
-    print(f"sv_t0={flag(report.sv_t0)} sv_t1={flag(report.sv_t1)}"
-          f" sv_t2={flag(report.sv_t2)} svex_t1={flag(report.svex_t1)}"
-          f" svex_t2={flag(report.svex_t2)}")
+    print(" ".join(f"{f.name}={'true' if getattr(report, f.name) else 'false'}"
+                   for f in fields(report)))
     return EXIT_OK
 
 
@@ -180,16 +175,8 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    bounds = EnumBounds(
-        max_saddles=args.max_saddles,
-        max_k_sum=args.max_k_sum,
-        max_centers=args.max_centers,
-        max_n=args.max_n,
-        max_b=args.max_b,
-        max_annuli=args.max_annuli,
-        max_tori=args.max_tori,
-        mode=_mode(args),
-    )
+    bounds = EnumBounds(**{name: getattr(args, name) for name in _BOUNDS},
+                        mode=_mode(args))
     for pair in enumerate_pairs(bounds):
         digest = canonical_form(pair, bounds.mode).digest()
         print(f"{digest} {serialize_model(pair, compact=True)}")

@@ -32,7 +32,7 @@ a class keeps the least candidate of its orbit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations_with_replacement, permutations, product
 
 from .diagram import SaddleDiagram, Saddle, Separatrix
@@ -59,8 +59,7 @@ class EnumBounds:
         """Each bound is a non-negative ``int`` (``bool`` is not, as in the
         shape pass) and ``mode`` an ``IsoMode``; otherwise ``ValueError``
         names the field."""
-        for name in ("max_saddles", "max_k_sum", "max_centers", "max_n",
-                     "max_b", "max_annuli", "max_tori"):
+        for name in (f.name for f in fields(self) if f.name != "mode"):
             value = getattr(self, name)
             if type(value) is not int or value < 0:
                 raise ValueError(

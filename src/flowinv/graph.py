@@ -22,7 +22,7 @@ from .diagram import (
     Violation,
     _cached_property,
     _misfits,
-    faces_by_component,
+    check_diagram,
 )
 from .multigraph import Multigraph
 from .topology import FinPoset, _checked, connected_groups
@@ -204,7 +204,8 @@ class InvariantPair:
     @_cached_property
     def profile(self) -> tuple:
         """A cheap isomorphism invariant; the first gate of the iso search."""
-        faces = faces_by_component(self.diagram)
+        check_diagram(self.diagram)
+        faces = self.diagram.faces_by_component
         comp_profiles = {}
         for comp_id, saddle_ids, sep_ids in self.diagram.components:
             ks = tuple(sorted(self.diagram.saddle_by_id[s].k for s in saddle_ids))

@@ -55,8 +55,6 @@ from .diagram import (
     SaddleDiagram,
     Separatrix,
     check_diagram,
-    diagram_components,
-    faces_by_component,
     flip,
 )
 from .graph import (
@@ -125,35 +123,15 @@ class PairWitness:
 # structural rewrites: relabel and reverse
 
 
-def _attachment_remap(p: InvariantPair, new_diagram: SaddleDiagram,
-                      vertices: dict, separatrices: dict):
-    """Attachment of ``p`` -> attachment in ``new_diagram``.
-
-    Vertex ids are renamed by ``vertices``; a face is found again by its
-    darts, each separatrix renamed by ``separatrices``, because face
-    indices are positional (faces ordered by least dart).
-    """
-    old_faces = faces_by_component(p.diagram)
-    new_face_index = {
-        frozenset(f.sides): idx
-        for faces in faces_by_component(new_diagram).values()
-        for idx, f in enumerate(faces)
-    }
-
-    def remap(att: Attachment) -> Attachment:
-        v = p.vertex_by_id[att.vertex]
-        if v.label != "d":
-            return Attachment(vertices[att.vertex])
-        face = old_faces[v.component][att.face]
-        darts = frozenset((separatrices[sep], end) for sep, end in face.sides)
-        return Attachment(vertices[att.vertex], new_face_index[darts])
-
-    return remap
-
-
 def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
                  vertices: dict, annuli: dict) -> InvariantPair:
-    """Rename every object of a valid pair; component references and face indices follow."""
+    """Rename every object of a valid pair; component references and face indices follow.
+
+    A polycycle takes the name of its least renamed saddle, and a face the
+    rank of its least renamed dart among its polycycle's faces.  The
+    renamed diagram is validated: maps that send two ids to one name, or
+    to a name that is not a ``str``, raise ``ValidationError``.
+    """
     check_pair(p)
     new_diagram = SaddleDiagram(
         tuple(
@@ -168,11 +146,22 @@ def relabel_pair(p: InvariantPair, saddles: dict, separatrices: dict,
             for e in p.diagram.separatrices
         ),
     )
-    remap = _attachment_remap(p, new_diagram, vertices, separatrices)
+    check_diagram(new_diagram)
+    comp_rename = {comp_id: min(saddles[sid] for sid in saddle_ids)
+                   for comp_id, saddle_ids, _ in p.diagram.components}
+    face_rename = {}  # component id -> the new index of each face
+    for comp_id, faces in p.diagram.faces_by_component.items():
+        least = [min((separatrices[sep], end) for sep, end in f.sides)
+                 for f in faces]
+        rank = {dart: idx for idx, dart in enumerate(sorted(least))}
+        face_rename[comp_id] = [rank[dart] for dart in least]
 
-    comp_rename = {}
-    for comp_id, saddle_ids, _ in diagram_components(p.diagram):
-        comp_rename[comp_id] = min(saddles[sid] for sid in saddle_ids)
+    def remap(att: Attachment) -> Attachment:
+        v = p.vertex_by_id[att.vertex]
+        if v.label != "d":
+            return Attachment(vertices[att.vertex])
+        return Attachment(vertices[att.vertex],
+                          face_rename[v.component][att.face])
 
     new_vertices = tuple(
         VertexNode(vertices[v.id], v.label,
@@ -434,16 +423,13 @@ def verify_witness(p1: InvariantPair, p2: InvariantPair, w: PairWitness) -> bool
     image = relabel_pair(p1, w.saddles, w.separatrices, w.vertices, w.annuli)
     if w.reversed_orientation:
         image = reverse_pair(image)
-    return _least_rotations(image) == _least_rotations(p2)
-
-
-def _least_rotations(p: InvariantPair) -> InvariantPair:
-    """The pair with every rotation word stored from its least rotation."""
-    d = p.diagram
-    saddles = tuple(Saddle(s.id, s.k, _least_rotation(s.rotation), s.kind)
-                    for s in d.saddles)
-    return InvariantPair(SaddleDiagram(saddles, d.separatrices),
-                         p.vertices, p.annuli, p.tori)
+    d = image.diagram
+    return ((image.vertices, image.annuli, image.tori, d.separatrices)
+            == (p2.vertices, p2.annuli, p2.tori, d2.separatrices)
+            and len(d.saddles) == len(d2.saddles)
+            and all((s.id, s.k, s.kind) == (t.id, t.k, t.kind)
+                    and _least_rotation(s.rotation) == _least_rotation(t.rotation)
+                    for s, t in zip(d.saddles, d2.saddles)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 from flowinv.diagram import IN, OUT, Saddle, SaddleDiagram, Separatrix, \
-    Violation
+    Violation, diagram_components, faces_by_component
 from flowinv.enumeration import EnumBounds, _degree_multisets, _diagram, \
     _slot_symmetries
 from flowinv.graph import (
@@ -886,18 +886,67 @@ def document_of(p: InvariantPair) -> dict:
 # relabeling
 
 
-def random_relabel(p: InvariantPair, rng: random.Random) -> InvariantPair:
+def random_renaming(p: InvariantPair, rng: random.Random) -> tuple:
+    """Seeded maps for ``relabel_pair``: saddles, separatrices, vertices
+    and annuli, each onto shuffled ``S0``, ``E0``, ``V0``, ``A0``, ..."""
     def scramble(ids, prefix):
         names = [f"{prefix}{i}" for i in range(len(ids))]
         rng.shuffle(names)
         return dict(zip(sorted(ids), names))
 
-    return relabel_pair(
-        p,
+    return (
         scramble([s.id for s in p.diagram.saddles], "S"),
         scramble([e.id for e in p.diagram.separatrices], "E"),
         scramble([v.id for v in p.vertices], "V"),
         scramble([a.id for a in p.annuli], "A"),
+    )
+
+
+def random_relabel(p: InvariantPair, rng: random.Random) -> InvariantPair:
+    return relabel_pair(p, *random_renaming(p, rng))
+
+
+def relabel_oracle(p: InvariantPair, saddles: dict, separatrices: dict,
+                   vertices: dict, annuli: dict) -> InvariantPair:
+    """``relabel_pair`` by tracing the renamed diagram's faces again: each
+    face of ``p`` is found there by its set of renamed darts, and each
+    polycycle by where its saddles went."""
+    check_pair(p)
+    new_diagram = SaddleDiagram(
+        tuple(Saddle(saddles[s.id], s.k,
+                     tuple((separatrices[sep], end) for sep, end in s.rotation),
+                     s.kind)
+              for s in p.diagram.saddles),
+        tuple(Separatrix(separatrices[e.id], saddles[e.source],
+                         saddles[e.target], e.twisted)
+              for e in p.diagram.separatrices),
+    )
+    old_faces = faces_by_component(p.diagram)
+    new_face_index = {
+        frozenset(f.sides): idx
+        for faces in faces_by_component(new_diagram).values()
+        for idx, f in enumerate(faces)
+    }
+
+    def remap(att: Attachment) -> Attachment:
+        v = p.vertex_by_id[att.vertex]
+        if v.label != "d":
+            return Attachment(vertices[att.vertex])
+        face = old_faces[v.component][att.face]
+        darts = frozenset((separatrices[sep], end) for sep, end in face.sides)
+        return Attachment(vertices[att.vertex], new_face_index[darts])
+
+    def component(v: VertexNode):
+        return (new_diagram.component_of[saddles[v.component]]
+                if v.label == "d" else None)
+
+    return InvariantPair(
+        new_diagram,
+        tuple(VertexNode(vertices[v.id], v.label, component(v))
+              for v in p.vertices),
+        tuple(AnnulusEdge(annuli[a.id], remap(a.neg), remap(a.pos))
+              for a in p.annuli),
+        p.tori,
     )
 
 
@@ -1065,8 +1114,6 @@ def brute_force_pairs(bounds: EnumBounds) -> list:
 
     for ks in _degree_multisets(bounds.max_saddles, bounds.max_k_sum):
         for diagram in diagram_candidates(ks):
-            from flowinv.diagram import diagram_components, faces_by_component
-
             comps = diagram_components(diagram)
             faces = faces_by_component(diagram)
             d_vertices = tuple(

@@ -2,10 +2,13 @@ import random
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from flowinv.cli import main
+from flowinv.enumeration import EnumBounds, enumerate_pairs
+from flowinv.isomorphism import canonical_form
 from flowinv.model_io import serialize_model
 from flowinv.reconstruction import realize_multigraph
 
@@ -235,6 +238,33 @@ class TestRealizeAndEnumerate:
         code1, out1, _ = run(capsys, *args)
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0 and out1 == out2
+
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--max-saddles", "max_saddles"), ("--max-k-sum", "max_k_sum"),
+        ("--max-centers", "max_centers"), ("--max-n", "max_n"),
+        ("--max-b", "max_b"), ("--max-annuli", "max_annuli"),
+        ("--max-tori", "max_tori"),
+    ])
+    def test_enumerate_flag_reaches_its_bound(self, flag, field, capsys):
+        """With every bound at 2, lowering one flag to 0 prints what
+        ``enumerate_pairs`` gives with that bound alone at 0, which is
+        not what all bounds at 2 give.  (Each flag alone at 1 prints
+        nothing for six of the seven bounds, so it could not tell the
+        flags apart.)"""
+        flags = ["--max-saddles", "--max-k-sum", "--max-centers", "--max-n",
+                 "--max-b", "--max-annuli", "--max-tori"]
+        argv = [arg for f in flags for arg in (f, "0" if f == flag else "2")]
+        code, out, _ = run(capsys, "enumerate", *argv)
+        base = EnumBounds(2, 2, 2, 2, 2, 2, 2)
+
+        def printed(bounds):
+            return "".join(
+                f"{canonical_form(p).digest()} {serialize_model(p, compact=True)}\n"
+                for p in enumerate_pairs(bounds))
+
+        assert code == 0
+        assert out == printed(replace(base, **{field: 0})) != printed(base)
 
 
 class TestUsage:

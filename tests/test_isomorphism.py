@@ -46,7 +46,7 @@ from oracles import (
     annulus_ends_oracle, component_groups_oracle, cycle_graph, dense_ranks,
     end_ranks_oracle, engine_initial_oracle, full_refine, ordered_cells,
     orientation_oracle, path_graph, random_graph, random_relabel,
-    star_graph)
+    random_renaming, relabel_oracle, star_graph)
 
 MODELS = [
     sphere_rotation,
@@ -954,3 +954,29 @@ class TestKeptSearch:
                 fresh = [canonical_form(_rebuilt(model), mode).blob
                          for mode in order]
                 assert kept == fresh * 2
+
+
+# ---------------------------------------------------------------------------
+# relabel_pair against the trace-and-match oracle
+
+
+def test_relabel_matches_trace_and_match_oracle():
+    """``relabel_pair`` ranks each face by its least renamed dart; the
+    oracle traces the renamed diagram again and finds each face by its
+    darts.  Some renamings reorder a polycycle's faces, so the rank rule
+    is exercised, not only the identity."""
+    models = list(enumerate_pairs(SMALL_CLASSES))
+    models += enumerate_pairs(replace(SMALL_CLASSES, mode=REVERSIBLE))
+    models += [_fixture_model(name) for name in sorted(GOLDEN_DIGESTS)]
+    models += [realize_multigraph(SYMMETRIC[name]())
+               for name in ("star-12", "cycle-10", "dipole-8")]
+    rng, reordered = random.Random(37), 0
+    for p in models:
+        for _ in range(3):
+            maps = random_renaming(p, rng)
+            q = isomorphism.relabel_pair(p, *maps)
+            assert q == relabel_oracle(p, *maps)
+            faces = {a.id: (a.neg.face, a.pos.face) for a in q.annuli}
+            reordered += any(faces[maps[3][a.id]] != (a.neg.face, a.pos.face)
+                             for a in p.annuli)
+    assert reordered

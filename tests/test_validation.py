@@ -24,8 +24,8 @@ from flowinv.reconstruction import build_cell_model, chi_cells, \
     realize_multigraph, reconstruct
 
 from conftest import FIXTURES, fixture_text, three_centers_eight
-from oracles import all_connected_multigraphs, diagram_violations_oracle, \
-    pair_violations_oracle, random_graph
+from oracles import all_connected_multigraphs, cycle_graph, \
+    diagram_violations_oracle, pair_violations_oracle, random_graph
 from test_enumeration import SMALL_BOUNDS
 
 ENTRY_POINTS = {
@@ -274,6 +274,34 @@ def test_no_dead_private_helper():
     assert not dead, f"never used: {dead}"
 
 
+THIN_READERS = {"trace_faces", "faces_by_component", "diagram_components",
+                "assembly_components"}
+
+
+def test_package_calls_no_thin_reader():
+    """No module of the package calls a thin reader, a public function
+    that validates and returns a cached property, outside its own
+    definition: the package reads the cached property.  The readers stay
+    for the public API."""
+    calls = []
+
+    def visit(node, path, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else getattr(func, "attr", None))
+            if name in THIN_READERS and name not in inside:
+                calls.append(f"{path.name}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, inside)
+
+    for path in sorted(Path(flowinv.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, frozenset())
+    assert not calls, f"thin readers called: {calls}"
+
+
 def test_readers_reject_a_misfit():
     """A rotation of the wrong type is rejected by every reader that
     writes, reverses or renames a model, not met with a ``TypeError``."""
@@ -289,6 +317,23 @@ def test_readers_reject_a_misfit():
             read(q)
         assert err.value.violations == list(q.violations)
         assert q.violations[0].rule == "type"
+
+
+@pytest.mark.parametrize("kind, name, rule", [
+    (0, "s_x0", "unique-id"), (1, "e_x0_0", "unique-id"),
+    (0, 7, "type"), (1, 7, "type"),
+], ids=["saddles-merged", "separatrices-merged", "saddle-not-str",
+        "separatrix-not-str"])
+def test_relabel_rejects_a_renaming_that_breaks_the_diagram(kind, name, rule):
+    """A saddle or separatrix map that sends two ids to one name, or gives
+    a name that is not a ``str``, raises ``ValidationError``."""
+    p = realize_multigraph(cycle_graph(3))
+    maps = [{x.id: x.id for x in records} for records in (
+        p.diagram.saddles, p.diagram.separatrices, p.vertices, p.annuli)]
+    maps[kind][max(maps[kind])] = name
+    with pytest.raises(ValidationError) as err:
+        relabel_pair(p, *maps)
+    assert rule in {v.rule for v in err.value.violations}
 
 
 def test_reversing_an_invalid_pair_traces_no_faces():
